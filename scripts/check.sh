@@ -35,6 +35,13 @@
 #               decision-trace digest without waiting for a full-size
 #               sweep. (The regression *gate* already runs inside ctest
 #               above as `bench_regression_check`.)
+#   RAC_E2E_SMOKE=1 end-to-end benchmark smoke: `python3 bench/e2e/run.py
+#               selftest` builds the standalone bench/e2e CMake project
+#               (under build-e2e/) and runs a smoke pass over all four
+#               workloads plus tamper tests of its result checker (~5 s
+#               plus the build). Tier-1 never builds bench/e2e, so this
+#               is the phase that catches an interface change breaking
+#               the benchmark driver.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,6 +96,10 @@ if [[ "${RAC_BENCH_SMOKE:-0}" == "1" ]]; then
   python3 scripts/bench_trajectory.py sweep \
       --build-dir "$BUILD_DIR" --reports "$SMOKE_DIR" --quick
   python3 scripts/bench_trajectory.py collect --reports "$SMOKE_DIR"
+fi
+
+if [[ "${RAC_E2E_SMOKE:-0}" == "1" ]]; then
+  python3 bench/e2e/run.py selftest
 fi
 
 if [[ "${RAC_AUDIT:-0}" == "1" ]]; then

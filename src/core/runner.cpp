@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -182,6 +181,7 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
       ++next_switch;
     }
     config::Configuration applied;
+    env::Measurement measured;
     env::PerfSample sample;
     int attempts = 1;
     bool missing = false;
@@ -192,42 +192,40 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
         const obs::ProfileScope decide_profile("runner.decide");
         applied = agent.decide();
       }
-      const obs::ProfileScope measure_profile("runner.measure");
-      if (!options.robustness.enabled) {
-        // Paper-exact path: the monitor cannot fail, every interval lands.
-        sample = environment.measure(applied);  // rac-lint: allow(unchecked-measure)
-        agent.observe(applied, sample);
-      } else {
-        std::optional<env::PerfSample> measured =
-            environment.try_measure(applied);
-        // Exponential backoff in simulated time: each retry is accounted
+      {
+        const obs::ProfileScope measure_profile("runner.measure");
+        measured = environment.measure_interval(applied, nullptr);
+        // Paper-exact path (robustness off): every interval lands, a lost
+        // one as its timeout sentinel. The hardened path retries with
+        // exponential backoff in simulated time: each retry is accounted
         // as 1, 2, 4, ... backoff units (this layer never sleeps --
         // wall-clock is banned here and the environments advance their
         // own clocks).
         std::uint64_t backoff = 1;
-        while (!measured.has_value() &&
+        while (options.robustness.enabled && measured.lost &&
                attempts <= options.robustness.max_retries) {
           ++attempts;
           c_measure_retries.add(1);
           c_backoff.add(backoff);
           backoff *= 2;
-          measured = environment.try_measure(applied);
+          measured = environment.measure_interval(applied, nullptr);
         }
-        if (measured.has_value()) {
-          sample = *measured;
-          agent.observe(applied, sample);
-        } else {
-          // Interval lost for good: hold the last decision. The agent is
-          // not told anything -- a fabricated observation would teach it
-          // about an interval that never happened.
-          missing = true;
-          c_missing.add(1);
-          if (options.robustness.hold_last_on_missing &&
-              !trace.records.empty()) {
-            sample.response_ms = trace.records.back().response_ms;
-            sample.throughput_rps = trace.records.back().throughput_rps;
-            c_held.add(1);
-          }
+      }
+      missing = options.robustness.enabled && measured.lost;
+      if (!missing) {
+        sample = measured.sample;
+        const obs::ProfileScope observe_profile("runner.observe");
+        agent.observe(applied, sample);
+      } else {
+        // Interval lost for good: hold the last decision. The agent is
+        // not told anything -- a fabricated observation would teach it
+        // about an interval that never happened.
+        c_missing.add(1);
+        if (options.robustness.hold_last_on_missing &&
+            !trace.records.empty()) {
+          sample.response_ms = trace.records.back().response_ms;
+          sample.throughput_rps = trace.records.back().throughput_rps;
+          c_held.add(1);
         }
       }
     }
@@ -251,7 +249,7 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
       event.throughput_rps = sample.throughput_rps;
       event.measure_attempts = attempts;
       event.measurement_missing = missing;
-      event.fault_note = environment.last_fault_note();
+      event.fault_note = measured.fault_note;
       event.context = record.context.name();
       agent.annotate(event);
       options.sink->emit(event);

@@ -54,12 +54,12 @@ struct AgentTrace {
 };
 
 /// Graceful degradation of the measurement path (PR 5). Disabled by
-/// default: the loop then calls Environment::measure() exactly as the
-/// paper's management station does, and a lost interval is impossible.
+/// default: the loop then takes every interval's reported sample exactly
+/// as the paper's management station does, lost or not.
 struct MeasureRobustness {
-  /// Route measurements through Environment::try_measure with retries.
+  /// Retry intervals that Environment::measure_interval reports lost.
   bool enabled = false;
-  /// Additional try_measure attempts after the first returns nullopt.
+  /// Additional measure_interval attempts after the first is lost.
   /// Retry cost is accounted (core.fault.backoff_units grows 1, 2, 4, ...
   /// per retry -- exponential backoff in simulated time; the loop never
   /// sleeps, wall-clock is banned in this layer).

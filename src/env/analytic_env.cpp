@@ -54,7 +54,16 @@ double swap_factor(const tiersim::SystemParams& P, double used_mb,
 
 AnalyticEnv::AnalyticEnv(const SystemContext& context,
                          const AnalyticEnvOptions& options)
-    : ctx_(context), opt_(options), rng_(options.seed) {
+    : ctx_(context),
+      opt_(options),
+      rng_(options.seed),
+      traffic_(options.registry) {
+  obs::Registry& reg = obs::registry_or_default(opt_.registry);
+  measurements_ = &reg.counter("env.analytic.measurements");
+  noise_draws_ = &reg.counter("env.analytic.noise_draws");
+  evaluations_ = &reg.counter("env.analytic.evaluations");
+  evaluate_us_ =
+      &reg.histogram("env.analytic.evaluate_us", obs::latency_us_bounds());
   // Station structure is fixed for the life of the model; evaluate() swaps
   // rate tables in place each fixed-point iteration. The placeholder rate
   // tables are never solved against.
@@ -76,63 +85,25 @@ std::unique_ptr<Environment> AnalyticEnv::clone_with_seed(
   // trajectory: a clone measuring interval k must see the same target the
   // original would have.
   clone->traffic_ = traffic_;
-  clone->traffic_interval_ = traffic_interval_;
   return clone;
 }
 
-PerfSample AnalyticEnv::measure(const Configuration& configuration) {
-  // Resolved per call against the injected registry; function-local
-  // statics here would pin the counters to the first caller's registry.
-  obs::Registry& reg = obs::registry_or_default(opt_.registry);
-  reg.counter("env.analytic.measurements").add(1);
-
-  // Resolve this interval's traffic target: a measure_under overlay wins,
-  // else the installed model's emission at the cursor. The cursor counts
-  // model-driven measurements (overlays replace the target for their
-  // interval but still consume it).
-  std::optional<workload::TrafficTarget> target = overlay_;
-  const bool modeled = traffic_ != nullptr && !traffic_->empty();
-  if (!target.has_value() && modeled) {
-    target = traffic_->target_at(
-        static_cast<std::int64_t>(traffic_interval_), ctx_.mix);
-  }
-  if (traffic_ != nullptr) ++traffic_interval_;
-  if (target.has_value()) {
-    reg.counter("core.traffic.intervals").add(1);
-    if (overlay_.has_value()) reg.counter("core.traffic.overlays").add(1);
-    reg.gauge("core.traffic.concurrency_scale")
-        .set(target->concurrency_scale);
-    reg.gauge("core.traffic.think_scale").set(target->think_scale);
-  }
-
-  PerfSample sample = evaluate_target(
+Measurement AnalyticEnv::measure_interval(
+    const Configuration& configuration,
+    const workload::TrafficTarget* overlay) {
+  measurements_->add(1);
+  const std::optional<workload::TrafficTarget> target =
+      traffic_.next(ctx_.mix, overlay);
+  Measurement measurement;
+  measurement.sample = evaluate_target(
       configuration, target.has_value() ? &*target : nullptr, nullptr);
   if (opt_.noise_sigma > 0.0) {
-    sample.response_ms *= rng_.lognormal_unit(opt_.noise_sigma);
-    sample.throughput_rps *= rng_.lognormal_unit(opt_.noise_sigma * 0.5);
-    reg.counter("env.analytic.noise_draws").add(2);
+    measurement.sample.response_ms *= rng_.lognormal_unit(opt_.noise_sigma);
+    measurement.sample.throughput_rps *=
+        rng_.lognormal_unit(opt_.noise_sigma * 0.5);
+    noise_draws_->add(2);
   }
-  return sample;
-}
-
-PerfSample AnalyticEnv::measure_under(const workload::TrafficTarget& overlay,
-                                      const Configuration& configuration) {
-  overlay_ = overlay;
-  PerfSample sample;
-  try {
-    sample = measure(configuration);
-  } catch (...) {
-    overlay_.reset();
-    throw;
-  }
-  overlay_.reset();
-  return sample;
-}
-
-void AnalyticEnv::set_traffic_model(
-    std::shared_ptr<const workload::TrafficModel> model) {
-  traffic_ = std::move(model);
-  traffic_interval_ = 0;
+  return measurement;
 }
 
 PerfSample AnalyticEnv::evaluate(const Configuration& cfg,
@@ -149,11 +120,8 @@ PerfSample AnalyticEnv::evaluate_under(const Configuration& cfg,
 PerfSample AnalyticEnv::evaluate_target(
     const Configuration& cfg, const workload::TrafficTarget* target,
     ModelDiagnostics* diagnostics) const {
-  obs::Registry& reg = obs::registry_or_default(opt_.registry);
-  reg.counter("env.analytic.evaluations").add(1);
-  obs::Histogram& h_evaluate =
-      reg.histogram("env.analytic.evaluate_us", obs::latency_us_bounds());
-  const obs::ScopedTimer eval_timer(&h_evaluate);
+  evaluations_->add(1);
+  const obs::ScopedTimer eval_timer(evaluate_us_);
   const tiersim::SystemParams& P = opt_.system;
   // With a traffic target: the blended workload at the scaled population.
   // A one-hot blend with unit scales reproduces the plain path bitwise

@@ -28,17 +28,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "env/environment.hpp"
 #include "queueing/mva.hpp"
 #include "tiersim/system_params.hpp"
 #include "util/rng.hpp"
-#include "workload/dynamic.hpp"
-
-namespace rac::obs {
-class Registry;
-}
 
 namespace rac::env {
 
@@ -85,7 +79,10 @@ class AnalyticEnv : public Environment {
   explicit AnalyticEnv(const SystemContext& context,
                        const AnalyticEnvOptions& options = {});
 
-  PerfSample measure(const config::Configuration& configuration) override;
+  /// Consumes the interval's traffic target (the overlay, else the model's
+  /// emission at the cursor) and advances the cursor.
+  Measurement measure_interval(const config::Configuration& configuration,
+                               const workload::TrafficTarget* overlay) override;
   void set_context(const SystemContext& context) override { ctx_ = context; }
   SystemContext context() const override { return ctx_; }
 
@@ -111,25 +108,9 @@ class AnalyticEnv : public Environment {
                             const workload::TrafficTarget& target,
                             ModelDiagnostics* diagnostics = nullptr) const;
 
-  // -- dynamic traffic (workload/dynamic.hpp) -----------------------------
-  // measure() consumes model targets per interval and advances the
-  // cursor; measure_under replaces one interval's target (the fault
-  // layer's surge promotion rides on it). The model pointer is shared
-  // const state and clones carry it along with the cursor.
-  PerfSample measure_under(const workload::TrafficTarget& overlay,
-                           const config::Configuration& configuration) override;
-  void set_traffic_model(
-      std::shared_ptr<const workload::TrafficModel> model) override;
-  std::shared_ptr<const workload::TrafficModel> traffic_model()
-      const override {
-    return traffic_;
-  }
-  std::uint64_t traffic_interval() const override {
-    return traffic_interval_;
-  }
-  void seek_traffic(std::uint64_t interval) override {
-    traffic_interval_ = interval;
-  }
+  /// The model pointer is shared const state; clones carry it along with
+  /// the cursor.
+  TrafficCursor* traffic_cursor() override { return &traffic_; }
 
   const AnalyticEnvOptions& options() const noexcept { return opt_; }
 
@@ -143,11 +124,13 @@ class AnalyticEnv : public Environment {
   SystemContext ctx_;
   AnalyticEnvOptions opt_;
   util::Rng rng_;
-  std::shared_ptr<const workload::TrafficModel> traffic_;
-  std::uint64_t traffic_interval_ = 0;
-  /// Transient per-measurement override (measure_under); never outlives
-  /// the call that set it.
-  std::optional<workload::TrafficTarget> overlay_;
+  TrafficCursor traffic_;
+  // Metric handles, resolved once at construction (evaluate() stays free
+  // of registry lookups, so concurrent clones never contend on it).
+  obs::Counter* measurements_ = nullptr;
+  obs::Counter* noise_draws_ = nullptr;
+  obs::Counter* evaluations_ = nullptr;
+  obs::Histogram* evaluate_us_ = nullptr;
 
   PerfSample evaluate_target(const config::Configuration& configuration,
                              const workload::TrafficTarget* target,

@@ -10,20 +10,27 @@
 //     experiment sweeps.
 //   * SimEnv -- the discrete-event ThreeTierSystem; the ground-truth
 //     substrate.
+//
+// measure(), measure_under() and the traffic methods are non-virtual
+// conveniences over measure_interval() and traffic_cursor().
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "config/configuration.hpp"
 #include "env/context.hpp"
+#include "workload/dynamic.hpp"
 
-namespace rac::workload {
-class TrafficModel;
-struct TrafficTarget;
-}  // namespace rac::workload
+namespace rac::obs {
+class Counter;
+class Gauge;
+class Histogram;
+class Registry;
+}  // namespace rac::obs
 
 namespace rac::env {
 
@@ -33,61 +40,76 @@ struct PerfSample {
   double throughput_rps = 0.0; // completed requests per second
 };
 
+/// One measurement interval as the monitor delivered it. `lost` (monitor
+/// timeout, dropped sample) is set only by fault-injecting decorators, and
+/// `sample` then holds their timeout sentinel.
+struct Measurement {
+  PerfSample sample;
+  bool lost = false;
+  std::string fault_note;  // injected faults ("drop+spike"); "" when clean
+};
+
+/// An environment's dynamic-traffic state: the installed model (shared
+/// const state), the cursor and the core.traffic.* metrics. Checkpoints
+/// persist the cursor (rac-checkpoint v2 / rac-fleet-checkpoint v2) so a
+/// restored run resumes mid-day. It counts *measurements*, not loop
+/// iterations -- the runner's robustness retries each advance it.
+class TrafficCursor {
+ public:
+  explicit TrafficCursor(obs::Registry* registry);
+
+  /// Install (or clear, with nullptr) a model and rewind to interval 0.
+  void install(std::shared_ptr<const workload::TrafficModel> model) {
+    model_ = std::move(model);
+    position_ = 0;
+  }
+  const std::shared_ptr<const workload::TrafficModel>& model() const noexcept {
+    return model_;
+  }
+  std::uint64_t position() const noexcept { return position_; }
+  void seek(std::uint64_t position) noexcept { position_ = position; }
+
+  /// This interval's target: the overlay when given, else the model's
+  /// emission at the cursor under the scheduled `mix` (nullopt with no or
+  /// an empty model). Any installed model advances the cursor, overlay or
+  /// not.
+  std::optional<workload::TrafficTarget> next(
+      workload::MixType mix, const workload::TrafficTarget* overlay);
+
+ private:
+  std::shared_ptr<const workload::TrafficModel> model_;
+  std::uint64_t position_ = 0;
+  obs::Counter* intervals_ = nullptr;
+  obs::Counter* overlays_ = nullptr;
+  obs::Gauge* concurrency_scale_ = nullptr;
+  obs::Gauge* think_scale_ = nullptr;
+};
+
 class Environment {
  public:
   virtual ~Environment() = default;
 
-  /// Apply `configuration` and measure one interval.
-  virtual PerfSample measure(const config::Configuration& configuration) = 0;
+  /// Apply `configuration` and measure one interval. A non-null `overlay`
+  /// is a transient traffic target for this interval only (the dynamic
+  /// workload the agent must ride out -- it is NOT told): it replaces
+  /// whatever the installed traffic model would have emitted, and the
+  /// scheduled context is untouched afterwards. Environments without blend
+  /// support route overlays through measure_with_context_swap().
+  virtual Measurement measure_interval(
+      const config::Configuration& configuration,
+      const workload::TrafficTarget* overlay) = 0;
 
-  /// Fallible variant of measure(): returns std::nullopt when the
-  /// measurement interval was lost (monitor timeout, dropped sample).
-  /// The default adapter never fails; fault-injecting decorators override
-  /// this, and the runner's retry wrapper consumes it.
-  virtual std::optional<PerfSample> try_measure(
-      const config::Configuration& configuration) {
-    return measure(configuration);
+  /// The reported sample of one interval (a lost interval reports its
+  /// timeout sentinel; use measure_interval to tell).
+  PerfSample measure(const config::Configuration& configuration) {
+    return measure_interval(configuration, nullptr).sample;
   }
 
-  /// Human-readable note describing any fault injected into the most
-  /// recent measurement ("" when the interval was clean). Decorators
-  /// override this so the runner can surface faults in decision traces
-  /// without depending on the fault layer.
-  virtual std::string last_fault_note() const { return {}; }
-
-  /// Measure one interval under a transient traffic overlay (the dynamic
-  /// workload the agent must ride out -- it is NOT told). The overlay
-  /// replaces whatever the installed traffic model would have emitted for
-  /// this interval; the scheduled context is untouched afterwards. The
-  /// default degrades gracefully for environments without blend support:
-  /// it measures under the overlay's dominant mix via a set_context swap
-  /// (exactly the legacy surge-fault semantics).
-  virtual PerfSample measure_under(const workload::TrafficTarget& overlay,
-                                   const config::Configuration& configuration);
-
-  /// Install (or clear, with nullptr) a dynamic traffic model: from then
-  /// on each measured interval runs under model->target_at(cursor, mix)
-  /// and the cursor advances per measurement. Installing resets the cursor
-  /// to 0. The default implementation accepts only nullptr and throws
-  /// std::invalid_argument otherwise (the environment cannot honor a
-  /// model it would silently ignore).
-  virtual void set_traffic_model(
-      std::shared_ptr<const workload::TrafficModel> model);
-
-  virtual std::shared_ptr<const workload::TrafficModel> traffic_model() const {
-    return nullptr;
+  /// The reported sample of one interval under a transient overlay.
+  PerfSample measure_under(const workload::TrafficTarget& overlay,
+                           const config::Configuration& configuration) {
+    return measure_interval(configuration, &overlay).sample;
   }
-
-  /// The traffic cursor: how many intervals this environment has measured
-  /// against its model. Checkpoints persist it (rac-checkpoint v2 /
-  /// rac-fleet-checkpoint v2) so a restored run resumes mid-day rather
-  /// than at dawn. Note it counts *measurements*, not loop iterations --
-  /// the runner's robustness retries each advance it.
-  virtual std::uint64_t traffic_interval() const { return 0; }
-
-  /// Reposition the traffic cursor (restore path). The default throws
-  /// std::invalid_argument for a nonzero target.
-  virtual void seek_traffic(std::uint64_t interval);
 
   /// Reallocate workload mix and/or VM resources (the external dynamics the
   /// agent must adapt to -- it is NOT told about this call).
@@ -101,14 +123,48 @@ class Environment {
   /// discrete-event simulator (heavyweight mutable state) does not.
   virtual bool thread_safe() const { return false; }
 
-  /// Independent copy of this environment (same context and mechanism
-  /// constants) whose measurement-noise stream is reseeded from `seed`.
-  /// Implementations advertising thread_safe() must return non-null;
-  /// the default returns nullptr (cloning unsupported).
+  /// Independent copy of this environment (same context, mechanism
+  /// constants, traffic model and cursor) whose measurement-noise stream is
+  /// reseeded from `seed`. Implementations advertising thread_safe() must
+  /// return non-null; the default returns nullptr (cloning unsupported).
   virtual std::unique_ptr<Environment> clone_with_seed(
       std::uint64_t /*seed*/) const {
     return nullptr;
   }
+
+  /// The dynamic-traffic state measure_interval consumes, or nullptr for an
+  /// environment that cannot honor a traffic model. Decorators forward
+  /// their inner environment's. One non-const accessor serves both the
+  /// const readers and the mutators below; overrides only return an
+  /// address.
+  virtual TrafficCursor* traffic_cursor() { return nullptr; }
+
+  /// Install (or clear, with nullptr) a dynamic traffic model: from then
+  /// on each measured interval runs under model->target_at(cursor, mix).
+  /// Installing resets the cursor to 0. Without a cursor only nullptr is
+  /// accepted; anything else throws std::invalid_argument (the environment
+  /// cannot honor a model it would silently ignore).
+  void set_traffic_model(std::shared_ptr<const workload::TrafficModel> model);
+  std::shared_ptr<const workload::TrafficModel> traffic_model() const {
+    const TrafficCursor* c = const_cast<Environment*>(this)->traffic_cursor();
+    return c != nullptr ? c->model() : nullptr;
+  }
+  /// The traffic cursor (0 without one).
+  std::uint64_t traffic_interval() const {
+    const TrafficCursor* c = const_cast<Environment*>(this)->traffic_cursor();
+    return c != nullptr ? c->position() : 0;
+  }
+  /// Reposition the traffic cursor (restore path). Without a cursor a
+  /// nonzero target throws std::invalid_argument.
+  void seek_traffic(std::uint64_t interval);
+
+ protected:
+  /// Overlay fallback for environments without blend support: measure
+  /// under the overlay's dominant mix via a set_context swap (exactly the
+  /// legacy surge-fault semantics), then restore the scheduled context.
+  Measurement measure_with_context_swap(
+      const config::Configuration& configuration,
+      const workload::TrafficTarget& overlay);
 };
 
 }  // namespace rac::env

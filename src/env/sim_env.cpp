@@ -9,7 +9,14 @@
 namespace rac::env {
 
 SimEnv::SimEnv(const SystemContext& context, const SimEnvOptions& options)
-    : ctx_(context), opt_(options), next_seed_(options.seed) {}
+    : ctx_(context),
+      opt_(options),
+      next_seed_(options.seed),
+      traffic_(options.registry) {
+  obs::Registry& reg = obs::registry_or_default(opt_.registry);
+  measurements_ = &reg.counter("env.sim.measurements");
+  measure_us_ = &reg.histogram("env.sim.measure_us", obs::latency_us_bounds());
+}
 
 void SimEnv::rebuild(const config::Configuration& configuration) {
   tiersim::SimSetup setup;
@@ -32,26 +39,15 @@ void SimEnv::rebuild(const config::Configuration& configuration) {
   system_ = std::make_unique<tiersim::ThreeTierSystem>(opt_.system, setup);
 }
 
-PerfSample SimEnv::measure(const config::Configuration& configuration) {
-  // Resolved per call against the injected registry; function-local
-  // statics here would pin the counters to the first caller's registry.
-  obs::Registry& reg = obs::registry_or_default(opt_.registry);
-  reg.counter("env.sim.measurements").add(1);
-  obs::Histogram& h_measure =
-      reg.histogram("env.sim.measure_us", obs::latency_us_bounds());
-  const obs::ScopedTimer timer(&h_measure);
-
-  std::optional<workload::TrafficTarget> target;
-  if (traffic_ != nullptr && !traffic_->empty()) {
-    target = traffic_->target_at(
-        static_cast<std::int64_t>(traffic_interval_), ctx_.mix);
+Measurement SimEnv::measure_interval(const config::Configuration& configuration,
+                                     const workload::TrafficTarget* overlay) {
+  if (overlay != nullptr) {
+    return measure_with_context_swap(configuration, *overlay);
   }
-  if (traffic_ != nullptr) ++traffic_interval_;
-  if (target.has_value()) {
-    reg.counter("core.traffic.intervals").add(1);
-    reg.gauge("core.traffic.concurrency_scale").set(target->concurrency_scale);
-    reg.gauge("core.traffic.think_scale").set(target->think_scale);
-  }
+  measurements_->add(1);
+  const obs::ScopedTimer timer(measure_us_);
+  const std::optional<workload::TrafficTarget> target =
+      traffic_.next(ctx_.mix, nullptr);
 
   // A changed target replaces the browser population, like a mix switch at
   // the load balancer. An unchanged one (bit-for-bit, so the one-hot
@@ -67,10 +63,10 @@ PerfSample SimEnv::measure(const config::Configuration& configuration) {
     system_->reconfigure(configuration);
   }
   last_ = system_->run(opt_.warmup_s, opt_.measure_s);
-  PerfSample sample;
-  sample.response_ms = last_.mean_response_ms;
-  sample.throughput_rps = last_.throughput_rps;
-  return sample;
+  Measurement measurement;
+  measurement.sample.response_ms = last_.mean_response_ms;
+  measurement.sample.throughput_rps = last_.throughput_rps;
+  return measurement;
 }
 
 void SimEnv::set_context(const SystemContext& context) {
@@ -82,18 +78,12 @@ void SimEnv::set_context(const SystemContext& context) {
     // A traffic-mix change replaces the browser population: rebuild with
     // the current configuration (server-side state does not survive the
     // client switch in any meaningful way). With a target applied the
-    // rebuild keeps the target's population; the next measure() resolves
+    // rebuild keeps the target's population; the next interval resolves
     // the new base mix's target and rebuilds again if it differs.
     rebuild(system_->configuration());
   } else {
     system_->set_app_vm(vm_spec(ctx_.level));
   }
-}
-
-void SimEnv::set_traffic_model(
-    std::shared_ptr<const workload::TrafficModel> model) {
-  traffic_ = std::move(model);
-  traffic_interval_ = 0;
 }
 
 }  // namespace rac::env

@@ -6,7 +6,7 @@
 // swaps the traffic mix (the latter restarts the browser population, as a
 // traffic change at a load balancer would).
 //
-// With a traffic model installed (workload/dynamic.hpp), each measure()
+// With a traffic model installed (workload/dynamic.hpp), each interval
 // resolves the interval's TrafficTarget and rebuilds the simulator when
 // the target changes -- a population change at the load balancer, just
 // like a mix switch. An unchanged target (including the one-hot identity
@@ -20,7 +20,6 @@
 
 #include "env/environment.hpp"
 #include "tiersim/web_system.hpp"
-#include "workload/dynamic.hpp"
 
 namespace rac::env {
 
@@ -39,24 +38,13 @@ class SimEnv : public Environment {
  public:
   explicit SimEnv(const SystemContext& context, const SimEnvOptions& options = {});
 
-  PerfSample measure(const config::Configuration& configuration) override;
+  /// Overlays take the base context-swap fallback: it reproduces the
+  /// legacy surge rebuild-and-restore seed sequence bit for bit.
+  Measurement measure_interval(const config::Configuration& configuration,
+                               const workload::TrafficTarget* overlay) override;
   void set_context(const SystemContext& context) override;
   SystemContext context() const override { return ctx_; }
-
-  // -- dynamic traffic (workload/dynamic.hpp) -----------------------------
-  // The base-class measure_under (set_context swap around measure) is kept
-  // deliberately: it reproduces the legacy surge rebuild-and-restore seed
-  // sequence bit for bit.
-  void set_traffic_model(
-      std::shared_ptr<const workload::TrafficModel> model) override;
-  std::shared_ptr<const workload::TrafficModel> traffic_model()
-      const override {
-    return traffic_;
-  }
-  std::uint64_t traffic_interval() const override { return traffic_interval_; }
-  void seek_traffic(std::uint64_t interval) override {
-    traffic_interval_ = interval;
-  }
+  TrafficCursor* traffic_cursor() override { return &traffic_; }
 
   /// Full simulator measurement of the most recent interval.
   const tiersim::Measurement& last_measurement() const noexcept {
@@ -69,10 +57,11 @@ class SimEnv : public Environment {
   std::uint64_t next_seed_;
   std::unique_ptr<tiersim::ThreeTierSystem> system_;
   tiersim::Measurement last_{};
-  std::shared_ptr<const workload::TrafficModel> traffic_;
-  std::uint64_t traffic_interval_ = 0;
+  TrafficCursor traffic_;
+  obs::Counter* measurements_ = nullptr;
+  obs::Histogram* measure_us_ = nullptr;
   /// Target the live system_ was built under (nullopt: static legacy
-  /// population). measure() rebuilds when the interval's target differs.
+  /// population). Measuring rebuilds when the interval's target differs.
   std::optional<workload::TrafficTarget> applied_target_;
 
   void rebuild(const config::Configuration& configuration);

@@ -139,13 +139,16 @@ FaultDecision FaultyEnv::faults_at(int interval) const {
   return d;
 }
 
-env::PerfSample FaultyEnv::step(const config::Configuration& requested,
-                                bool& dropped) {
+env::Measurement FaultyEnv::measure_interval(
+    const config::Configuration& requested,
+    const workload::TrafficTarget* overlay) {
+  if (overlay != nullptr) return measure_with_context_swap(requested, *overlay);
   const int interval = state_.interval;
   ++state_.interval;
   const FaultDecision d = faults_at(interval);
   intervals_->add(1);
-  last_note_ = d.note();
+  env::Measurement measurement;
+  measurement.fault_note = d.note();
 
   // Transient reconfiguration failure: the actuation is lost and the
   // system keeps running whatever was applied last. On the very first
@@ -181,12 +184,13 @@ env::PerfSample FaultyEnv::step(const config::Configuration& requested,
   }
   true_history_.push_back(truth);
 
-  dropped = d.drop;
   if (d.drop) {
     // The report never arrives; last_reported is deliberately untouched
     // (a later freeze repeats the last value that WAS reported).
     drops_->add(1);
-    return options_.timeout_sentinel;
+    measurement.lost = true;
+    measurement.sample = options_.timeout_sentinel;
+    return measurement;
   }
 
   env::PerfSample reported = truth;
@@ -199,20 +203,8 @@ env::PerfSample FaultyEnv::step(const config::Configuration& requested,
   }
   state_.has_last_reported = true;
   state_.last_reported = reported;
-  return reported;
-}
-
-env::PerfSample FaultyEnv::measure(const config::Configuration& configuration) {
-  bool dropped = false;
-  return step(configuration, dropped);
-}
-
-std::optional<env::PerfSample> FaultyEnv::try_measure(
-    const config::Configuration& configuration) {
-  bool dropped = false;
-  const env::PerfSample reported = step(configuration, dropped);
-  if (dropped) return std::nullopt;
-  return reported;
+  measurement.sample = reported;
+  return measurement;
 }
 
 void FaultyEnv::set_context(const env::SystemContext& context) {
@@ -220,24 +212,6 @@ void FaultyEnv::set_context(const env::SystemContext& context) {
 }
 
 env::SystemContext FaultyEnv::context() const { return inner_->context(); }
-
-void FaultyEnv::set_traffic_model(
-    std::shared_ptr<const workload::TrafficModel> model) {
-  inner_->set_traffic_model(std::move(model));
-}
-
-std::shared_ptr<const workload::TrafficModel> FaultyEnv::traffic_model()
-    const {
-  return inner_->traffic_model();
-}
-
-std::uint64_t FaultyEnv::traffic_interval() const {
-  return inner_->traffic_interval();
-}
-
-void FaultyEnv::seek_traffic(std::uint64_t interval) {
-  inner_->seek_traffic(interval);
-}
 
 std::unique_ptr<env::Environment> FaultyEnv::clone_with_seed(
     std::uint64_t seed) const {
@@ -247,7 +221,6 @@ std::unique_ptr<env::Environment> FaultyEnv::clone_with_seed(
   auto clone =
       std::make_unique<FaultyEnv>(std::move(inner_clone), options_);
   clone->state_ = state_;
-  clone->last_note_ = last_note_;
   clone->true_history_ = true_history_;
   return clone;
 }

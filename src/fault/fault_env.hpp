@@ -88,9 +88,8 @@ struct FaultyEnvOptions {
   /// Seed of the stochastic fault script (independent of the inner
   /// environment's measurement noise).
   std::uint64_t seed = 17;
-  /// What the infallible measure() reports for a dropped interval (a
-  /// naive monitor typically reports zeros on timeout); try_measure
-  /// returns std::nullopt instead.
+  /// The sample a dropped interval reports (a naive monitor typically
+  /// reports zeros on timeout); measure_interval also flags it `lost`.
   env::PerfSample timeout_sentinel{};
   /// Registry receiving the injector's counters (core.fault.*); nullptr
   /// means obs::default_registry().
@@ -142,23 +141,21 @@ class FaultyEnv final : public env::Environment {
   FaultyEnv(std::unique_ptr<env::Environment> inner,
             FaultyEnvOptions options);
 
-  env::PerfSample measure(const config::Configuration& configuration) override;
-  std::optional<env::PerfSample> try_measure(
-      const config::Configuration& configuration) override;
-  std::string last_fault_note() const override { return last_note_; }
+  /// Advance one interval: decide faults, actuate (or fail to), measure
+  /// the truth, derive the reported sample. An overlay takes the base
+  /// context-swap fallback around that whole pipeline.
+  env::Measurement measure_interval(
+      const config::Configuration& configuration,
+      const workload::TrafficTarget* overlay) override;
 
   void set_context(const env::SystemContext& context) override;
   env::SystemContext context() const override;
 
-  // Dynamic-traffic hooks forward to the inner environment: the traffic
-  // model shapes the true workload, the fault layer only distorts how it
-  // is observed. (measure_under keeps the base-class behaviour, routing
-  // the overlay measurement through the fault pipeline.)
-  void set_traffic_model(
-      std::shared_ptr<const workload::TrafficModel> model) override;
-  std::shared_ptr<const workload::TrafficModel> traffic_model() const override;
-  std::uint64_t traffic_interval() const override;
-  void seek_traffic(std::uint64_t interval) override;
+  /// The traffic model shapes the true workload; the fault layer only
+  /// distorts how it is observed, so the inner environment owns the cursor.
+  env::TrafficCursor* traffic_cursor() override {
+    return inner_->traffic_cursor();
+  }
 
   /// The decorator serializes measurement through its fault state, so it
   /// never advertises concurrent use even over a thread-safe inner
@@ -190,14 +187,9 @@ class FaultyEnv final : public env::Environment {
   env::Environment& inner() noexcept { return *inner_; }
 
  private:
-  /// Advance one interval: decide faults, actuate (or fail to), measure
-  /// the truth, derive the reported sample. Sets `dropped`.
-  env::PerfSample step(const config::Configuration& requested, bool& dropped);
-
   std::unique_ptr<env::Environment> inner_;
   FaultyEnvOptions options_;
   FaultyEnvState state_{};
-  std::string last_note_;
   std::vector<env::PerfSample> true_history_;
   obs::Counter* intervals_ = nullptr;
   obs::Counter* drops_ = nullptr;

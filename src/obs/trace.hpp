@@ -38,7 +38,7 @@ struct TraceEvent {
   // Fault-visibility fields (PR 5). Rendered into the JSON only when they
   // differ from these defaults, so traces of clean runs stay byte-identical
   // to pre-fault-layer output.
-  int measure_attempts = 1;          // try_measure calls this interval
+  int measure_attempts = 1;          // measure_interval calls this interval
   bool measurement_missing = false;  // interval lost after all retries
   bool safe_fallback = false;        // agent reverted to best-known config
   std::string fault_note;            // injected-fault description ("" = clean)

@@ -1,6 +1,8 @@
 // Dynamic traffic through the environments: identity with no/empty model
 // (the golden-digest compatibility argument), overlay semantics, cursor
 // checkpoint/restore stitching, and the SimEnv population rebuild rules.
+// The cursor contract every environment shares lives in
+// environment_contract_test.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -158,39 +160,6 @@ TEST(AnalyticTraffic, CloneCarriesTheModelAndCursor) {
   }
 }
 
-TEST(AnalyticTraffic, InstallingAModelResetsTheCursor) {
-  AnalyticEnv env({MixType::kShopping, VmLevel::kLevel1}, noiseless());
-  env.set_traffic_model(busy_model());
-  const Configuration c;
-  for (int i = 0; i < 3; ++i) env.measure(c);
-  EXPECT_EQ(env.traffic_interval(), 3u);
-  env.set_traffic_model(busy_model());
-  EXPECT_EQ(env.traffic_interval(), 0u);
-}
-
-// ---- default hook behaviour (base Environment) ----------------------------
-
-TEST(EnvironmentTraffic, BaseSetTrafficModelRejectsNonNull) {
-  // The concrete envs override the hooks; exercise the base defaults
-  // through a minimal stub.
-  class Stub final : public Environment {
-   public:
-    PerfSample measure(const config::Configuration&) override { return {}; }
-    void set_context(const SystemContext& c) override { ctx_ = c; }
-    SystemContext context() const override { return ctx_; }
-
-   private:
-    SystemContext ctx_{};
-  };
-  Stub stub;
-  EXPECT_THROW(stub.set_traffic_model(busy_model()), std::invalid_argument);
-  stub.set_traffic_model(nullptr);  // clearing is always allowed
-  EXPECT_EQ(stub.traffic_model(), nullptr);
-  EXPECT_THROW(stub.seek_traffic(1), std::invalid_argument);
-  stub.seek_traffic(0);
-  EXPECT_EQ(stub.traffic_interval(), 0u);
-}
-
 // ---- SimEnv ---------------------------------------------------------------
 
 SimEnvOptions quick_sim() {
@@ -244,21 +213,6 @@ TEST(SimTraffic, SurgeOverSimEnvRestoresTheScheduledContext) {
   for (int i = 0; i < 3; ++i) env.measure(c);
   EXPECT_EQ(env.context(), scheduled);
   EXPECT_EQ(env.true_history().size(), 3u);
-}
-
-TEST(FaultTraffic, TrafficHooksForwardThroughTheDecorator) {
-  fault::FaultyEnvOptions opt;
-  auto inner = std::make_unique<AnalyticEnv>(
-      SystemContext{MixType::kShopping, VmLevel::kLevel1}, noiseless());
-  AnalyticEnv* analytic = inner.get();
-  fault::FaultyEnv env(std::move(inner), opt);
-  env.set_traffic_model(busy_model());
-  EXPECT_EQ(env.traffic_model(), analytic->traffic_model());
-  const Configuration c;
-  for (int i = 0; i < 4; ++i) env.measure(c);
-  EXPECT_EQ(env.traffic_interval(), 4u);
-  env.seek_traffic(2);
-  EXPECT_EQ(analytic->traffic_interval(), 2u);
 }
 
 TEST(FaultTraffic, SurgeTruthMatchesTheLegacyContextSwap) {

@@ -26,15 +26,17 @@ class FakeEnv final : public env::Environment {
   explicit FakeEnv(env::SystemContext ctx = env::table2_context(1))
       : ctx_(ctx) {}
 
-  env::PerfSample measure(const Configuration& c) override {
+  env::Measurement measure_interval(
+      const Configuration& c, const workload::TrafficTarget* overlay) override {
+    if (overlay != nullptr) return measure_with_context_swap(c, *overlay);
     ++calls;
     measured_configs.push_back(c);
     measured_contexts.push_back(ctx_);
-    env::PerfSample s;
-    s.response_ms = 100.0 * calls +
-                    (ctx_.level == env::VmLevel::kLevel3 ? 10000.0 : 0.0);
-    s.throughput_rps = static_cast<double>(calls);
-    return s;
+    env::Measurement m;
+    m.sample.response_ms =
+        100.0 * calls + (ctx_.level == env::VmLevel::kLevel3 ? 10000.0 : 0.0);
+    m.sample.throughput_rps = static_cast<double>(calls);
+    return m;
   }
   void set_context(const env::SystemContext& c) override {
     context_sets.push_back(c);
@@ -124,11 +126,12 @@ TEST(FaultyEnv, NoFaultsIsTransparent) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_FALSE(wrapped.faults_at(i).any());
     const env::PerfSample expect = bare.measure(Configuration::defaults());
-    const auto got = wrapped.try_measure(Configuration::defaults());
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->response_ms, expect.response_ms);
-    EXPECT_EQ(got->throughput_rps, expect.throughput_rps);
-    EXPECT_EQ(wrapped.last_fault_note(), "");
+    const env::Measurement got =
+        wrapped.measure_interval(Configuration::defaults(), nullptr);
+    ASSERT_FALSE(got.lost);
+    EXPECT_EQ(got.sample.response_ms, expect.response_ms);
+    EXPECT_EQ(got.sample.throughput_rps, expect.throughput_rps);
+    EXPECT_EQ(got.fault_note, "");
   }
   // The reported and true histories coincide on a clean run.
   ASSERT_EQ(wrapped.true_history().size(), 5u);
@@ -195,36 +198,21 @@ TEST(FaultyEnv, ScheduleWindowsAndOverrides) {
   EXPECT_EQ(*surge.surge_context, env::table2_context(2));
 }
 
-TEST(FaultyEnv, DropReturnsSentinelAndTryMeasureNullopt) {
-  FaultyEnvOptions opt;
-  opt.schedule.push_back(episode(FaultKind::kDrop, 1));
-  opt.timeout_sentinel = {-1.0, 0.0};
-
-  FaultyEnv infallible(std::make_unique<FakeEnv>(), opt);
-  infallible.measure(Configuration::defaults());
-  const env::PerfSample sentinel = infallible.measure(Configuration::defaults());
-  EXPECT_DOUBLE_EQ(sentinel.response_ms, -1.0);
-  EXPECT_EQ(infallible.last_fault_note(), "drop");
-  // The system still ran the interval: the truth is recorded.
-  ASSERT_EQ(infallible.true_history().size(), 2u);
-  EXPECT_DOUBLE_EQ(infallible.true_history()[1].response_ms, 200.0);
-
-  FaultyEnv fallible(std::make_unique<FakeEnv>(), opt);
-  EXPECT_TRUE(fallible.try_measure(Configuration::defaults()).has_value());
-  EXPECT_FALSE(fallible.try_measure(Configuration::defaults()).has_value());
-}
+// A drop's lost flag, sentinel and note are part of the environment
+// contract suite (tests/env/environment_contract_test.cpp).
 
 TEST(FaultyEnv, FreezeRepeatsTheLastReportedSample) {
   FaultyEnvOptions opt;
   opt.schedule.push_back(episode(FaultKind::kFreeze, 1));
   FaultyEnv env(std::make_unique<FakeEnv>(), opt);
   const env::PerfSample r0 = env.measure(Configuration::defaults());
-  const env::PerfSample r1 = env.measure(Configuration::defaults());
-  EXPECT_EQ(r1.response_ms, r0.response_ms);
-  EXPECT_EQ(r1.throughput_rps, r0.throughput_rps);
-  EXPECT_EQ(env.last_fault_note(), "freeze");
+  const env::Measurement r1 =
+      env.measure_interval(Configuration::defaults(), nullptr);
+  EXPECT_EQ(r1.sample.response_ms, r0.response_ms);
+  EXPECT_EQ(r1.sample.throughput_rps, r0.throughput_rps);
+  EXPECT_EQ(r1.fault_note, "freeze");
   // Meanwhile the system actually produced a different sample.
-  EXPECT_NE(env.true_history()[1].response_ms, r1.response_ms);
+  EXPECT_NE(env.true_history()[1].response_ms, r1.sample.response_ms);
 }
 
 TEST(FaultyEnv, FreezeWithNothingReportedYetIsANoOp) {
@@ -333,16 +321,19 @@ TEST(FaultyEnv, CloneWithSeedContinuesTheSameFaultScript) {
   auto* clone = dynamic_cast<FaultyEnv*>(clone_base.get());
   ASSERT_NE(clone, nullptr);
   EXPECT_EQ(clone->interval(), 3);
-  EXPECT_EQ(clone->last_fault_note(), env.last_fault_note());
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(same_decision(env.faults_at(i), clone->faults_at(i))) << i;
   }
   // The fake inner environment is deterministic, so the continuation is
   // bitwise-identical too (reseeding only affects noisy inner envs).
-  const env::PerfSample a = env.measure(Configuration::defaults());
-  const env::PerfSample b = clone->measure(Configuration::defaults());
-  EXPECT_EQ(a.response_ms, b.response_ms);
-  EXPECT_EQ(a.throughput_rps, b.throughput_rps);
+  const env::Measurement a =
+      env.measure_interval(Configuration::defaults(), nullptr);
+  const env::Measurement b =
+      clone->measure_interval(Configuration::defaults(), nullptr);
+  EXPECT_EQ(a.sample.response_ms, b.sample.response_ms);
+  EXPECT_EQ(a.sample.throughput_rps, b.sample.throughput_rps);
+  EXPECT_EQ(a.lost, b.lost);
+  EXPECT_EQ(a.fault_note, b.fault_note);
 }
 
 TEST(FaultyEnv, StateRestoreContinuesBitIdentically) {

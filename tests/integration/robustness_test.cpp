@@ -15,7 +15,6 @@ using config::Configuration;
 using core::InitialPolicyLibrary;
 using env::AnalyticEnv;
 using env::AnalyticEnvOptions;
-using env::PerfSample;
 using env::SystemContext;
 using env::VmLevel;
 using workload::MixType;
@@ -41,13 +40,14 @@ class FaultyEnv : public env::Environment {
         outlier_prob_(outlier_prob),
         outlier_scale_(outlier_scale) {}
 
-  PerfSample measure(const Configuration& c) override {
-    PerfSample sample = inner_->measure(c);
+  env::Measurement measure_interval(
+      const Configuration& c, const workload::TrafficTarget* overlay) override {
+    env::Measurement m = inner_->measure_interval(c, overlay);
     if (rng_.bernoulli(outlier_prob_)) {
       // A garbage monitoring interval: GC pause, cron job, packet loss.
-      sample.response_ms *= outlier_scale_;
+      m.sample.response_ms *= outlier_scale_;
     }
-    return sample;
+    return m;
   }
   void set_context(const SystemContext& ctx) override {
     inner_->set_context(ctx);

@@ -148,10 +148,11 @@ TEST(LintRules, UncheckedMeasureScopedToCoreOnly) {
   EXPECT_EQ(count_rule(findings, "unchecked-measure"), 0);
 }
 
-TEST(LintRules, TryMeasureDoesNotTripUncheckedMeasure) {
+TEST(LintRules, MeasureIntervalDoesNotTripUncheckedMeasure) {
   const auto findings = rac::lint::lint_text(
       "src/core/fixture.cpp",
-      "void f(Env& e, const Config& c) { auto s = e.try_measure(c); }\n");
+      "void f(Env& e, const Config& c) {"
+      " auto m = e.measure_interval(c, nullptr); }\n");
   EXPECT_EQ(count_rule(findings, "unchecked-measure"), 0);
 }
 

@@ -113,8 +113,9 @@ const std::vector<LineRule>& line_rules() {
         "unchecked-measure",
         std::regex(R"((\.|->)\s*measure\s*\()"),
         "direct Environment::measure() in the online management loop; "
-        "use try_measure() so a lost interval degrades gracefully, or "
-        "justify an offline/bootstrap probe with a suppression",
+        "use measure_interval() and check its `lost` flag so a lost "
+        "interval degrades gracefully, or justify an offline/bootstrap "
+        "probe with a suppression",
         {"src/core/"},
         {}});
     r.push_back(LineRule{
@@ -196,7 +197,7 @@ const std::vector<RuleInfo>& rules() {
        "per-element heap allocation in src/{queueing,tiersim,rl}"},
       {"float-eq", "exact float comparison against a literal"},
       {"unchecked-measure",
-       "raw measure() in src/core/; use try_measure or suppress"},
+       "raw measure() in src/core/; use measure_interval or suppress"},
       {"unused-suppression",
        "allow() comment that suppresses no findings; remove it"},
   };
