@@ -6,7 +6,8 @@
 #
 # Optional phases (each builds its own <build-dir>-<suffix> tree):
 #   RAC_TSAN=1  ThreadSanitizer (-DRAC_TSAN=ON); runs the suites labeled
-#               `concurrency` (thread pool + parallel determinism goldens).
+#               `concurrency` (thread pool, parallel determinism goldens,
+#               sharded fleet).
 #   RAC_SAN=1   AddressSanitizer + UBSan (-DRAC_ASAN=ON -DRAC_UBSAN=ON);
 #               runs the FULL test suite under both.
 #   RAC_AUDIT=1 heavyweight invariant audits (-DRAC_AUDIT=ON); runs the
@@ -64,7 +65,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 if [[ "${RAC_TSAN:-0}" == "1" ]]; then
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DRAC_WERROR=ON -DRAC_TSAN=ON
-  cmake --build "$TSAN_DIR" -j "$(nproc)" --target concurrency_tests parallel_tests
+  cmake --build "$TSAN_DIR" -j "$(nproc)" --target concurrency_tests parallel_tests fleet_tests
   ctest --test-dir "$TSAN_DIR" --output-on-failure -L concurrency
 fi
 

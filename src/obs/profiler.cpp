@@ -124,9 +124,10 @@ std::vector<std::string> Profiler::capture_path() const {
 
 int Profiler::anchor_open(const std::vector<std::string>& path) {
   ThreadTree& tree = local_tree();
-  // Skip the prefix already open on this thread: inline execution (pool
-  // size 1 or nested-submit fallback) re-enters under the very frames the
-  // path was captured from, and must not duplicate them.
+  // Skip the prefix already open on this thread: the submitter (and, at
+  // pool size 1, every task) re-enters under the very frames the path was
+  // captured from, and a thread helping from inside an enclosing region
+  // already has that region's path open; neither may duplicate them.
   std::size_t k = 0;
   while (k < path.size() && k + 1 < tree.stack.size() &&
          tree.stack[k + 1]->name == path[k]) {

@@ -7,18 +7,22 @@
 // tree into one deterministic PhaseNode tree (children sorted by name,
 // per-phase calls summed across threads).
 //
-// Determinism across util::ThreadPool fan-out is the hard part: a pool
-// worker has none of the submitting thread's frames open, so the same
-// computation would profile under a different path at different thread
-// counts. Call sites that fan out capture the submitter's open path with
-// capture_path() and open a ProfileAnchor inside each task: the anchor
-// re-opens the captured frames as pass-through nodes (no call counts, no
-// timing) so the task's scopes attach at the same tree position whether
-// the task runs inline (pool size 1 -- the anchor detects the frames are
-// already open and does nothing) or on a worker. The merged tree therefore
-// has identical structure and call counts at any thread count; only the
-// timings differ, and structure_signature() strips those for golden
-// comparisons.
+// Determinism across util::ThreadPool fan-out is the hard part: a task may
+// run on the thread that submitted it, on an idle worker with no frames
+// open, or on a thread that is itself waiting for an enclosing region, so
+// the same computation would profile under a different path at different
+// thread counts. Call sites that fan out capture the submitter's open path
+// with capture_path() and open a ProfileAnchor inside each task: the
+// anchor re-opens the captured frames as pass-through nodes (no call
+// counts, no timing), skipping the prefix of the path that is already open
+// on the running thread, so the task's scopes attach at the same tree
+// position wherever it runs. Skipping is sound because the pool only lets
+// a waiting thread run tasks of its own region or of regions nested under
+// it: the waiter's open frames are then exactly the path it captured for
+// its own region, which is a prefix of every nested region's path. The
+// merged tree therefore has identical structure and call counts at any
+// thread count; only the timings differ, and structure_signature() strips
+// those for golden comparisons.
 //
 // Scopes honor the process-global set_profiling switch: a scope built
 // while profiling is disabled takes no clock samples and touches no tree.
@@ -144,7 +148,9 @@ class ProfileScope {
 
 /// RAII pass-through frames re-opening a captured path inside a pooled
 /// task (see file comment). Opens only the suffix of `path` not already on
-/// the calling thread's stack, so inline execution is a no-op.
+/// the calling thread's stack: a no-op on the submitting thread, the whole
+/// path on an idle worker, the nested remainder on a thread helping from
+/// inside an enclosing region.
 class ProfileAnchor {
  public:
   explicit ProfileAnchor(const std::vector<std::string>& path,

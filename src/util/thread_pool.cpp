@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -9,8 +10,6 @@
 namespace rac::util {
 
 namespace {
-
-thread_local bool t_on_pool_worker = false;
 
 // Raw clock reads are justified here: the timings feed PoolTelemetry
 // (which obs wires into its registry), and util cannot depend on obs.
@@ -45,12 +44,15 @@ std::size_t default_thread_count() {
   return fallback;
 }
 
+thread_local const ThreadPool::Region* ThreadPool::current_ = nullptr;
+
 ThreadPool::ThreadPool(std::size_t threads, PoolTelemetry telemetry)
     : threads_(threads == 0 ? default_thread_count() : threads),
       telemetry_(std::move(telemetry)) {
-  if (threads_ < 2) return;  // size-1 pools run everything inline
-  workers_.reserve(threads_);
-  for (std::size_t i = 0; i < threads_; ++i) {
+  // The thread calling parallel_for runs tasks while it waits, so it is
+  // the N-th thread; a size-1 pool spawns none and runs everything inline.
+  workers_.reserve(threads_ - 1);
+  for (std::size_t i = 1; i < threads_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -60,96 +62,93 @@ ThreadPool::~ThreadPool() {
     const std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  work_.notify_all();
+  wake_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-bool ThreadPool::on_worker_thread() noexcept { return t_on_pool_worker; }
-
-void ThreadPool::worker_loop() {
-  t_on_pool_worker = true;
-  for (;;) {
-    std::pair<Region*, std::size_t> item;
-    std::size_t depth = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      item = queue_.front();
-      queue_.pop_front();
-      depth = queue_.size();
+std::optional<ThreadPool::Task> ThreadPool::claim(const Region* scope) {
+  // FIFO order already prefers a waiter's own region: a region is always
+  // older than every region nested under it.
+  const auto within_scope = [scope](const Region* region) {
+    if (scope == nullptr) return true;
+    for (; region != nullptr; region = region->parent) {
+      if (region == scope) return true;
     }
-    if (telemetry_.queue_depth) telemetry_.queue_depth(depth);
-    run_task(*item.first, item.second);
-  }
+    return false;
+  };
+  const auto pick = std::find_if(open_.begin(), open_.end(), within_scope);
+  if (pick == open_.end()) return std::nullopt;
+  Region* region = *pick;
+  const Task task{region, region->next++};
+  if (region->next == region->size) open_.erase(pick);
+  --queued_;
+  return task;
 }
 
-void ThreadPool::run_task(Region& region, std::size_t index) {
+bool ThreadPool::help(const Region* scope, std::unique_lock<std::mutex>& lock) {
+  const auto task = claim(scope);
+  if (!task) return false;
+  const std::size_t depth = queued_;
+  lock.unlock();
+  if (telemetry_.queue_depth) telemetry_.queue_depth(depth);
+
+  Region& region = *task->region;
+  const Region* const outer = current_;
+  current_ = &region;
   const auto start =
       std::chrono::steady_clock::now();  // rac-lint: allow(untracked-timer)
   try {
-    (*region.body)(index);
+    (*region.body)(task->index);
   } catch (...) {
-    region.errors[index] = std::current_exception();
+    region.errors[task->index] = std::current_exception();
   }
   if (telemetry_.task_us) telemetry_.task_us(elapsed_us(start));
-  {
-    const std::lock_guard<std::mutex> lock(region.mutex);
-    if (--region.remaining == 0) region.done.notify_all();
-  }
+  current_ = outer;
+
+  lock.lock();
+  if (--region.unfinished == 0) wake_.notify_all();
+  return true;
 }
 
-void ThreadPool::run_inline(std::size_t n,
-                            const std::function<void(std::size_t)>& body) {
-  // Same decomposition and completion semantics as the pooled path: every
-  // task runs, the lowest-index exception wins.
-  std::vector<std::exception_ptr> errors(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto start =
-        std::chrono::steady_clock::now();  // rac-lint: allow(untracked-timer)
-    try {
-      body(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-    if (telemetry_.task_us) telemetry_.task_us(elapsed_us(start));
-  }
-  rethrow_first(errors);
-}
-
-void ThreadPool::rethrow_first(const std::vector<std::exception_ptr>& errors) {
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    if (help(nullptr, lock)) continue;
+    if (stop_) return;  // stop_ set and nothing left to drain
+    wake_.wait(lock);
   }
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  if (threads_ < 2 || n == 1 || on_worker_thread()) {
-    run_inline(n, body);
-    return;
-  }
-
   Region region;
   region.body = &body;
-  region.remaining = n;
+  region.parent = current_;
+  region.size = n;
+  region.unfinished = n;
   region.errors.resize(n);
 
-  std::size_t depth = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < n; ++i) queue_.emplace_back(&region, i);
-    depth = queue_.size();
-  }
-  work_.notify_all();
+  std::unique_lock<std::mutex> lock(mutex_);
+  open_.push_back(&region);
+  queued_ += n;
+  const std::size_t depth = queued_;
+  lock.unlock();
+  if (n > 1) wake_.notify_all();
   if (telemetry_.queue_depth) telemetry_.queue_depth(depth);
 
-  {
-    std::unique_lock<std::mutex> lock(region.mutex);
-    region.done.wait(lock, [&region] { return region.remaining == 0; });
+  // Help until the region drains: run its tasks (or tasks nested under
+  // them) while any are unclaimed, sleep while the rest finish elsewhere.
+  lock.lock();
+  while (region.unfinished > 0) {
+    if (!help(&region, lock)) wake_.wait(lock);
   }
-  rethrow_first(region.errors);
+  lock.unlock();
+
+  // Every task has run; the lowest-index failure wins, whatever the order.
+  for (const auto& error : region.errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace rac::util

@@ -1,24 +1,34 @@
-// Fixed-size worker pool for embarrassingly-parallel fan-out.
+// Fixed-size fork-join pool for embarrassingly-parallel fan-out.
 //
 // The expensive phases of the reproduction -- Algorithm-2 policy
-// initialization per context and the bench harnesses' multi-agent
-// comparisons -- are independent tasks over independent environments, so a
-// plain fork-join pool (no work stealing) is enough. Determinism is the
-// design constraint: `parallel_for` decomposes work by index, results are
-// written to per-index slots, and callers derive any randomness from
+// initialization (contexts, and the coarse samples inside each context)
+// and the bench harnesses' multi-agent comparisons -- are independent
+// tasks over independent environments. Determinism is the design
+// constraint: `parallel_for` decomposes work by index, results are written
+// to per-index slots, and callers derive any randomness from
 // (base_seed, task_index) via `derive_seed`, so output is bit-identical at
-// every thread count.
+// every thread count and under any schedule.
 //
-// Nested-submit safety: a task running on a pool worker may itself call
-// `parallel_for` / `parallel_map`; the nested region runs inline on that
-// worker (same index order) instead of deadlocking on a full pool. A pool
-// of size 1 spawns no threads at all and always runs inline -- the exact
-// serial path.
+// Help-while-waiting: the thread that calls `parallel_for` does not sleep
+// while its region runs. It claims and runs queued tasks until the region
+// drains -- tasks of its own region first, then tasks of regions nested
+// under it (submitted by one of its tasks, at any depth). A task may
+// therefore fan out again: the nested region spreads over every idle
+// thread while its submitter works through it too, and nothing deadlocks
+// on a saturated pool. A waiting thread never picks up unrelated work, so
+// it returns as soon as its own region is done, and the profiler's
+// anchors (obs/profiler.hpp) always find the helper's open phases to be a
+// prefix of the task's captured path.
+//
+// A pool of size N spawns N-1 workers; the calling thread is the N-th, so
+// one external caller never has more than N tasks running at once. A pool
+// of size 1 spawns no threads at all: every region runs inline on the
+// caller in index order -- the exact serial path.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -29,7 +39,7 @@
 
 namespace rac::util {
 
-/// Parse a RAC_THREADS-style worker-count override. Returns nullopt for
+/// Parse a RAC_THREADS-style thread-count override. Returns nullopt for
 /// nullptr, an empty string, trailing garbage ("4x"), non-numeric input,
 /// zero, negative values, or anything that overflows -- every rejection
 /// means "fall back to hardware concurrency". Exposed separately from
@@ -37,17 +47,17 @@ namespace rac::util {
 /// without mutating the process environment.
 std::optional<std::size_t> parse_thread_count(const char* text) noexcept;
 
-/// Worker count requested via the RAC_THREADS environment variable;
+/// Thread count requested via the RAC_THREADS environment variable;
 /// hardware_concurrency when unset (minimum 1). A set-but-invalid value
 /// (garbage, 0, negative) also falls back, with a logged warning -- a typo
 /// in a job script must not silently serialize or wedge the run.
 std::size_t default_thread_count();
 
 /// Optional telemetry callbacks (wired to the metrics registry by
-/// obs::pool_telemetry). Both may be empty; they are invoked from worker
-/// threads and must be thread-safe.
+/// obs::pool_telemetry). Both may be empty; they are invoked from every
+/// thread that runs tasks and must be thread-safe.
 struct PoolTelemetry {
-  /// Queue depth after every enqueue batch / dequeue.
+  /// Unclaimed tasks after every enqueue batch / claim.
   std::function<void(std::size_t)> queue_depth;
   /// Wall-clock latency of every completed task, in microseconds.
   std::function<void(double)> task_us;
@@ -55,8 +65,8 @@ struct PoolTelemetry {
 
 class ThreadPool {
  public:
-  /// `threads` == 0 means default_thread_count(). A pool of size 1 spawns
-  /// no worker threads.
+  /// `threads` == 0 means default_thread_count(). A pool of size N runs at
+  /// most N tasks at once per external caller: N-1 workers plus the caller.
   explicit ThreadPool(std::size_t threads = 0, PoolTelemetry telemetry = {});
   ~ThreadPool();
 
@@ -65,11 +75,11 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return threads_; }
 
-  /// Invoke `body(i)` for every i in [0, n) and block until all complete.
-  /// Every task runs exactly once even if another throws; the exception of
-  /// the lowest-index failing task is rethrown (deterministically) after
-  /// the region drains. Runs inline (index order, no handoff) when the
-  /// pool has one thread, n <= 1, or the caller is itself a pool worker.
+  /// Invoke `body(i)` for every i in [0, n) and block until all complete,
+  /// running tasks on the calling thread while it waits. Every task runs
+  /// exactly once even if another throws; the exception of the
+  /// lowest-index failing task is rethrown (deterministically) after the
+  /// region drains. Safe to call from inside a task.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// parallel_for that collects `body(i)` into slot i of the result (the
@@ -83,30 +93,40 @@ class ThreadPool {
     return out;
   }
 
-  /// True when the calling thread is a worker of any ThreadPool (used for
-  /// the nested-submit inline fallback).
-  static bool on_worker_thread() noexcept;
-
  private:
-  // Shared bookkeeping of one parallel_for call.
+  // Bookkeeping of one parallel_for call; lives on the submitter's stack.
+  // `next` and `unfinished` are guarded by the pool's mutex_.
   struct Region {
     const std::function<void(std::size_t)>* body = nullptr;
-    std::size_t remaining = 0;             // guarded by mutex
+    const Region* parent = nullptr;  // region of the submitting task, if any
+    std::size_t size = 0;
+    std::size_t next = 0;        // lowest unclaimed index
+    std::size_t unfinished = 0;  // tasks not yet completed
     std::vector<std::exception_ptr> errors;  // one slot per task index
-    std::mutex mutex;
-    std::condition_variable done;
+  };
+  struct Task {
+    Region* region = nullptr;
+    std::size_t index = 0;
   };
 
+  // Claim the next task, oldest region first; with `scope` set, only from
+  // `scope` itself or regions nested under it. Requires mutex_ held.
+  std::optional<Task> claim(const Region* scope);
+  // Claim one task and run it with `lock` (on mutex_) released; false when
+  // nothing is claimable. Called and returns with `lock` held.
+  bool help(const Region* scope, std::unique_lock<std::mutex>& lock);
   void worker_loop();
-  void run_task(Region& region, std::size_t index);
-  void run_inline(std::size_t n, const std::function<void(std::size_t)>& body);
-  static void rethrow_first(const std::vector<std::exception_ptr>& errors);
+
+  // The region whose task the calling thread is running (nullptr outside
+  // any task); a region submitted from inside a task records it as parent.
+  static thread_local const Region* current_;
 
   std::size_t threads_;
   PoolTelemetry telemetry_;
   std::mutex mutex_;
-  std::condition_variable work_;
-  std::deque<std::pair<Region*, std::size_t>> queue_;
+  std::condition_variable wake_;  // new tasks queued, or a region drained
+  std::vector<Region*> open_;     // regions with unclaimed tasks, FIFO
+  std::size_t queued_ = 0;        // unclaimed tasks across open_
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };

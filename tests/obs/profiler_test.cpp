@@ -124,8 +124,8 @@ TEST_F(ProfilerTest, ChildrenMergeSortedByName) {
   EXPECT_EQ(outer->children[2].name, "zeta");
 }
 
-// The determinism contract: the same fan-out profiled inline (pool size 1)
-// and on worker threads must merge to an identical structure signature,
+// The determinism contract: the same fan-out profiled on the submitting
+// thread and on worker threads must merge to an identical structure signature,
 // with the anchor frames pass-through (calls unchanged) in both.
 TEST_F(ProfilerTest, AnchorAttachesWorkerScopesAtTheCapturedPath) {
   Profiler inline_profiler;
@@ -166,6 +166,52 @@ TEST_F(ProfilerTest, AnchorAttachesWorkerScopesAtTheCapturedPath) {
   const PhaseNode* task = pooled_tree.find("build/task");
   ASSERT_NE(task, nullptr);
   EXPECT_EQ(task->calls, 2u);
+}
+
+// A thread helping from inside an enclosing region already has that
+// region's frames open; a task captured deeper re-opens only the rest.
+TEST_F(ProfilerTest, AnchorOpensOnlyTheSuffixBelowTheThreadsOpenFrames) {
+  {
+    ProfileScope build("build", &profiler_);
+    ProfileAnchor anchor({"build", "context"}, &profiler_);
+    ProfileScope sample("sample", &profiler_);
+  }
+  const PhaseNode root = profiler_.snapshot();
+  EXPECT_EQ(structure_signature(root),
+            "root:0{build:1{context:0{sample:1{}}}}");
+}
+
+// The pool's helping rule end to end: a waiting thread runs only tasks of
+// its own region or of regions nested under it, so two levels of anchored
+// fan-out -- with more outer tasks than threads, so waiters have unrelated
+// outer tasks queued beside them -- profile to the serial tree at every
+// pool size.
+TEST_F(ProfilerTest, NestedPoolFanOutProfilesTheSameAtEveryPoolSize) {
+  const auto signature_at = [](std::size_t threads) {
+    Profiler profiler;
+    profiler.set_clock(fake_clock);
+    util::ThreadPool pool(threads);
+    {
+      ProfileScope build("build", &profiler);
+      const auto build_path = profiler.capture_path();
+      pool.parallel_for(6, [&](std::size_t) {
+        ProfileAnchor outer(build_path, &profiler);
+        ProfileScope context("context", &profiler);
+        const auto context_path = profiler.capture_path();
+        pool.parallel_for(8, [&](std::size_t) {
+          ProfileAnchor inner(context_path, &profiler);
+          ProfileScope sample("sample", &profiler);
+          advance_us(1);
+        });
+      });
+    }
+    return structure_signature(profiler.snapshot());
+  };
+  const std::string serial = signature_at(1);
+  EXPECT_EQ(serial, "root:0{build:1{context:6{sample:48{}}}}");
+  for (std::size_t threads = 2; threads <= 4; ++threads) {
+    EXPECT_EQ(signature_at(threads), serial) << threads << " threads";
+  }
 }
 
 TEST_F(ProfilerTest, PassThroughAnchorNodeInheritsChildSum) {

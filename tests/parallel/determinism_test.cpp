@@ -68,53 +68,80 @@ TEST(ParallelDeterminism, LearnInitialPolicyIgnoresPriorDrawsOnCloneableEnv) {
                             learn_initial_policy(used, fast_options(&one))));
 }
 
+// Library shapes under test: more contexts than threads (the onboarding
+// shape), and fewer contexts than threads -- two contexts on up to four
+// threads, where the per-sample regions nested inside each context task
+// fan out over the otherwise idle threads.
+std::vector<std::vector<SystemContext>> library_shapes() {
+  return {{env::table2_context(1), env::table2_context(2),
+           env::table2_context(3), env::table2_context(4),
+           env::table2_context(5)},
+          {env::table2_context(1), env::table2_context(2)}};
+}
+
+constexpr std::size_t kMaxThreads = 4;
+
+// The library goldens train every shape at 1..kMaxThreads threads; a 3^4
+// coarse grid keeps that affordable under ThreadSanitizer while still
+// giving each context 81 coarse samples to fan out.
+PolicyInitOptions library_options(util::ThreadPool* pool) {
+  PolicyInitOptions opt = fast_options(pool);
+  opt.coarse_levels = 3;
+  return opt;
+}
+
 TEST(ParallelDeterminism, BuildLibraryBitIdenticalAcrossThreadCounts) {
-  const std::vector<SystemContext> contexts = {
-      env::table2_context(1), env::table2_context(2), env::table2_context(3),
-      env::table2_context(4)};
   const auto make = [](const SystemContext& ctx) {
     return std::make_unique<AnalyticEnv>(ctx, noisy_env(7));
   };
-  util::ThreadPool one(1);
-  util::ThreadPool four(4);
-  const auto serial = build_library(contexts, make, fast_options(&one));
-  const auto parallel = build_library(contexts, make, fast_options(&four));
-  ASSERT_EQ(serial.size(), contexts.size());
-  ASSERT_EQ(parallel.size(), contexts.size());
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    EXPECT_TRUE(exactly_equal(serial.at(i), parallel.at(i))) << "context " << i;
-    EXPECT_EQ(serial.at(i).context, contexts[i]);
+  for (const auto& contexts : library_shapes()) {
+    util::ThreadPool one(1);
+    const auto serial = build_library(contexts, make, library_options(&one));
+    ASSERT_EQ(serial.size(), contexts.size());
+    for (std::size_t threads = 2; threads <= kMaxThreads; ++threads) {
+      util::ThreadPool pool(threads);
+      const auto parallel =
+          build_library(contexts, make, library_options(&pool));
+      ASSERT_EQ(parallel.size(), contexts.size());
+      for (std::size_t i = 0; i < contexts.size(); ++i) {
+        EXPECT_TRUE(exactly_equal(serial.at(i), parallel.at(i)))
+            << contexts.size() << " contexts, context " << i << ", "
+            << threads << " threads";
+        EXPECT_EQ(parallel.at(i).context, contexts[i]);
+      }
+    }
   }
 }
 
 TEST(ParallelDeterminism, ProfilerTreeStructureIsThreadCountInvariant) {
   // The anchor-propagation contract end to end: profiling the same library
-  // build serially and on a 4-thread pool must merge to byte-identical
-  // structure signatures (names, hierarchy, call counts) -- only timings
-  // may differ. Uses the default profiler because that is what the
-  // instrumentation inside build_library records into.
-  const std::vector<SystemContext> contexts = {env::table2_context(1),
-                                               env::table2_context(2)};
+  // build serially and on 2-, 3- and 4-thread pools must merge to
+  // byte-identical structure signatures (names, hierarchy, call counts) --
+  // only timings may differ -- even though a context's coarse samples run
+  // on whichever threads are free. Uses the default profiler because that
+  // is what the instrumentation inside build_library records into.
   const auto make = [](const SystemContext& ctx) {
     return std::make_unique<AnalyticEnv>(ctx, noisy_env(7));
   };
   obs::set_profiling(true);
   obs::Profiler& profiler = obs::Profiler::default_profiler();
 
-  const auto signature_of_build = [&](util::ThreadPool& pool) {
-    profiler.reset();
-    build_library(contexts, make, fast_options(&pool));
-    return obs::structure_signature(profiler.snapshot());
-  };
-
-  util::ThreadPool one(1);
-  util::ThreadPool four(4);
-  const std::string serial = signature_of_build(one);
-  const std::string parallel = signature_of_build(four);
-  EXPECT_EQ(serial, parallel);
-  // Sanity: the signature actually contains the instrumented phases.
-  EXPECT_NE(serial.find("core.build_library"), std::string::npos);
-  EXPECT_NE(serial.find("policy_init.coarse_sample"), std::string::npos);
+  for (const auto& contexts : library_shapes()) {
+    const auto signature_of_build = [&](std::size_t threads) {
+      util::ThreadPool pool(threads);
+      profiler.reset();
+      build_library(contexts, make, library_options(&pool));
+      return obs::structure_signature(profiler.snapshot());
+    };
+    const std::string serial = signature_of_build(1);
+    for (std::size_t threads = 2; threads <= kMaxThreads; ++threads) {
+      EXPECT_EQ(serial, signature_of_build(threads))
+          << contexts.size() << " contexts, " << threads << " threads";
+    }
+    // Sanity: the signature actually contains the instrumented phases.
+    EXPECT_NE(serial.find("core.build_library"), std::string::npos);
+    EXPECT_NE(serial.find("policy_init.coarse_sample"), std::string::npos);
+  }
   profiler.reset();
 }
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <numeric>
+#include <latch>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/log.hpp"
@@ -28,11 +30,17 @@ TEST(ThreadPool, ParallelMapPreservesInputOrder) {
 TEST(ThreadPool, SizeOnePoolRunsInlineOnCaller) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1u);
-  bool saw_worker_flag = false;
-  pool.parallel_for(3, [&](std::size_t) {
-    saw_worker_flag = saw_worker_flag || ThreadPool::on_worker_thread();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(3, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);  // no worker threads exist
+    order.push_back(i);
+    pool.parallel_for(2, [&](std::size_t j) {
+      order.push_back(10 * (i + 1) + j);
+    });
   });
-  EXPECT_FALSE(saw_worker_flag);  // no worker threads exist
+  // The exact serial order, nested regions included.
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 10, 11, 1, 20, 21, 2, 30, 31}));
 }
 
 TEST(ThreadPool, ZeroTasksIsANoop) {
@@ -61,21 +69,133 @@ TEST(ThreadPool, ExceptionPropagationIsDeterministic) {
   }
 }
 
-// A task may itself call parallel_for; the nested region runs inline on
-// the worker instead of deadlocking on a saturated queue.
-TEST(ThreadPool, NestedSubmitRunsInline) {
-  ThreadPool pool(2);
-  std::vector<std::size_t> totals(8, 0);
-  pool.parallel_for(totals.size(), [&](std::size_t i) {
-    std::vector<std::size_t> inner(10, 0);
-    pool.parallel_for(inner.size(), [&](std::size_t j) {
-      EXPECT_TRUE(ThreadPool::on_worker_thread());
-      inner[j] = j + 1;
+// A nested region fans out over the whole pool: the inner tasks of one
+// outer task can only all meet at the latch if every thread of the pool
+// runs one of them at once. (The second outer task is empty, so whichever
+// thread runs it is free again.) Under an inline-nesting pool the inner
+// tasks would run one after another and each would wait out the timeout.
+TEST(ThreadPool, NestedRegionFansOutAcrossThePool) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    std::atomic<std::size_t> met{0};
+    pool.parallel_for(2, [&](std::size_t outer) {
+      if (outer != 0) return;
+      std::latch rendezvous(static_cast<std::ptrdiff_t>(threads));
+      pool.parallel_for(threads, [&](std::size_t) {
+        rendezvous.count_down();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!rendezvous.try_wait()) {
+          if (std::chrono::steady_clock::now() > deadline) return;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        met.fetch_add(1, std::memory_order_relaxed);
+      });
     });
-    totals[i] = std::accumulate(inner.begin(), inner.end(), std::size_t{0});
-  });
-  for (const std::size_t total : totals) {
-    EXPECT_EQ(total, 55u);
+    EXPECT_EQ(met.load(), threads) << "at " << threads << " threads";
+  }
+}
+
+// Three levels of nesting with more outer tasks than threads: every
+// waiting thread keeps helping, nothing deadlocks, and every result lands
+// in its by-index slot.
+TEST(ThreadPool, ThreeLevelNestingCompletesWithByIndexResults) {
+  constexpr std::size_t kOuter = 9, kMid = 5, kInner = 7;
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    std::vector<std::size_t> out(kOuter * kMid * kInner, 0);
+    pool.parallel_for(kOuter, [&](std::size_t i) {
+      pool.parallel_for(kMid, [&](std::size_t j) {
+        pool.parallel_for(kInner, [&](std::size_t k) {
+          out[(i * kMid + j) * kInner + k] = 100 * i + 10 * j + k + 1;
+        });
+      });
+    });
+    for (std::size_t i = 0; i < kOuter; ++i) {
+      for (std::size_t j = 0; j < kMid; ++j) {
+        for (std::size_t k = 0; k < kInner; ++k) {
+          ASSERT_EQ(out[(i * kMid + j) * kInner + k], 100 * i + 10 * j + k + 1)
+              << "at " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+// Nested failures: each outer task rethrows its region's lowest-index
+// inner exception, and the caller sees the lowest failing outer index --
+// the same message at every thread count, with every task still run.
+TEST(ThreadPool, NestedExceptionIsDeterministicAndEveryTaskRuns) {
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    std::atomic<int> ran{0};
+    try {
+      pool.parallel_for(6, [&](std::size_t i) {
+        pool.parallel_for(8, [&](std::size_t j) {
+          ran.fetch_add(1, std::memory_order_relaxed);
+          if (i >= 2 && j >= 3) {
+            throw std::runtime_error(std::to_string(i) + "." +
+                                     std::to_string(j));
+          }
+        });
+      });
+      FAIL() << "expected an exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "2.3") << "at " << threads << " threads";
+    }
+    EXPECT_EQ(ran.load(), 48) << "at " << threads << " threads";
+  }
+}
+
+// The helping rule: a thread waiting inside outer task i runs only inner
+// tasks of i (or nothing) -- never another outer task, never another outer
+// task's inner work -- so it returns as soon as its own work is done. Only
+// threads outside every outer task (idle workers, the top-level caller)
+// may pick up any of them.
+thread_local int t_outer = -1;
+
+TEST(ThreadPool, WaitingThreadRunsOnlyWorkNestedInItsOwnRegion) {
+  for (std::size_t threads = 2; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    std::atomic<int> violations{0};
+    // Two heavy outer tasks among light ones: once the light ones are
+    // done, idle threads help both heavy regions, so each heavy waiter
+    // soon finds its own tasks all claimed while the other's are queued.
+    pool.parallel_for(2 * threads, [&](std::size_t i) {
+      if (t_outer != -1) violations.fetch_add(1);
+      const int outer = t_outer;
+      t_outer = static_cast<int>(i);
+      pool.parallel_for(i < 2 ? 48 : 2, [&](std::size_t) {
+        if (t_outer != -1 && t_outer != static_cast<int>(i)) {
+          violations.fetch_add(1);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      });
+      t_outer = outer;
+    });
+    EXPECT_EQ(violations.load(), 0) << "at " << threads << " threads";
+  }
+}
+
+// The caller is the N-th thread: a size-N pool never runs more than N
+// leaf tasks at once, flat or nested.
+TEST(ThreadPool, NeverRunsMoreTasksThanThreads) {
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    std::atomic<std::size_t> in_flight{0};
+    std::atomic<std::size_t> high_water{0};
+    const auto leaf = [&](std::size_t) {
+      const std::size_t now = in_flight.fetch_add(1) + 1;
+      std::size_t seen = high_water.load();
+      while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      in_flight.fetch_sub(1);
+    };
+    pool.parallel_for(4 * threads, leaf);
+    pool.parallel_for(3, [&](std::size_t) { pool.parallel_for(6, leaf); });
+    EXPECT_GE(high_water.load(), 1u);
+    EXPECT_LE(high_water.load(), threads) << "at " << threads << " threads";
   }
 }
 
