@@ -1,15 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the building blocks whose cost
 // bounds the management loop: MVA solves, the analytic environment
 // evaluation, DES simulation throughput, Q-table operations, batch TD
-// retraining (of an empty table and of a pre-trained library table), and
-// the regression fit. Also carries the ablation benches
+// retraining (of an empty table and of a pre-trained library table), one
+// agent checkpoint (serialize, then write the file), and the regression
+// fit. Also carries the ablation benches
 // for the design decisions called out in DESIGN.md section 5 (two model
 // fidelities; sparse Q-table).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "config/space.hpp"
 #include "harness.hpp"
 #include "core/policy_init.hpp"
+#include "core/rac_agent.hpp"
+#include "core/snapshot.hpp"
 #include "env/analytic_env.hpp"
 #include "env/sim_env.hpp"
 #include "queueing/mva.hpp"
@@ -176,6 +186,56 @@ BENCHMARK(BM_BatchRetrainPretrained)
     ->Arg(30)
     ->Arg(90)
     ->Unit(benchmark::kMillisecond);
+
+// An agent running the library table above, as it is right after a policy
+// switch: ~1.3*10^4 written states among ~10^5 rows. Its checkpoint text
+// is the size of a bench/e2e agent's (a few MB).
+std::unique_ptr<core::RacAgent> library_agent() {
+  core::InitialPolicy policy;
+  policy.context = {workload::MixType::kShopping, env::VmLevel::kLevel1};
+  policy.table = pretrained_library();
+  core::InitialPolicyLibrary library;
+  library.add(std::move(policy));
+  return std::make_unique<core::RacAgent>(core::RacOptions{},
+                                          std::move(library), 0);
+}
+
+// RacAgent::save_state into a fresh string stream, as run_agent takes one
+// checkpoint.
+void BM_SaveAgentState(benchmark::State& state) {
+  const auto agent = library_agent();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    benchmark::DoNotOptimize(agent->save_state(os));
+    benchmark::DoNotOptimize(os.view().data());
+    benchmark::ClobberMemory();
+    bytes = os.view().size();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SaveAgentState)->Unit(benchmark::kMillisecond);
+
+// write_checkpoint_file of that agent's text: framing, temp file, rename.
+void BM_WriteCheckpoint(benchmark::State& state) {
+  std::ostringstream os;
+  library_agent()->save_state(os);
+  core::RunCheckpoint checkpoint;
+  checkpoint.completed_iterations = 10;
+  checkpoint.agent_state = std::move(os).str();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "rac_bench_micro.checkpoint")
+          .string();
+  for (auto _ : state) {
+    core::write_checkpoint_file(path, checkpoint);
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(checkpoint.agent_state.size()));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_WriteCheckpoint)->Unit(benchmark::kMillisecond);
 
 void BM_QuadraticSurfaceFit(benchmark::State& state) {
   util::Rng rng(3);

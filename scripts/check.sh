@@ -13,9 +13,10 @@
 #   RAC_AUDIT=1 heavyweight invariant audits (-DRAC_AUDIT=ON); runs the
 #               full suite with RAC_AUDIT blocks live.
 #   RAC_ALLOC_HOOK=1 allocation counting (-DRAC_ALLOC_HOOK=ON); builds and
-#               runs rl_tests, whose heap-budget tests (e.g. the TD
-#               learner's per-retrain scratch bound) GTEST_SKIP in every
-#               build without the counting operator new.
+#               runs rl_tests and core_tests, whose heap-budget tests (the
+#               TD learner's per-retrain scratch bound, the agent's
+#               per-checkpoint bound) GTEST_SKIP in every build without the
+#               counting operator new.
 #   RAC_FAULT_SAN=1 fault-injection suites under ASan+UBSan
 #               (-DRAC_ASAN=ON -DRAC_UBSAN=ON); runs the tests labeled
 #               `fault` -- a cheap focused pass for the injection decorator
@@ -110,8 +111,9 @@ fi
 if [[ "${RAC_ALLOC_HOOK:-0}" == "1" ]]; then
   ALLOC_DIR="${BUILD_DIR}-alloc"
   cmake -B "$ALLOC_DIR" -S . -DRAC_WERROR=ON -DRAC_ALLOC_HOOK=ON
-  cmake --build "$ALLOC_DIR" -j "$(nproc)" --target rl_tests
+  cmake --build "$ALLOC_DIR" -j "$(nproc)" --target rl_tests core_tests
   "$ALLOC_DIR"/tests/rl_tests
+  "$ALLOC_DIR"/tests/core_tests
 fi
 
 if [[ "${RAC_AUDIT:-0}" == "1" ]]; then

@@ -53,22 +53,22 @@ util::QuadraticSurface load_surface(std::istream& is) {
   if (first == "unfitted") return util::QuadraticSurface{};
   const std::uint64_t dim = util::parse_u64(first, kWhat);
   const int degree = util::parse_int(util::read_token(is, kWhat), kWhat);
+  // `dim` and the weight count are unchecked input: values are appended as
+  // they parse, so a huge count runs out of tokens instead of sizing an
+  // allocation.
   util::expect_token(is, "weights", kWhat);
   const std::uint64_t num_weights = read_u64(is, kWhat);
   std::vector<double> weights;
-  weights.reserve(num_weights);
   for (std::uint64_t i = 0; i < num_weights; ++i) {
     weights.push_back(read_double(is, kWhat));
   }
   util::expect_token(is, "means", kWhat);
   std::vector<double> means;
-  means.reserve(dim);
   for (std::uint64_t i = 0; i < dim; ++i) {
     means.push_back(read_double(is, kWhat));
   }
   util::expect_token(is, "scales", kWhat);
   std::vector<double> scales;
-  scales.reserve(dim);
   for (std::uint64_t i = 0; i < dim; ++i) {
     scales.push_back(read_double(is, kWhat));
   }

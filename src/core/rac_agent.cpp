@@ -277,6 +277,12 @@ void RacAgent::observe(const config::Configuration& applied,
 }
 
 AgentSnapshot RacAgent::snapshot() const {
+  AgentSnapshot s = snapshot_except_table();
+  s.qtable = qtable_;
+  return s;
+}
+
+AgentSnapshot RacAgent::snapshot_except_table() const {
   AgentSnapshot s;
   s.sla_reference_response_ms = opt_.sla.reference_response_ms;
   s.online_epsilon = opt_.online_epsilon;
@@ -303,7 +309,6 @@ AgentSnapshot RacAgent::snapshot() const {
     s.active_policy_context =
         env::context_token(library_.at(*active_policy_).context);
   }
-  s.qtable = qtable_;
   const auto entries = experience_.entries();
   s.experience.assign(entries.begin(), entries.end());
   s.detector_history = detector_.history();
@@ -414,7 +419,9 @@ void RacAgent::restore(const AgentSnapshot& s) {
 }
 
 bool RacAgent::save_state(std::ostream& os) const {
-  save_agent_snapshot(os, snapshot());
+  // The live table goes straight to the writer: a checkpoint costs the
+  // rows it writes, not a copy of every row the table holds.
+  save_agent_snapshot(os, snapshot_except_table(), qtable_);
   return true;
 }
 

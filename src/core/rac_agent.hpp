@@ -118,8 +118,8 @@ class RacAgent : public ConfigAgent {
   void annotate(obs::TraceEvent& event) const override;
 
   /// Capture the complete mutable state (plus the hyperparameters, for
-  /// validation on restore). A restored agent continues the run
-  /// bit-identically to one that never stopped.
+  /// validation on restore) as a value: the Q-table is copied. A restored
+  /// agent continues the run bit-identically to one that never stopped.
   AgentSnapshot snapshot() const;
 
   /// Adopt a snapshot's state. Throws std::invalid_argument when the
@@ -128,7 +128,9 @@ class RacAgent : public ConfigAgent {
   /// name the same context as the live library entry at that index.
   void restore(const AgentSnapshot& snapshot);
 
-  /// ConfigAgent checkpoint hook: serializes snapshot(). Always true.
+  /// ConfigAgent checkpoint hook: writes the bytes
+  /// save_agent_snapshot(os, snapshot()) would, serializing the live
+  /// Q-table instead of a copy. Always true.
   bool save_state(std::ostream& os) const override;
 
   /// Swap in a refreshed copy of the policy library (fleet cross-tenant
@@ -197,6 +199,8 @@ class RacAgent : public ConfigAgent {
   obs::Histogram* select_us_ = nullptr;
   obs::Histogram* retrain_us_ = nullptr;
 
+  /// snapshot() minus the Q-table, which stays default-constructed.
+  AgentSnapshot snapshot_except_table() const;
   void load_policy(std::size_t index);
   double lookup_response(const config::Configuration& c) const;
   /// Reward of a measured/blended response under the active robustness

@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/snapshot.hpp"
@@ -135,8 +137,12 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
   obs::Counter& c_backoff = registry.counter("core.fault.backoff_units");
   obs::Counter& c_held = registry.counter("core.fault.held_samples");
 
+  // A run's checkpoints are all about the same size, so each one's agent
+  // text is built in the storage of the one before: the stream writes into
+  // it without regrowing, and the text moves out of the stream uncopied.
+  std::string agent_text;
   const auto write_checkpoint = [&](int completed) {
-    std::ostringstream state;
+    std::ostringstream state(std::move(agent_text));
     if (!agent.save_state(state)) {
       throw std::invalid_argument(
           "run_agent: checkpointing requested but the agent does not "
@@ -145,13 +151,15 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
     RunCheckpoint checkpoint;
     checkpoint.completed_iterations = static_cast<std::uint64_t>(completed);
     checkpoint.traffic_interval = environment.traffic_interval();
-    checkpoint.agent_state = state.str();
+    checkpoint.agent_state = std::move(state).str();
     {
       const obs::ScopedTimer timer(&h_checkpoint);
       write_checkpoint_file(options.checkpoint_path, checkpoint);
     }
     c_checkpoint_writes.add(1);
     c_checkpoint_bytes.add(checkpoint.agent_state.size());
+    agent_text = std::move(checkpoint.agent_state);
+    agent_text.clear();
   };
 
   AgentTrace trace;

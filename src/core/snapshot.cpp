@@ -69,6 +69,11 @@ void write_configuration(std::ostream& os, const config::Configuration& c) {
 }  // namespace
 
 void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s) {
+  save_agent_snapshot(os, s, s.qtable);
+}
+
+void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s,
+                         const rl::QTable& qtable) {
   os << kSnapshotMagic << " v" << kSnapshotVersion << "\n";
   os << "sla " << util::format_double(s.sla_reference_response_ms) << "\n";
   os << "online_epsilon " << util::format_double(s.online_epsilon) << "\n";
@@ -140,7 +145,7 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s) {
     os << ' ' << util::format_double(entry.observation.response_ms) << ' '
        << util::format_u64(entry.observation.count) << "\n";
   }
-  rl::save_qtable(os, s.qtable);
+  rl::save_qtable(os, qtable);
   os << "end\n";
   if (!os) throw std::ios_base::failure("save_agent_snapshot: write failed");
 }
@@ -240,7 +245,6 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
       throw std::runtime_error(
           "load_agent_snapshot: median window larger than median_of");
     }
-    s.recent_responses.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       s.recent_responses.push_back(read_double(is, kWhat));
     }
@@ -266,9 +270,10 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
   util::expect_token(is, "detector", kWhat);
   s.detector_consecutive = read_int(is, kWhat);
   s.detector_last_violation = parse_bool(is, kWhat);
+  // Counts are unchecked input: entries are appended as they parse, so a
+  // huge count runs out of tokens instead of sizing an allocation.
   {
     const std::uint64_t n = read_u64(is, kWhat);
-    s.detector_history.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       s.detector_history.push_back(read_double(is, kWhat));
     }
@@ -276,7 +281,6 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
   util::expect_token(is, "experience", kWhat);
   {
     const std::uint64_t n = read_u64(is, kWhat);
-    s.experience.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       rl::ExperienceEntry entry;
       entry.configuration = read_configuration(is, kWhat);
@@ -292,18 +296,19 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
 
 void write_checkpoint_file(const std::string& path,
                            const RunCheckpoint& checkpoint) {
-  std::ostringstream os;
-  os << kCheckpointMagic << " v" << kCheckpointVersion << "\n";
-  os << "completed " << util::format_u64(checkpoint.completed_iterations)
-     << "\n";
-  os << "traffic " << util::format_u64(checkpoint.traffic_interval) << "\n";
+  std::ostringstream header;
+  header << kCheckpointMagic << " v" << kCheckpointVersion << "\n";
+  header << "completed " << util::format_u64(checkpoint.completed_iterations)
+         << "\n";
+  header << "traffic " << util::format_u64(checkpoint.traffic_interval)
+         << "\n";
   // The agent state is opaque text; a byte count delimits it so the
-  // checkpoint loader need not understand the agent's own format.
-  os << "agent_state " << util::format_u64(checkpoint.agent_state.size())
-     << "\n";
-  os << checkpoint.agent_state;
-  os << "\nend\n";
-  util::atomic_write_file(path, os.str());
+  // checkpoint loader need not understand the agent's own format. It is
+  // written as its own part rather than copied behind the header.
+  header << "agent_state " << util::format_u64(checkpoint.agent_state.size())
+         << "\n";
+  util::atomic_write_file(path,
+                          {header.view(), checkpoint.agent_state, "\nend\n"});
 }
 
 RunCheckpoint load_checkpoint_file(const std::string& path) {
@@ -333,6 +338,15 @@ RunCheckpoint load_checkpoint_file(const std::string& path) {
   if (is.get() != '\n') {
     throw std::runtime_error(
         "load_checkpoint_file: expected newline after agent_state header");
+  }
+  // The byte count is unchecked input; it may not exceed what the file
+  // still holds.
+  const std::streampos start = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff remaining = is.tellg() - start;
+  is.seekg(start);
+  if (!is || bytes > static_cast<std::uint64_t>(remaining)) {
+    throw std::runtime_error("load_checkpoint_file: truncated agent state");
   }
   checkpoint.agent_state.resize(bytes);
   is.read(checkpoint.agent_state.data(),

@@ -95,6 +95,12 @@ struct AgentSnapshot {
 /// std::ios_base::failure on stream errors.
 void save_agent_snapshot(std::ostream& os, const AgentSnapshot& snapshot);
 
+/// The same writer with `qtable` serialized in place of snapshot.qtable,
+/// which is ignored: RacAgent::save_state passes its live table instead of
+/// copying it into a snapshot.
+void save_agent_snapshot(std::ostream& os, const AgentSnapshot& snapshot,
+                         const rl::QTable& qtable);
+
 /// Parse a snapshot produced by save_agent_snapshot. Throws
 /// std::runtime_error on malformed input. Leaves the stream positioned
 /// just past the snapshot's "end" trailer.

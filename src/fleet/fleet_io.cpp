@@ -78,7 +78,7 @@ void FleetManager::save_checkpoint(std::ostream& os) const {
       fault::save_faulty_env_state(os, tenant.faulty->state());
     }
     os << "agent\n";
-    core::save_agent_snapshot(os, tenant.agent->snapshot());
+    tenant.agent->save_state(os);
   }
   os << "end\n";
   if (!os) {

@@ -7,7 +7,8 @@
 // position, the dynamic-traffic cursor (the model itself is immutable run
 // input carried by the TenantSpec, so only the position is state), the
 // fault injector's state, and the full agent snapshot
-// (embedded via core::save_agent_snapshot -- both embedded formats are
+// (embedded via RacAgent::save_state, which writes the
+// core::save_agent_snapshot format -- both embedded formats are
 // self-delimiting, so no byte counts are needed). Stats registries are
 // observability, not state, and are not captured.
 //

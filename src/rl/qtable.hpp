@@ -98,6 +98,19 @@ class QTable {
   double max_q_at(std::size_t row) const;
   config::Action best_action_at(std::size_t row) const;
 
+  // Read-only row view ---------------------------------------------------
+  //
+  // Serialization walks the rows directly instead of re-finding every
+  // state by hash. Rows are indexed [0, num_rows()); only written rows are
+  // part of the public table (warm rows hold defaults and are skipped).
+
+  std::size_t num_rows() const noexcept { return keys_.size(); }
+  bool row_written(std::size_t row) const { return written_[row] != 0; }
+  const config::Configuration& key_at(std::size_t row) const {
+    return keys_[row];
+  }
+  const ActionValues& values_at(std::size_t row) const { return rows_[row]; }
+
  private:
   void mark_written(std::size_t row, std::size_t action) {
     const std::uint32_t bit = std::uint32_t{1} << action;

@@ -6,7 +6,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
+#include <string_view>
+#include <vector>
 
 #include "obs/profiler.hpp"
 #include "util/lineio.hpp"
@@ -23,30 +24,69 @@ constexpr const char* kMagic = "rac-qtable";
 // in larger streams (agent snapshots, policy libraries), and rejects
 // duplicate state rows instead of silently letting the last one win.
 constexpr int kVersion = 2;
+
+// save_qtable formats into a fixed buffer of kBufferChars, handing it to
+// the stream whenever the next row might not fit. A row is kNumParams ints
+// and kNumActions doubles, each followed by a separator.
+constexpr std::size_t kBufferChars = 64 * 1024;
+constexpr std::size_t kMaxRowChars =
+    config::kNumParams * (util::kMaxI64Chars + 1) +
+    config::kNumActions * (util::kMaxDoubleChars + 1);
+static_assert(kBufferChars >= 2 * kMaxRowChars);
+
+char* put(char* out, std::string_view text) {
+  return std::copy(text.begin(), text.end(), out);
+}
 }  // namespace
 
 void save_qtable(std::ostream& os, const QTable& table) {
   const obs::ProfileScope profile("rl.qtable.save");
-  os << kMagic << " v" << kVersion << "\n";
-  os << "default_q " << util::format_double(table.default_q()) << "\n";
-  auto states = table.states();
-  // Hash-map order is run-dependent; sorted rows keep the output a pure
-  // function of the table contents (diffable, byte-stable across runs).
-  std::sort(states.begin(), states.end(),
-            [](const config::Configuration& a, const config::Configuration& b) {
-              return a.values() < b.values();
-            });
-  os << "states " << util::format_u64(states.size()) << "\n";
-  for (const auto& state : states) {
-    for (int v : state.values()) os << util::format_i64(v) << ' ';
-    for (std::size_t a = 0; a < config::kNumActions; ++a) {
-      os << util::format_double(
-                table.q(state, config::Action(static_cast<int>(a))))
-         << (a + 1 == config::kNumActions ? "" : " ");
-    }
-    os << "\n";
+  // Rows sit in first-touch order, a function of the mutation history;
+  // sorting them by key keeps the output a pure function of the table
+  // contents (diffable, byte-stable across runs).
+  std::vector<std::size_t> rows;
+  rows.reserve(table.size());
+  for (std::size_t row = 0; row < table.num_rows(); ++row) {
+    if (table.row_written(row)) rows.push_back(row);
   }
-  os << "end\n";
+  std::sort(rows.begin(), rows.end(), [&table](std::size_t a, std::size_t b) {
+    return table.key_at(a).values() < table.key_at(b).values();
+  });
+
+  // Rows are formatted straight from the table's storage into one buffer
+  // of fixed size, which stays in cache however large the table is.
+  std::string buffer(kBufferChars, '\0');
+  char* const first = buffer.data();
+  char* out = first;
+  const auto make_room = [&](std::size_t chars) {
+    if (static_cast<std::size_t>(first + kBufferChars - out) < chars) {
+      os.write(first, static_cast<std::streamsize>(out - first));
+      out = first;
+    }
+  };
+  out = put(out, kMagic);
+  out = put(out, " v");
+  out = util::put_i64(out, kVersion);
+  out = put(out, "\ndefault_q ");
+  out = util::put_double(out, table.default_q());
+  out = put(out, "\nstates ");
+  out = util::put_i64(out, static_cast<std::int64_t>(rows.size()));
+  *out++ = '\n';
+  for (const std::size_t row : rows) {
+    make_room(kMaxRowChars);
+    for (const int v : table.key_at(row).values()) {
+      out = util::put_i64(out, v);
+      *out++ = ' ';
+    }
+    for (const double q : table.values_at(row)) {
+      out = util::put_double(out, q);
+      *out++ = ' ';
+    }
+    out[-1] = '\n';
+  }
+  make_room(4);
+  out = put(out, "end\n");
+  os.write(first, static_cast<std::streamsize>(out - first));
   if (!os) throw std::ios_base::failure("save_qtable: write failed");
 }
 
@@ -68,10 +108,8 @@ QTable load_qtable(std::istream& is) {
   util::expect_token(is, "states", "load_qtable");
   const std::uint64_t count =
       util::parse_u64(util::read_token(is, "load_qtable"), "load_qtable");
-  std::unordered_set<config::Configuration,  // rac-lint: allow(hot-path-alloc) load-time duplicate check, not in the training loop
-                     config::ConfigurationHash>
-      seen;
-  seen.reserve(count);
+  // Rows are read as they parse: `count` is unchecked input, so it sizes
+  // nothing up front.
   for (std::uint64_t row = 0; row < count; ++row) {
     std::array<int, config::kNumParams> values{};
     for (auto& v : values) {
@@ -82,7 +120,7 @@ QTable load_qtable(std::istream& is) {
     if (state.values() != values) {
       throw std::runtime_error("load_qtable: state outside parameter ranges");
     }
-    if (!seen.insert(state).second) {
+    if (table.contains(state)) {
       throw std::runtime_error(
           "load_qtable: duplicate state row (each state must appear once)");
     }

@@ -38,14 +38,26 @@ bool parse_with_format(std::string_view token, std::chars_format fmt,
 
 }  // namespace
 
-std::string format_double(double v) {
-  char buf[64];
+char* put_double(char* first, double v) {
   const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::hex);
+      std::to_chars(first, first + kMaxDoubleChars, v, std::chars_format::hex);
   if (ec != std::errc{}) {
     throw std::runtime_error("format_double: to_chars failed");
   }
-  return std::string(buf, ptr);
+  return ptr;
+}
+
+char* put_i64(char* first, std::int64_t v) {
+  const auto [ptr, ec] = std::to_chars(first, first + kMaxI64Chars, v, 10);
+  if (ec != std::errc{}) {
+    throw std::runtime_error("format_i64: to_chars failed");
+  }
+  return ptr;
+}
+
+std::string format_double(double v) {
+  char buf[kMaxDoubleChars];
+  return std::string(buf, put_double(buf, v));
 }
 
 std::string format_double_decimal(double v) {
@@ -59,12 +71,8 @@ std::string format_double_decimal(double v) {
 }
 
 std::string format_i64(std::int64_t v) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v, 10);
-  if (ec != std::errc{}) {
-    throw std::runtime_error("format_i64: to_chars failed");
-  }
-  return std::string(buf, ptr);
+  char buf[kMaxI64Chars];
+  return std::string(buf, put_i64(buf, v));
 }
 
 std::string format_u64(std::uint64_t v) {
@@ -150,15 +158,17 @@ void expect_token(std::istream& is, std::string_view expected,
   }
 }
 
-void atomic_write_file(const std::string& path, std::string_view contents) {
+void atomic_write_file(const std::string& path,
+                       std::initializer_list<std::string_view> parts) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) {
       throw std::ios_base::failure("atomic_write_file: cannot open " + tmp);
     }
-    os.write(contents.data(),
-             static_cast<std::streamsize>(contents.size()));
+    for (const std::string_view part : parts) {
+      os.write(part.data(), static_cast<std::streamsize>(part.size()));
+    }
     os.flush();
     if (!os) {
       throw std::ios_base::failure("atomic_write_file: write failed for " +

@@ -17,7 +17,9 @@
 // decimal/scientific forms.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -37,6 +39,17 @@ std::string format_double_decimal(double v);
 std::string format_i64(std::int64_t v);
 std::string format_u64(std::uint64_t v);
 
+/// Longest token format_double / format_i64 produce: a hex float is at
+/// most 22 characters ("-1.fffffffffffffp+1023"), an int64 at most 20.
+inline constexpr std::size_t kMaxDoubleChars = 24;
+inline constexpr std::size_t kMaxI64Chars = 20;
+
+/// Buffer forms of format_double / format_i64 for bulk writers: render the
+/// same token at `first`, which must have room for kMaxDoubleChars /
+/// kMaxI64Chars bytes, and return one past its last character.
+char* put_double(char* first, double v);
+char* put_i64(char* first, std::int64_t v);
+
 /// Strict parsers: the whole token must be consumed. Throw
 /// std::runtime_error naming `what` on malformed input. parse_double
 /// accepts hex floats (with or without 0x prefix) and decimal forms.
@@ -54,10 +67,16 @@ std::string read_token(std::istream& is, std::string_view what);
 void expect_token(std::istream& is, std::string_view expected,
                   std::string_view what);
 
-/// Durable file replace: write `contents` to `path + ".tmp"`, flush, then
-/// rename over `path` (atomic on POSIX filesystems -- readers see either
-/// the old file or the complete new one, never a torn write). Throws
-/// std::ios_base::failure on any I/O error.
-void atomic_write_file(const std::string& path, std::string_view contents);
+/// Durable file replace: write `parts`, in order, to `path + ".tmp"`,
+/// flush, then rename over `path` (atomic on POSIX filesystems -- readers
+/// see either the old file or the complete new one, never a torn write).
+/// Throws std::ios_base::failure on any I/O error. Writing the parts
+/// separately lets callers frame a large payload without copying it.
+void atomic_write_file(const std::string& path,
+                       std::initializer_list<std::string_view> parts);
+inline void atomic_write_file(const std::string& path,
+                              std::string_view contents) {
+  atomic_write_file(path, {contents});
+}
 
 }  // namespace rac::util

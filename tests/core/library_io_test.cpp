@@ -125,6 +125,35 @@ TEST(LibraryIo, RejectsUnknownContextAndBadSurface) {
   EXPECT_THROW(load_library(surf_is), std::runtime_error);
 }
 
+// Surface counts are unchecked input. A count far past the values present
+// must fail as malformed input, not size an allocation (std::bad_alloc,
+// std::length_error).
+TEST(LibraryIo, HugeSurfaceCountsAreMalformedInputNotAllocations) {
+  InitialPolicyLibrary library;
+  InitialPolicy policy;
+  policy.context = {MixType::kShopping, VmLevel::kLevel1};
+  library.add(policy);
+  std::stringstream stream;
+  save_library(stream, library);
+  const std::string text = stream.str();
+  const std::string unfitted = "surface unfitted";
+  const std::size_t surf = text.find(unfitted);
+  ASSERT_NE(surf, std::string::npos);
+  for (const std::string count : {"1000000000000", "18446744073709551615"}) {
+    SCOPED_TRACE(count);
+    for (const std::string& surface :
+         {"surface " + count + " 2\nweights 3 0p+0 0p+0 0p+0\n"
+                               "means 0p+0\nscales 1p+0",
+          "surface 1 2\nweights " + count + " 0p+0 0p+0 0p+0\n"
+                                            "means 0p+0\nscales 1p+0"}) {
+      std::string bad = text;
+      bad.replace(surf, unfitted.size(), surface);
+      std::istringstream is(bad);
+      EXPECT_THROW(load_library(is), std::runtime_error) << surface;
+    }
+  }
+}
+
 TEST(LibraryIo, FileRoundTripAndTrailingGarbageRejection) {
   InitialPolicyLibrary library;
   InitialPolicy policy;

@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/static_agent.hpp"
+#include "core/snapshot.hpp"
 #include "env/analytic_env.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 
@@ -305,6 +310,40 @@ TEST(Runner, CheckpointingRejectsAgentsWithoutSaveState) {
   options.checkpoint_path =
       ::testing::TempDir() + "/rac_runner_nosave.rac";
   EXPECT_THROW(run_agent(env, agent, {}, 3, options), std::invalid_argument);
+}
+
+// Saves a shorter state at every checkpoint, as an agent does when a
+// policy switch replaces its table with a smaller one.
+class ShrinkingStateAgent final : public baselines::StaticDefaultAgent {
+ public:
+  bool save_state(std::ostream& os) const override {
+    last_ = std::string(static_cast<std::size_t>(400 - 100 * saves_), 'x') +
+            std::to_string(saves_);
+    ++saves_;
+    os << last_;
+    return true;
+  }
+  const std::string& last() const { return last_; }
+
+ private:
+  mutable int saves_ = 0;
+  mutable std::string last_;
+};
+
+TEST(Runner, CheckpointHoldsExactlyTheAgentsLatestState) {
+  AnalyticEnv env({MixType::kShopping, VmLevel::kLevel1}, quiet_env());
+  ShrinkingStateAgent agent;
+  obs::Registry registry;
+  RunOptions options;
+  options.checkpoint_every = 1;
+  options.checkpoint_path = ::testing::TempDir() + "/rac_runner_shrink.rac";
+  options.registry = &registry;
+  run_agent(env, agent, {}, 3, options);
+  EXPECT_EQ(load_checkpoint_file(options.checkpoint_path).agent_state,
+            agent.last());
+  EXPECT_EQ(registry.counter("core.checkpoint.bytes").value(),
+            401u + 301u + 201u);
+  std::remove(options.checkpoint_path.c_str());
 }
 
 TEST(Runner, StartIterationResumesNumberingAndSchedule) {

@@ -2,15 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <utility>
 
+#include "core/policy_init.hpp"
 #include "core/policy_library.hpp"
 #include "core/rac_agent.hpp"
+#include "core/runner.hpp"
+#include "env/analytic_env.hpp"
 #include "env/context.hpp"
+#include "obs/process_stats.hpp"
 #include "util/lineio.hpp"
 #include "util/rng.hpp"
 
@@ -194,6 +203,29 @@ TEST(AgentSnapshotIo, RejectsCorruptFlagsAndRanges) {
   EXPECT_THROW(load_agent_snapshot(policy_is), std::runtime_error);
 }
 
+// Counts are unchecked input. A count far past the entries present must
+// fail as malformed input, not size an allocation (std::bad_alloc,
+// std::length_error).
+TEST(AgentSnapshotIo, HugeEntryCountsAreMalformedInputNotAllocations) {
+  const std::string text = serialized(sample_snapshot());
+  const auto patched = [&text](const std::string& from, const std::string& to) {
+    const std::size_t pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    std::string out = text;
+    if (pos != std::string::npos) out.replace(pos, from.size(), to);
+    return out;
+  };
+  for (const std::string count : {"1000000000000", "18446744073709551615"}) {
+    SCOPED_TRACE(count);
+    std::istringstream experience(
+        patched("\nexperience 2\n", "\nexperience " + count + "\n"));
+    EXPECT_THROW(load_agent_snapshot(experience), std::runtime_error);
+    std::istringstream detector(
+        patched("\ndetector 2 1 3 ", "\ndetector 2 1 " + count + " "));
+    EXPECT_THROW(load_agent_snapshot(detector), std::runtime_error);
+  }
+}
+
 // --- checkpoint files -------------------------------------------------------
 
 TEST(CheckpointIo, RoundTripPreservesOpaqueStateBytes) {
@@ -260,6 +292,127 @@ TEST(CheckpointIo, RejectsTrailingGarbageAndTruncation) {
   util::atomic_write_file(path, text.substr(0, text.size() - 10));
   EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(CheckpointIo, AgentStateLongerThanTheFileIsRejected) {
+  const std::string path = ::testing::TempDir() + "/rac_checkpoint_huge.rac";
+  for (const std::string count : {"1000000000000", "18446744073709551615"}) {
+    SCOPED_TRACE(count);
+    util::atomic_write_file(path, "rac-checkpoint v2\ncompleted 1\ntraffic 0\n"
+                                  "agent_state " + count + "\nopaque\nend\n");
+    EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
+  }
+  std::remove(path.c_str());
+}
+
+// --- RacAgent::save_state ---------------------------------------------------
+
+// save_state serializes the live table; it must write exactly the bytes of
+// the value snapshot, here for an agent whose table was re-seeded by a
+// policy switch and then refined online (warm rows included).
+TEST(RacAgentCheckpoint, SaveStateWritesTheSnapshotBytesAfterAPolicySwitch) {
+  PolicyInitOptions init;
+  init.offline_td.max_sweeps = 60;
+  env::AnalyticEnvOptions offline;
+  offline.noise_sigma = 0.0;
+  const SystemContext shopping{MixType::kShopping, VmLevel::kLevel1};
+  const SystemContext ordering{MixType::kOrdering, VmLevel::kLevel3};
+  InitialPolicyLibrary library;
+  for (const SystemContext& context : {shopping, ordering}) {
+    env::AnalyticEnv env(context, offline);
+    library.add(learn_initial_policy(env, init));
+  }
+  RacOptions options;
+  options.seed = 33;
+  RacAgent agent(options, std::move(library), 0);
+  env::AnalyticEnvOptions live;
+  live.noise_sigma = 0.1;
+  live.seed = 50;
+  env::AnalyticEnv env(shopping, live);
+  const std::string path = ::testing::TempDir() + "/rac_checkpoint_live.rac";
+  RunOptions run;
+  run.checkpoint_every = 7;
+  run.checkpoint_path = path;
+  run_agent(env, agent, {{0, shopping}, {12, ordering}}, 30, run);
+  ASSERT_GE(agent.policy_switches(), 1);
+  ASSERT_GT(agent.qtable().num_rows(), agent.qtable().size());
+
+  std::ostringstream copied;
+  save_agent_snapshot(copied, agent.snapshot());
+  std::ostringstream live_table;
+  ASSERT_TRUE(agent.save_state(live_table));
+  EXPECT_EQ(live_table.str(), copied.str());
+  // The runner's last checkpoint, taken after iteration 30, holds it too.
+  EXPECT_EQ(load_checkpoint_file(path).agent_state, copied.str());
+  std::remove(path.c_str());
+}
+
+// Counts and discards what it is given, so the hook sees only the
+// writer's own allocations, not the stream's.
+class CountingBuf final : public std::streambuf {
+ public:
+  std::uint64_t bytes() const noexcept { return bytes_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) ++bytes_;
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<std::uint64_t>(n);
+    return n;
+  }
+
+ private:
+  std::uint64_t bytes_ = 0;
+};
+
+// One checkpoint must cost the states it writes, not the table: an agent
+// table of 10^5 rows holding 10^3 written states (a library table's shape,
+// warm neighbor rows included) serializes with a few allocations sized by
+// its output.
+TEST(RacAgentCheckpoint, SaveStateHeapScalesWithWrittenStatesNotTableRows) {
+  if (!obs::alloc_hook_compiled()) {
+    GTEST_SKIP() << "allocation counting needs -DRAC_ALLOC_HOOK=ON";
+  }
+  InitialPolicy policy;
+  policy.context = {MixType::kShopping, VmLevel::kLevel1};
+  policy.table.set_default_q(-0.25);
+  util::Rng rng(12);
+  std::size_t rows = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const Configuration state = config::ConfigSpace::random_fine(rng);
+    if (i % 100 == 0) {
+      for (std::size_t a = 0; a < config::kNumActions; ++a) {
+        policy.table.set_q(state, config::Action(static_cast<int>(a)),
+                           rng.normal(0.0, 3.0));
+      }
+    }
+    rows = std::max(rows, policy.table.ensure_row(state) + 1);
+  }
+  ASSERT_GE(rows, 99000u);
+  ASSERT_GE(policy.table.size(), 900u);
+  ASSERT_LE(policy.table.size(), 1000u);
+  InitialPolicyLibrary library;
+  library.add(std::move(policy));
+  RacAgent agent(RacOptions{}, std::move(library), 0);
+
+  CountingBuf sink;
+  std::ostream os(&sink);
+  const obs::ProcessStats before = obs::process_stats();
+  obs::set_alloc_counting(true);
+  const bool saved = agent.save_state(os);
+  obs::set_alloc_counting(false);
+  const obs::ProcessStats after = obs::process_stats();
+  ASSERT_TRUE(saved);
+  ASSERT_TRUE(os.good());
+  const std::uint64_t allocations = after.alloc_count - before.alloc_count;
+  const std::uint64_t allocated = after.alloc_bytes - before.alloc_bytes;
+  EXPECT_LT(allocations, 1000u);
+  EXPECT_LT(allocated, 8 * sink.bytes());
+  RecordProperty("allocations", std::to_string(allocations));
+  RecordProperty("allocated_bytes", std::to_string(allocated));
+  RecordProperty("written_bytes", std::to_string(sink.bytes()));
 }
 
 // --- RacAgent::restore validation -------------------------------------------

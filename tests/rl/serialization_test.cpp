@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <clocale>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <locale>
 #include <sstream>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "rl/td_learner.hpp"
 #include "util/lineio.hpp"
-
 #include "util/rng.hpp"
 
 namespace rac::rl {
@@ -328,6 +333,143 @@ TEST(Serialization, WarmRowsDoNotSerialize) {
   std::stringstream after;
   save_qtable(after, table);
   EXPECT_EQ(after.str(), before.str());
+}
+
+// The writer as it was before it walked the table's rows: sorted states(),
+// one hashed q() per value and one util::format_double string per value.
+// save_qtable must reproduce its bytes exactly.
+std::string reference_save_qtable(const QTable& table) {
+  std::ostringstream os;
+  os << "rac-qtable v2\n";
+  os << "default_q " << util::format_double(table.default_q()) << "\n";
+  auto states = table.states();
+  std::sort(states.begin(), states.end(),
+            [](const config::Configuration& a, const config::Configuration& b) {
+              return a.values() < b.values();
+            });
+  os << "states " << util::format_u64(states.size()) << "\n";
+  for (const auto& state : states) {
+    for (int v : state.values()) os << util::format_i64(v) << ' ';
+    for (std::size_t a = 0; a < config::kNumActions; ++a) {
+      os << util::format_double(
+                table.q(state, config::Action(static_cast<int>(a))))
+         << (a + 1 == config::kNumActions ? "" : " ");
+    }
+    os << "\n";
+  }
+  os << "end\n";
+  return os.str();
+}
+
+std::string saved(const QTable& table) {
+  std::ostringstream os;
+  save_qtable(os, table);
+  return os.str();
+}
+
+// Every awkward value the hex writer must spell exactly, spread over rows
+// that are fully written, partly written (the rest hold the default in
+// force when the row was created), and warm (never written).
+QTable edge_value_table() {
+  using limits = std::numeric_limits<double>;
+  const std::vector<double> values = {
+      -0.0,           0.0,          limits::denorm_min(), -limits::denorm_min(),
+      limits::min() / 3.0,         -limits::min(),       limits::infinity(),
+      -limits::infinity(),         limits::quiet_NaN(),  -limits::quiet_NaN(),
+      limits::max(),  limits::lowest(), 1.0 / 3.0,       -1e-300,
+      1e300,          2.5,          -7.0};
+  QTable table;
+  table.set_default_q(-0.0);
+  util::Rng rng(31);
+  for (int i = 0; i < 40; ++i) {
+    const auto state = config::ConfigSpace::random_fine(rng);
+    if (i % 5 == 0) {
+      table.ensure_row(state);
+      continue;
+    }
+    for (std::size_t a = 0; a < config::kNumActions; ++a) {
+      if (i % 3 == 0 && a % 2 == 1) continue;
+      table.set_q(state, config::Action(static_cast<int>(a)),
+                  values[(a + static_cast<std::size_t>(i)) % values.size()]);
+    }
+    if (i == 20) table.set_default_q(limits::denorm_min());
+  }
+  table.set_default_q(-1.0 / 7.0);
+  return table;
+}
+
+// A table shaped like a trained library's: TD walks write some rows and
+// leave warm neighbor rows behind.
+QTable trained_table() {
+  QTable table;
+  table.set_default_q(-0.25);
+  TdParams params;
+  params.max_sweeps = 20;
+  util::Rng rng(32);
+  const RewardFn reward = [](const config::Configuration& s) {
+    return 1.0 - s.value(config::ParamId::kMaxClients) / 600.0;
+  };
+  batch_train(table, config::ConfigSpace(3).coarse_grid(), reward, params,
+              rng);
+  return table;
+}
+
+TEST(SerializationOracle, WriterMatchesReferenceByteForByte) {
+  QTable empty;
+  QTable empty_nonzero_default;
+  empty_nonzero_default.set_default_q(0.75);
+  QTable only_warm;
+  only_warm.set_default_q(-3.5);
+  util::Rng rng(33);
+  for (int i = 0; i < 10; ++i) {
+    only_warm.ensure_row(config::ConfigSpace::random_fine(rng));
+  }
+  const QTable edges = edge_value_table();
+  const QTable trained = trained_table();
+  ASSERT_GT(trained.num_rows(), trained.size());  // warm rows present
+  // Long enough that the writer hands its buffer to the stream many times.
+  QTable large;
+  for (int i = 0; i < 3000; ++i) {
+    const auto state = config::ConfigSpace::random_fine(rng);
+    large.set_q(state, config::Action(i % static_cast<int>(config::kNumActions)),
+                rng.normal(0.0, 1e3));
+    large.ensure_row(config::ConfigSpace::random_fine(rng));
+  }
+  ASSERT_GT(reference_save_qtable(large).size(), 256u * 1024u);
+  const std::vector<const QTable*> tables = {
+      &empty, &empty_nonzero_default, &only_warm, &edges, &trained, &large};
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    SCOPED_TRACE(i);
+    const std::string expected = reference_save_qtable(*tables[i]);
+    EXPECT_EQ(saved(*tables[i]), expected);
+  }
+  const QTable sample = sample_table();
+  EXPECT_EQ(saved(sample), reference_save_qtable(sample));
+  // The premise: the edge table exercises every awkward spelling.
+  const std::string text = saved(edges);
+  for (const char* token : {" -0p+0", " inf", " -inf", " nan", " -nan",
+                            "p-1022", "p-1074"}) {
+    EXPECT_NE(text.find(token), std::string::npos) << token;
+  }
+}
+
+// Row counts are unchecked input. A count far past the rows present must
+// fail as malformed input, not size an allocation (std::bad_alloc,
+// std::length_error).
+TEST(Serialization, HugeStateCountIsMalformedInputNotAnAllocation) {
+  const config::Configuration state = config::Configuration::defaults();
+  std::string row;
+  for (const int v : state.values()) {
+    row += util::format_i64(v) + ' ';
+  }
+  for (std::size_t a = 0; a < config::kNumActions; ++a) row += "0p+0 ";
+  row += '\n';
+  for (const char* count : {"1000000000000", "18446744073709551615"}) {
+    SCOPED_TRACE(count);
+    std::stringstream stream("rac-qtable v2\ndefault_q 0p+0\nstates " +
+                             std::string(count) + "\n" + row + "end\n");
+    EXPECT_THROW(load_qtable(stream), std::runtime_error);
+  }
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 
 namespace rac::util {
 namespace {
@@ -113,13 +115,28 @@ TEST(LineIo, ExpectTokenMismatchThrows) {
 TEST(LineIo, AtomicWriteFileReplacesContentsAndLeavesNoTemp) {
   const std::string path = ::testing::TempDir() + "/rac_lineio_atomic.txt";
   atomic_write_file(path, "first");
-  atomic_write_file(path, "second");
+  atomic_write_file(path, {"sec", "", "ond\nline"});  // parts, in order
   std::ifstream is(path);
   std::string contents((std::istreambuf_iterator<char>(is)),
                        std::istreambuf_iterator<char>());
-  EXPECT_EQ(contents, "second");
+  EXPECT_EQ(contents, "second\nline");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::remove(path.c_str());
+}
+
+TEST(LineIo, LongestTokensFitThePutBounds) {
+  // Bulk writers size their buffers by kMaxDoubleChars / kMaxI64Chars, and
+  // the put forms throw rather than write past those bounds.
+  using limits = std::numeric_limits<double>;
+  EXPECT_EQ(format_double(-limits::max()), "-1.fffffffffffffp+1023");
+  for (const double v : {-limits::min(), -limits::denorm_min(),
+                         -limits::min() / 3.0, -1.0 / 3.0,
+                         -limits::infinity(), -limits::quiet_NaN()}) {
+    char buf[kMaxDoubleChars];
+    EXPECT_EQ(std::string(buf, put_double(buf, v)), format_double(v)) << v;
+  }
+  EXPECT_EQ(format_i64(std::numeric_limits<std::int64_t>::min()),
+            "-9223372036854775808");
 }
 
 TEST(LineIo, AtomicWriteFileThrowsOnUnwritableDirectory) {
