@@ -15,8 +15,11 @@ int main() {
   for (const auto& spec : config::catalog()) {
     const auto grid = config::ConfigSpace::fine_grid(spec.id);
     table.add_row({std::string(spec.name), std::string(config::tier_name(spec.tier)),
-                   "[" + std::to_string(spec.min) + ", " +
-                       std::to_string(spec.max) + "]",
+                   std::string("[")
+                       .append(std::to_string(spec.min))
+                       .append(", ")
+                       .append(std::to_string(spec.max))
+                       .append("]"),
                    std::to_string(spec.default_value),
                    std::to_string(spec.fine_step),
                    std::to_string(grid.size()),

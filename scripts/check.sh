@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: configure with warnings-as-errors, build everything, run
-# rac-lint and rac-analyze over the source trees, then the full test
-# suite.
+# rac-analyze over the source trees, then the full test suite.
 # Usage: scripts/check.sh [build-dir]
 #
 # Optional phases (each builds its own <build-dir>-<suffix> tree):
@@ -56,13 +55,10 @@ BUILD_DIR="${1:-build-check}"
 cmake -B "$BUILD_DIR" -S . -DRAC_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-# Static checks first: they are the cheapest phases and their findings are
-# the easiest to act on. The same gates run as the `rac_lint` and
-# `rac_analyze` ctests, so plain `ctest` catches violations too; running
-# them here keeps the failure message at the top of a CI log. rac-analyze
-# adds the token-level cross-file rules (layering manifest, determinism
-# dataflow, parallel-capture safety) on top of rac-lint's line rules.
-"$BUILD_DIR"/tools/lint/rac_lint --root . src tools bench examples
+# Static checks first: the cheapest phase, and its findings are the easiest
+# to act on. The same gate runs as the `rac_analyze` ctest, so plain
+# `ctest` catches violations too; running it here keeps the failure
+# message at the top of a CI log.
 "$BUILD_DIR"/tools/analyze/rac_analyze --root . src tools bench examples
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

@@ -18,14 +18,6 @@ namespace {
 constexpr const char* kMagic = "rac-policy-library";
 constexpr int kVersion = 1;
 
-double read_double(std::istream& is, std::string_view what) {
-  return util::parse_double(util::read_token(is, what), what);
-}
-
-std::uint64_t read_u64(std::istream& is, std::string_view what) {
-  return util::parse_u64(util::read_token(is, what), what);
-}
-
 void save_surface(std::ostream& os, const util::QuadraticSurface& surface) {
   if (!surface.fitted()) {
     os << "surface unfitted\n";
@@ -52,25 +44,25 @@ util::QuadraticSurface load_surface(std::istream& is) {
   const std::string first = util::read_token(is, kWhat);
   if (first == "unfitted") return util::QuadraticSurface{};
   const std::uint64_t dim = util::parse_u64(first, kWhat);
-  const int degree = util::parse_int(util::read_token(is, kWhat), kWhat);
+  const int degree = util::read_int(is, kWhat);
   // `dim` and the weight count are unchecked input: values are appended as
   // they parse, so a huge count runs out of tokens instead of sizing an
   // allocation.
   util::expect_token(is, "weights", kWhat);
-  const std::uint64_t num_weights = read_u64(is, kWhat);
+  const std::uint64_t num_weights = util::read_u64(is, kWhat);
   std::vector<double> weights;
   for (std::uint64_t i = 0; i < num_weights; ++i) {
-    weights.push_back(read_double(is, kWhat));
+    weights.push_back(util::read_double(is, kWhat));
   }
   util::expect_token(is, "means", kWhat);
   std::vector<double> means;
   for (std::uint64_t i = 0; i < dim; ++i) {
-    means.push_back(read_double(is, kWhat));
+    means.push_back(util::read_double(is, kWhat));
   }
   util::expect_token(is, "scales", kWhat);
   std::vector<double> scales;
   for (std::uint64_t i = 0; i < dim; ++i) {
-    scales.push_back(read_double(is, kWhat));
+    scales.push_back(util::read_double(is, kWhat));
   }
   try {
     return util::QuadraticSurface::from_parts(
@@ -118,11 +110,11 @@ InitialPolicyLibrary load_library(std::istream& is) {
     throw std::runtime_error("load_library: unsupported version " + version);
   }
   util::expect_token(is, "policies", kWhat);
-  const std::uint64_t count = read_u64(is, kWhat);
+  const std::uint64_t count = util::read_u64(is, kWhat);
   InitialPolicyLibrary library;
   for (std::uint64_t i = 0; i < count; ++i) {
     util::expect_token(is, "policy", kWhat);
-    const std::uint64_t index = read_u64(is, kWhat);
+    const std::uint64_t index = util::read_u64(is, kWhat);
     if (index != i) {
       throw std::runtime_error("load_library: policy index out of order");
     }
@@ -134,20 +126,20 @@ InitialPolicyLibrary load_library(std::istream& is) {
       throw std::runtime_error(std::string("load_library: ") + e.what());
     }
     util::expect_token(is, "sla", kWhat);
-    policy.sla.reference_response_ms = read_double(is, kWhat);
+    policy.sla.reference_response_ms = util::read_double(is, kWhat);
     util::expect_token(is, "best_sampled", kWhat);
     std::array<int, config::kNumParams> values{};
     for (auto& v : values) {
-      v = util::parse_int(util::read_token(is, kWhat), kWhat);
+      v = util::read_int(is, kWhat);
     }
     policy.best_sampled = config::Configuration(values);
     if (policy.best_sampled.values() != values) {
       throw std::runtime_error(
           "load_library: best_sampled outside parameter ranges");
     }
-    policy.best_sampled_response_ms = read_double(is, kWhat);
+    policy.best_sampled_response_ms = util::read_double(is, kWhat);
     util::expect_token(is, "regression_r2", kWhat);
-    policy.regression_r2 = read_double(is, kWhat);
+    policy.regression_r2 = util::read_double(is, kWhat);
     policy.surface = load_surface(is);
     policy.table = rl::load_qtable(is);
     library.add(std::move(policy));

@@ -82,7 +82,7 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
       }
       double total = 0.0;
       for (int rep = 0; rep < options.samples_per_config; ++rep) {
-        total += clone->measure(samples[i])  // rac-lint: allow(unchecked-measure) offline probe
+        total += clone->measure(samples[i])  // rac-analyze: allow(unchecked-measure) offline probe
                      .response_ms;
       }
       responses[i] = total / options.samples_per_config;
@@ -93,7 +93,7 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
       const obs::ProfileScope sample_profile("policy_init.coarse_sample");
       double total = 0.0;
       for (int rep = 0; rep < options.samples_per_config; ++rep) {
-        total += environment.measure(samples[i])  // rac-lint: allow(unchecked-measure) offline probe
+        total += environment.measure(samples[i])  // rac-analyze: allow(unchecked-measure) offline probe
                      .response_ms;
       }
       responses[i] = total / options.samples_per_config;

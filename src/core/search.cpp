@@ -11,7 +11,7 @@ double evaluate(env::Environment& environment,
                 int& evaluations) {
   double total = 0.0;
   for (int i = 0; i < samples; ++i) {
-    total += environment.measure(configuration)  // rac-lint: allow(unchecked-measure) offline probe
+    total += environment.measure(configuration)  // rac-analyze: allow(unchecked-measure) offline probe
                  .response_ms;
   }
   ++evaluations;

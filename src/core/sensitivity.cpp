@@ -35,7 +35,7 @@ SensitivityReport analyze_sensitivity(env::Environment& environment,
       c.set(id, grid[i]);
       double total = 0.0;
       for (int rep = 0; rep < options.samples_per_point; ++rep) {
-        total += environment.measure(c)  // rac-lint: allow(unchecked-measure) offline probe
+        total += environment.measure(c)  // rac-analyze: allow(unchecked-measure) offline probe
                      .response_ms;
       }
       const double response = total / options.samples_per_point;

@@ -25,32 +25,10 @@ constexpr const char* kCheckpointMagic = "rac-checkpoint";
 constexpr int kSnapshotVersion = 2;
 constexpr int kCheckpointVersion = 2;
 
-std::string bool_token(bool b) { return b ? "1" : "0"; }
-
-bool parse_bool(std::istream& is, std::string_view what) {
-  const std::uint64_t v = util::parse_u64(util::read_token(is, what), what);
-  if (v > 1) {
-    throw std::runtime_error(std::string(what) + ": flag must be 0 or 1");
-  }
-  return v == 1;
-}
-
-double read_double(std::istream& is, std::string_view what) {
-  return util::parse_double(util::read_token(is, what), what);
-}
-
-std::uint64_t read_u64(std::istream& is, std::string_view what) {
-  return util::parse_u64(util::read_token(is, what), what);
-}
-
-int read_int(std::istream& is, std::string_view what) {
-  return util::parse_int(util::read_token(is, what), what);
-}
-
 config::Configuration read_configuration(std::istream& is,
                                          std::string_view what) {
   std::array<int, config::kNumParams> values{};
-  for (auto& v : values) v = read_int(is, what);
+  for (auto& v : values) v = util::read_int(is, what);
   const config::Configuration configuration(values);
   if (configuration.values() != values) {
     throw std::runtime_error(std::string(what) +
@@ -87,9 +65,9 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s,
      << util::format_double(s.violation_threshold) << ' '
      << util::format_i64(s.violation_consecutive_limit) << ' '
      << util::format_u64(s.violation_min_history) << "\n";
-  os << "online_learning " << bool_token(s.online_learning) << "\n";
+  os << "online_learning " << util::bool_token(s.online_learning) << "\n";
   os << "adaptive_policy_switching "
-     << bool_token(s.adaptive_policy_switching) << "\n";
+     << util::bool_token(s.adaptive_policy_switching) << "\n";
   os << "seed " << util::format_u64(s.seed) << "\n";
   os << "library_size " << util::format_u64(s.library_size) << "\n";
   os << "experience_blend " << util::format_double(s.experience_blend) << "\n";
@@ -105,37 +83,38 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s,
   os << "current ";
   write_configuration(os, s.current);
   os << "\n";
-  os << "first_decide " << bool_token(s.first_decide) << "\n";
+  os << "first_decide " << util::bool_token(s.first_decide) << "\n";
   os << "policy_switches " << util::format_i64(s.policy_switches) << "\n";
   os << "last_selection " << util::format_i64(s.last_action_id) << ' '
-     << bool_token(s.last_explored) << ' '
+     << util::bool_token(s.last_explored) << ' '
      << util::format_double(s.last_q_value) << "\n";
-  os << "last_policy_switched " << bool_token(s.last_policy_switched) << "\n";
+  os << "last_policy_switched " << util::bool_token(s.last_policy_switched)
+     << "\n";
   os << "last_reward " << util::format_double(s.last_reward) << "\n";
-  os << "calibration " << bool_token(s.calibration_initialized) << ' '
+  os << "calibration " << util::bool_token(s.calibration_initialized) << ' '
      << util::format_double(s.calibration_value) << "\n";
-  os << "robustness " << bool_token(s.robustness_clamp) << ' '
+  os << "robustness " << util::bool_token(s.robustness_clamp) << ' '
      << util::format_double(s.robustness_floor) << ' '
      << util::format_i64(s.robustness_median_of) << ' '
      << util::format_i64(s.robustness_freeze_after) << ' '
-     << bool_token(s.safe_fallback_enabled) << ' '
+     << util::bool_token(s.safe_fallback_enabled) << ' '
      << util::format_i64(s.safe_fallback_after) << ' '
      << util::format_double(s.safe_fallback_factor) << "\n";
   os << "recent " << util::format_u64(s.recent_responses.size());
   for (double v : s.recent_responses) os << ' ' << util::format_double(v);
   os << "\n";
   os << "fallback " << util::format_i64(s.blowout_streak) << ' '
-     << bool_token(s.last_safe_fallback) << ' '
+     << util::bool_token(s.last_safe_fallback) << ' '
      << util::format_i64(s.safe_fallbacks) << "\n";
-  os << "freeze " << bool_token(s.freeze_has_last) << ' '
+  os << "freeze " << util::bool_token(s.freeze_has_last) << ' '
      << util::format_double(s.freeze_last_raw) << ' '
      << util::format_i64(s.freeze_repeats) << "\n";
   os << "rng";
   for (std::uint64_t word : s.rng.words) os << ' ' << util::format_u64(word);
-  os << ' ' << bool_token(s.rng.has_cached_normal) << ' '
+  os << ' ' << util::bool_token(s.rng.has_cached_normal) << ' '
      << util::format_double(s.rng.cached_normal) << "\n";
   os << "detector " << util::format_i64(s.detector_consecutive) << ' '
-     << bool_token(s.detector_last_violation) << ' '
+     << util::bool_token(s.detector_last_violation) << ' '
      << util::format_u64(s.detector_history.size());
   for (double v : s.detector_history) os << ' ' << util::format_double(v);
   os << "\n";
@@ -164,35 +143,34 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
   const bool v2 = version == "v2";
   AgentSnapshot s;
   util::expect_token(is, "sla", kWhat);
-  s.sla_reference_response_ms = read_double(is, kWhat);
+  s.sla_reference_response_ms = util::read_double(is, kWhat);
   util::expect_token(is, "online_epsilon", kWhat);
-  s.online_epsilon = read_double(is, kWhat);
+  s.online_epsilon = util::read_double(is, kWhat);
   util::expect_token(is, "online_td", kWhat);
-  s.online_td.alpha = read_double(is, kWhat);
-  s.online_td.gamma = read_double(is, kWhat);
-  s.online_td.epsilon = read_double(is, kWhat);
-  s.online_td.theta = read_double(is, kWhat);
-  s.online_td.trajectory_limit = read_int(is, kWhat);
-  s.online_td.max_sweeps = read_int(is, kWhat);
+  s.online_td.alpha = util::read_double(is, kWhat);
+  s.online_td.gamma = util::read_double(is, kWhat);
+  s.online_td.epsilon = util::read_double(is, kWhat);
+  s.online_td.theta = util::read_double(is, kWhat);
+  s.online_td.trajectory_limit = util::read_int(is, kWhat);
+  s.online_td.max_sweeps = util::read_int(is, kWhat);
   util::expect_token(is, "violation", kWhat);
-  s.violation_window = read_u64(is, kWhat);
-  s.violation_threshold = read_double(is, kWhat);
-  s.violation_consecutive_limit = read_int(is, kWhat);
-  s.violation_min_history = read_u64(is, kWhat);
+  s.violation_window = util::read_u64(is, kWhat);
+  s.violation_threshold = util::read_double(is, kWhat);
+  s.violation_consecutive_limit = util::read_int(is, kWhat);
+  s.violation_min_history = util::read_u64(is, kWhat);
   util::expect_token(is, "online_learning", kWhat);
-  s.online_learning = parse_bool(is, kWhat);
+  s.online_learning = util::read_bool(is, kWhat);
   util::expect_token(is, "adaptive_policy_switching", kWhat);
-  s.adaptive_policy_switching = parse_bool(is, kWhat);
+  s.adaptive_policy_switching = util::read_bool(is, kWhat);
   util::expect_token(is, "seed", kWhat);
-  s.seed = read_u64(is, kWhat);
+  s.seed = util::read_u64(is, kWhat);
   util::expect_token(is, "library_size", kWhat);
-  s.library_size = read_u64(is, kWhat);
+  s.library_size = util::read_u64(is, kWhat);
   util::expect_token(is, "experience_blend", kWhat);
-  s.experience_blend = read_double(is, kWhat);
+  s.experience_blend = util::read_double(is, kWhat);
   util::expect_token(is, "active_policy", kWhat);
   {
-    const std::int64_t index =
-        util::parse_i64(util::read_token(is, kWhat), kWhat);
+    const std::int64_t index = util::read_i64(is, kWhat);
     const std::string token = util::read_token(is, kWhat);
     if (index < -1) {
       throw std::runtime_error("load_agent_snapshot: bad policy index");
@@ -208,84 +186,84 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
   util::expect_token(is, "current", kWhat);
   s.current = read_configuration(is, kWhat);
   util::expect_token(is, "first_decide", kWhat);
-  s.first_decide = parse_bool(is, kWhat);
+  s.first_decide = util::read_bool(is, kWhat);
   util::expect_token(is, "policy_switches", kWhat);
-  s.policy_switches = read_int(is, kWhat);
+  s.policy_switches = util::read_int(is, kWhat);
   util::expect_token(is, "last_selection", kWhat);
-  s.last_action_id = read_int(is, kWhat);
+  s.last_action_id = util::read_int(is, kWhat);
   if (s.last_action_id < 0 ||
       s.last_action_id >= static_cast<int>(config::kNumActions)) {
     throw std::runtime_error("load_agent_snapshot: action id out of range");
   }
-  s.last_explored = parse_bool(is, kWhat);
-  s.last_q_value = read_double(is, kWhat);
+  s.last_explored = util::read_bool(is, kWhat);
+  s.last_q_value = util::read_double(is, kWhat);
   util::expect_token(is, "last_policy_switched", kWhat);
-  s.last_policy_switched = parse_bool(is, kWhat);
+  s.last_policy_switched = util::read_bool(is, kWhat);
   util::expect_token(is, "last_reward", kWhat);
-  s.last_reward = read_double(is, kWhat);
+  s.last_reward = util::read_double(is, kWhat);
   util::expect_token(is, "calibration", kWhat);
-  s.calibration_initialized = parse_bool(is, kWhat);
-  s.calibration_value = read_double(is, kWhat);
+  s.calibration_initialized = util::read_bool(is, kWhat);
+  s.calibration_value = util::read_double(is, kWhat);
   if (v2) {
     util::expect_token(is, "robustness", kWhat);
-    s.robustness_clamp = parse_bool(is, kWhat);
-    s.robustness_floor = read_double(is, kWhat);
-    s.robustness_median_of = read_int(is, kWhat);
-    s.robustness_freeze_after = read_int(is, kWhat);
-    s.safe_fallback_enabled = parse_bool(is, kWhat);
-    s.safe_fallback_after = read_int(is, kWhat);
-    s.safe_fallback_factor = read_double(is, kWhat);
+    s.robustness_clamp = util::read_bool(is, kWhat);
+    s.robustness_floor = util::read_double(is, kWhat);
+    s.robustness_median_of = util::read_int(is, kWhat);
+    s.robustness_freeze_after = util::read_int(is, kWhat);
+    s.safe_fallback_enabled = util::read_bool(is, kWhat);
+    s.safe_fallback_after = util::read_int(is, kWhat);
+    s.safe_fallback_factor = util::read_double(is, kWhat);
     if (s.robustness_median_of < 1 || s.robustness_freeze_after < 0) {
       throw std::runtime_error(
           "load_agent_snapshot: bad robustness hyperparameters");
     }
     util::expect_token(is, "recent", kWhat);
-    const std::uint64_t n = read_u64(is, kWhat);
+    const std::uint64_t n = util::read_u64(is, kWhat);
     if (n > static_cast<std::uint64_t>(s.robustness_median_of)) {
       throw std::runtime_error(
           "load_agent_snapshot: median window larger than median_of");
     }
     for (std::uint64_t i = 0; i < n; ++i) {
-      s.recent_responses.push_back(read_double(is, kWhat));
+      s.recent_responses.push_back(util::read_double(is, kWhat));
     }
     util::expect_token(is, "fallback", kWhat);
-    s.blowout_streak = read_int(is, kWhat);
-    s.last_safe_fallback = parse_bool(is, kWhat);
-    s.safe_fallbacks = read_int(is, kWhat);
+    s.blowout_streak = util::read_int(is, kWhat);
+    s.last_safe_fallback = util::read_bool(is, kWhat);
+    s.safe_fallbacks = util::read_int(is, kWhat);
     if (s.blowout_streak < 0 || s.safe_fallbacks < 0) {
       throw std::runtime_error("load_agent_snapshot: negative fallback state");
     }
     util::expect_token(is, "freeze", kWhat);
-    s.freeze_has_last = parse_bool(is, kWhat);
-    s.freeze_last_raw = read_double(is, kWhat);
-    s.freeze_repeats = read_int(is, kWhat);
+    s.freeze_has_last = util::read_bool(is, kWhat);
+    s.freeze_last_raw = util::read_double(is, kWhat);
+    s.freeze_repeats = util::read_int(is, kWhat);
     if (s.freeze_repeats < 0) {
       throw std::runtime_error("load_agent_snapshot: negative freeze repeats");
     }
   }
   util::expect_token(is, "rng", kWhat);
-  for (auto& word : s.rng.words) word = read_u64(is, kWhat);
-  s.rng.has_cached_normal = parse_bool(is, kWhat);
-  s.rng.cached_normal = read_double(is, kWhat);
+  for (auto& word : s.rng.words) word = util::read_u64(is, kWhat);
+  s.rng.has_cached_normal = util::read_bool(is, kWhat);
+  s.rng.cached_normal = util::read_double(is, kWhat);
   util::expect_token(is, "detector", kWhat);
-  s.detector_consecutive = read_int(is, kWhat);
-  s.detector_last_violation = parse_bool(is, kWhat);
+  s.detector_consecutive = util::read_int(is, kWhat);
+  s.detector_last_violation = util::read_bool(is, kWhat);
   // Counts are unchecked input: entries are appended as they parse, so a
   // huge count runs out of tokens instead of sizing an allocation.
   {
-    const std::uint64_t n = read_u64(is, kWhat);
+    const std::uint64_t n = util::read_u64(is, kWhat);
     for (std::uint64_t i = 0; i < n; ++i) {
-      s.detector_history.push_back(read_double(is, kWhat));
+      s.detector_history.push_back(util::read_double(is, kWhat));
     }
   }
   util::expect_token(is, "experience", kWhat);
   {
-    const std::uint64_t n = read_u64(is, kWhat);
+    const std::uint64_t n = util::read_u64(is, kWhat);
     for (std::uint64_t i = 0; i < n; ++i) {
       rl::ExperienceEntry entry;
       entry.configuration = read_configuration(is, kWhat);
-      entry.observation.response_ms = read_double(is, kWhat);
-      entry.observation.count = read_u64(is, kWhat);
+      entry.observation.response_ms = util::read_double(is, kWhat);
+      entry.observation.count = util::read_u64(is, kWhat);
       s.experience.push_back(std::move(entry));
     }
   }
@@ -328,13 +306,13 @@ RunCheckpoint load_checkpoint_file(const std::string& path) {
   }
   RunCheckpoint checkpoint;
   util::expect_token(is, "completed", kWhat);
-  checkpoint.completed_iterations = read_u64(is, kWhat);
+  checkpoint.completed_iterations = util::read_u64(is, kWhat);
   if (version == "v2") {
     util::expect_token(is, "traffic", kWhat);
-    checkpoint.traffic_interval = read_u64(is, kWhat);
+    checkpoint.traffic_interval = util::read_u64(is, kWhat);
   }
   util::expect_token(is, "agent_state", kWhat);
-  const std::uint64_t bytes = read_u64(is, kWhat);
+  const std::uint64_t bytes = util::read_u64(is, kWhat);
   if (is.get() != '\n') {
     throw std::runtime_error(
         "load_checkpoint_file: expected newline after agent_state header");

@@ -253,7 +253,7 @@ PerfSample AnalyticEnv::evaluate_target(
     // app tier synchronously), so MaxClients caps the total in-flight
     // count -- modeled below via flow-equivalent aggregation. The networks
     // persist across iterations and evaluations; only the rate tables are
-    // swapped (which resets their recursion caches but keeps the storage).
+    // swapped, so their recursion scratch is reused.
     {
       std::vector<double> web_rates;
       web_rates.reserve(static_cast<std::size_t>(N));

@@ -248,8 +248,7 @@ void save_faulty_env_state(std::ostream& os, const FaultyEnvState& state) {
 FaultyEnvState load_faulty_env_state(std::istream& is) {
   FaultyEnvState state;
   util::expect_token(is, "interval", "faulty-env state");
-  state.interval =
-      util::parse_int(util::read_token(is, "interval"), "interval");
+  state.interval = util::read_int(is, "interval");
   if (state.interval < 0) {
     throw std::runtime_error("faulty-env state: negative interval");
   }
@@ -271,7 +270,7 @@ FaultyEnvState load_faulty_env_state(std::istream& is) {
   util::expect_token(is, "applied", "faulty-env state");
   std::array<int, config::kNumParams> values{};
   for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = util::parse_int(util::read_token(is, "applied"), "applied");
+    values[i] = util::read_int(is, "applied");
   }
   // Reconstructing through the clamping constructor validates the ranges;
   // a clamped (i.e. out-of-range) value is corrupt data, not a tolerable

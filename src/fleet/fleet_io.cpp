@@ -26,22 +26,12 @@ constexpr const char* kFleetMagic = "rac-fleet-checkpoint";
 // exactly what every pre-v2 fleet (no traffic models) had.
 constexpr int kFleetVersion = 2;
 
-std::string bool_token(bool b) { return b ? "1" : "0"; }
-
-bool read_bool(std::istream& is, std::string_view what) {
-  const std::uint64_t v = util::parse_u64(util::read_token(is, what), what);
-  if (v > 1) {
-    throw std::runtime_error(std::string(what) + ": flag must be 0 or 1");
-  }
-  return v == 1;
-}
-
 void write_rng_state(std::ostream& os, const util::RngState& state) {
   os << "env_rng";
   for (const std::uint64_t word : state.words) {
     os << ' ' << util::format_u64(word);
   }
-  os << ' ' << bool_token(state.has_cached_normal) << ' '
+  os << ' ' << util::bool_token(state.has_cached_normal) << ' '
      << util::format_double(state.cached_normal) << "\n";
 }
 
@@ -49,11 +39,10 @@ util::RngState read_rng_state(std::istream& is) {
   util::expect_token(is, "env_rng", "fleet checkpoint");
   util::RngState state;
   for (std::uint64_t& word : state.words) {
-    word = util::parse_u64(util::read_token(is, "env_rng"), "env_rng");
+    word = util::read_u64(is, "env_rng");
   }
-  state.has_cached_normal = read_bool(is, "env_rng");
-  state.cached_normal =
-      util::parse_double(util::read_token(is, "env_rng"), "env_rng");
+  state.has_cached_normal = util::read_bool(is, "env_rng");
+  state.cached_normal = util::read_double(is, "env_rng");
   return state;
 }
 
@@ -73,7 +62,7 @@ void FleetManager::save_checkpoint(std::ostream& os) const {
     write_rng_state(os, tenant.analytic->noise_state());
     os << "traffic " << util::format_u64(tenant.analytic->traffic_interval())
        << "\n";
-    os << "fault " << bool_token(tenant.faulty != nullptr) << "\n";
+    os << "fault " << util::bool_token(tenant.faulty != nullptr) << "\n";
     if (tenant.faulty != nullptr) {
       fault::save_faulty_env_state(os, tenant.faulty->state());
     }
@@ -94,22 +83,18 @@ void FleetManager::restore_checkpoint(std::istream& is) {
                              version + "'");
   }
   util::expect_token(is, "seed", "fleet checkpoint");
-  const std::uint64_t seed =
-      util::parse_u64(util::read_token(is, "seed"), "seed");
+  const std::uint64_t seed = util::read_u64(is, "seed");
   util::expect_token(is, "fault_seed", "fleet checkpoint");
-  const std::uint64_t fault_seed =
-      util::parse_u64(util::read_token(is, "fault_seed"), "fault_seed");
+  const std::uint64_t fault_seed = util::read_u64(is, "fault_seed");
   if (seed != opt_.seed || fault_seed != opt_.fault_seed) {
     throw std::runtime_error(
         "fleet checkpoint: seed mismatch (checkpoint belongs to a "
         "different fleet)");
   }
   util::expect_token(is, "completed", "fleet checkpoint");
-  const int completed =
-      util::parse_int(util::read_token(is, "completed"), "completed");
+  const int completed = util::read_int(is, "completed");
   util::expect_token(is, "retrain_rounds", "fleet checkpoint");
-  const int retrain_rounds = util::parse_int(
-      util::read_token(is, "retrain_rounds"), "retrain_rounds");
+  const int retrain_rounds = util::read_int(is, "retrain_rounds");
   if (completed < 0 || retrain_rounds < 0) {
     throw std::runtime_error("fleet checkpoint: negative progress counter");
   }
@@ -127,8 +112,7 @@ void FleetManager::restore_checkpoint(std::istream& is) {
     }
   }
   util::expect_token(is, "tenants", "fleet checkpoint");
-  const std::uint64_t count =
-      util::parse_u64(util::read_token(is, "tenants"), "tenants");
+  const std::uint64_t count = util::read_u64(is, "tenants");
   if (count != tenants_.size()) {
     throw std::runtime_error(
         "fleet checkpoint: tenant count differs from the live fleet's");
@@ -145,7 +129,7 @@ void FleetManager::restore_checkpoint(std::istream& is) {
   snapshots.reserve(tenants_.size());
   for (const Tenant& tenant : tenants_) {
     util::expect_token(is, "tenant", "fleet checkpoint");
-    const int id = util::parse_int(util::read_token(is, "tenant"), "tenant");
+    const int id = util::read_int(is, "tenant");
     if (id != tenant.spec.id) {
       throw std::runtime_error("fleet checkpoint: tenant id " +
                                std::to_string(id) +
@@ -155,13 +139,12 @@ void FleetManager::restore_checkpoint(std::istream& is) {
     rng_states.push_back(read_rng_state(is));
     if (version == "v2") {
       util::expect_token(is, "traffic", "fleet checkpoint");
-      traffic_cursors.push_back(
-          util::parse_u64(util::read_token(is, "traffic"), "traffic"));
+      traffic_cursors.push_back(util::read_u64(is, "traffic"));
     } else {
       traffic_cursors.push_back(0);
     }
     util::expect_token(is, "fault", "fleet checkpoint");
-    const bool has_fault = read_bool(is, "fault");
+    const bool has_fault = util::read_bool(is, "fault");
     if (has_fault != (tenant.faulty != nullptr)) {
       throw std::runtime_error(
           "fleet checkpoint: fault topology differs from the live fleet's "

@@ -177,7 +177,7 @@ Registry& default_registry();
 /// Resolve an injectable registry pointer: `r` if non-null, else the
 /// process-wide default. Library code outside src/obs/ must route every
 /// fallback through this helper rather than naming default_registry()
-/// directly (rac-lint rule `default-registry`): direct references are how
+/// directly (rac-analyze rule `default-registry`): direct references are how
 /// components end up pinned to the global registry and silently ignore an
 /// injected one.
 Registry& registry_or_default(Registry* r);

@@ -28,6 +28,14 @@ void validate_station_rates(const std::vector<double>& rates) {
   }
 }
 
+/// Inner-loop iterations of one recursion pass to `population`: each
+/// station's residence and marginal-update loops both run n steps at each
+/// population n, so 2 * sum_{n=1}^{N} n = N * (N + 1) per station.
+std::uint64_t recursion_steps(int population, std::size_t num_stations) {
+  const auto n = static_cast<std::uint64_t>(population);
+  return n * (n + 1) * static_cast<std::uint64_t>(num_stations);
+}
+
 }  // namespace
 
 Station make_queueing_station(std::string name, double service_rate,
@@ -61,11 +69,7 @@ void ClosedNetwork::set_think_time(double think_time) {
   if (think_time < 0.0) {
     throw std::invalid_argument("ClosedNetwork: negative think time");
   }
-  // Exact bitwise compare on purpose: an unchanged setting must not
-  // invalidate the memoized solve.
-  if (think_time == think_time_) return;
   think_time_ = think_time;
-  invalidate();
 }
 
 std::size_t ClosedNetwork::add_station(Station station) {
@@ -74,7 +78,6 @@ std::size_t ClosedNetwork::add_station(Station station) {
     throw std::invalid_argument("ClosedNetwork: non-positive visit ratio");
   }
   stations_.push_back(std::move(station));
-  invalidate();
   return stations_.size() - 1;
 }
 
@@ -84,47 +87,35 @@ void ClosedNetwork::set_station_rates(std::size_t index,
     throw std::invalid_argument("set_station_rates: no such station");
   }
   validate_station_rates(rates);
-  if (rates == stations_[index].rates) return;  // identical table: keep cache
   stations_[index].rates = std::move(rates);
-  invalidate();
 }
 
-std::uint64_t ClosedNetwork::extend(int population) const {
-  Cache& c = cache_;
-  if (population <= c.solved) return 0;
+ClosedNetwork::Totals ClosedNetwork::recurse(
+    int population, std::vector<double>* curve) const {
   const std::size_t num_s = stations_.size();
-
-  // Build (cold) or grow the per-station tables. The implicit last-value
-  // extension of each rate table is applied here, once, so the inner loops
-  // index flat arrays. Growing preserves the recursion state: marginal
-  // probabilities beyond the solved population are exactly zero.
-  if (c.per_station.size() != num_s) c.per_station.resize(num_s);
-  if (c.capacity < population) {
-    for (std::size_t s = 0; s < num_s; ++s) {
-      StationCache& sc = c.per_station[s];
-      const std::vector<double>& rates = stations_[s].rates;
-      sc.rate.resize(static_cast<std::size_t>(population));
-      sc.jr.resize(static_cast<std::size_t>(population));
-      for (int j = c.capacity + 1; j <= population; ++j) {
-        const std::size_t idx = std::min<std::size_t>(
-            static_cast<std::size_t>(j) - 1, rates.size() - 1);
-        sc.rate[static_cast<std::size_t>(j) - 1] = rates[idx];
-        sc.jr[static_cast<std::size_t>(j) - 1] =
-            static_cast<double>(j) / rates[idx];
-      }
-      sc.marginal.resize(static_cast<std::size_t>(population) + 1, 0.0);
-      if (c.solved == 0) sc.marginal[0] = 1.0;
-    }
-    c.capacity = population;
-  }
   const std::size_t pop = static_cast<std::size_t>(population);
-  c.throughput.reserve(pop);
-  c.response.reserve(pop);
-  c.residence.reserve(pop * num_s);
-  c.marginal0.reserve(pop * num_s);
-  c.residence_scratch.resize(num_s);
 
-  for (int n = c.solved + 1; n <= population; ++n) {
+  // Extend each rate table to the population once (implicit last-value
+  // extension) so the inner loops index flat arrays, and start every
+  // station empty: P(0 jobs) = 1 at population 0.
+  scratch_.resize(num_s);
+  for (std::size_t s = 0; s < num_s; ++s) {
+    StationScratch& sc = scratch_[s];
+    const std::vector<double>& rates = stations_[s].rates;
+    sc.rate.resize(pop);
+    sc.jr.resize(pop);
+    for (std::size_t j = 1; j <= pop; ++j) {
+      const double rate = rates[std::min(j, rates.size()) - 1];
+      sc.rate[j - 1] = rate;
+      sc.jr[j - 1] = static_cast<double>(j) / rate;
+    }
+    sc.marginal.assign(pop + 1, 0.0);
+    sc.marginal[0] = 1.0;
+  }
+  residence_.resize(num_s);
+
+  Totals totals;
+  for (int n = 1; n <= population; ++n) {
     // Residence times at population n from the marginals at n-1. jr[j-1]
     // is the precomputed j / mu(j) term, so each station's loop is a plain
     // dot product with the same summation order (and bit pattern) as the
@@ -135,8 +126,8 @@ std::uint64_t ClosedNetwork::extend(int population) const {
     double response = 0.0;
     std::size_t s = 0;
     for (; s + 1 < num_s; s += 2) {
-      const StationCache& sc0 = c.per_station[s];
-      const StationCache& sc1 = c.per_station[s + 1];
+      const StationScratch& sc0 = scratch_[s];
+      const StationScratch& sc1 = scratch_[s + 1];
       const double* jr0 = sc0.jr.data();
       const double* m0 = sc0.marginal.data();
       const double* jr1 = sc1.jr.data();
@@ -149,19 +140,19 @@ std::uint64_t ClosedNetwork::extend(int population) const {
       }
       const double res0 = stations_[s].visit_ratio * r0;
       const double res1 = stations_[s + 1].visit_ratio * r1;
-      c.residence_scratch[s] = res0;
-      c.residence_scratch[s + 1] = res1;
+      residence_[s] = res0;
+      residence_[s + 1] = res1;
       response += res0;
       response += res1;
     }
     if (s < num_s) {
-      const StationCache& sc = c.per_station[s];
+      const StationScratch& sc = scratch_[s];
       const double* jr = sc.jr.data();
       const double* m = sc.marginal.data();
       double r = 0.0;
       for (int j = 0; j < n; ++j) r += jr[j] * m[j];
       const double res = stations_[s].visit_ratio * r;
-      c.residence_scratch[s] = res;
+      residence_[s] = res;
       response += res;
     }
     const double throughput =
@@ -175,8 +166,8 @@ std::uint64_t ClosedNetwork::extend(int population) const {
     // independent and bit-exact.
     s = 0;
     for (; s + 1 < num_s; s += 2) {
-      StationCache& sc0 = c.per_station[s];
-      StationCache& sc1 = c.per_station[s + 1];
+      StationScratch& sc0 = scratch_[s];
+      StationScratch& sc1 = scratch_[s + 1];
       const double* rate0 = sc0.rate.data();
       const double* rate1 = sc1.rate.data();
       double* m0 = sc0.marginal.data();
@@ -219,7 +210,7 @@ std::uint64_t ClosedNetwork::extend(int population) const {
       m1[0] = std::max(0.0, 1.0 - tail1);
     }
     if (s < num_s) {
-      StationCache& sc = c.per_station[s];
+      StationScratch& sc = scratch_[s];
       const double* rate = sc.rate.data();
       double* m = sc.marginal.data();
       const double tv = throughput * stations_[s].visit_ratio;
@@ -232,21 +223,10 @@ std::uint64_t ClosedNetwork::extend(int population) const {
       m[0] = std::max(0.0, 1.0 - tail);
     }
 
-    c.throughput.push_back(throughput);
-    c.response.push_back(response);
-    for (std::size_t s = 0; s < num_s; ++s) {
-      c.residence.push_back(c.residence_scratch[s]);
-      c.marginal0.push_back(c.per_station[s].marginal[0]);
-    }
+    totals = {throughput, response};
+    if (curve != nullptr) curve->push_back(throughput);
   }
-
-  const auto from = static_cast<std::uint64_t>(c.solved);
-  const auto to = static_cast<std::uint64_t>(population);
-  c.solved = population;
-  // Inner-loop iterations each station actually executed: the residence
-  // and the marginal-update loop both run n steps per newly solved n, so
-  // 2 * sum_{n=from+1}^{to} n.
-  return to * (to + 1) - from * (from + 1);
+  return totals;
 }
 
 MvaResult ClosedNetwork::solve(int population) const {
@@ -259,8 +239,8 @@ MvaResult ClosedNetwork::solve(int population) const {
   }
 
   // The MVA recursion is the analytic model's inner loop; count solves and
-  // *executed* recursion steps (a resumed or fully cached solve reruns
-  // nothing) so perf work can cross-check the profiler against real work.
+  // recursion steps (both loops of each station run n steps at each
+  // population n) so perf work can cross-check the profiler against work.
   const obs::ProfileScope profile("mva.solve");
   obs::Registry& reg = obs::registry_or_default(registry_);
   reg.counter("queueing.mva.solves").add(1);
@@ -275,26 +255,16 @@ MvaResult ClosedNetwork::solve(int population) const {
   }
 
   if (population > 0) {
-    if (population > cache_.solved) {
-      const std::uint64_t per_station = extend(population);
-      reg.counter("queueing.mva.recursion_steps")
-          .add(per_station * static_cast<std::uint64_t>(num_s));
-      for (std::size_t s = 0; s < num_s; ++s) {
-        reg.counter("queueing.mva.station_steps." + stations_[s].name)
-            .add(per_station);
-      }
-    } else {
-      reg.counter("queueing.mva.cache_hits").add(1);
-    }
-    const std::size_t at = static_cast<std::size_t>(population) - 1;
-    result.throughput = cache_.throughput[at];
-    result.response_time = cache_.response[at];
-    const std::size_t base = at * num_s;
+    const Totals totals = recurse(population, nullptr);
+    reg.counter("queueing.mva.recursion_steps")
+        .add(recursion_steps(population, num_s));
+    result.throughput = totals.throughput;
+    result.response_time = totals.response;
     for (std::size_t s = 0; s < num_s; ++s) {
       StationResult& sr = result.stations[s];
-      sr.residence_time = cache_.residence[base + s];
+      sr.residence_time = residence_[s];
       sr.queue_length = result.throughput * sr.residence_time;
-      sr.utilization = 1.0 - cache_.marginal0[base + s];
+      sr.utilization = 1.0 - scratch_[s].marginal[0];
     }
   }
   // Population 0 keeps the zero-initialized result: an empty system has
@@ -326,21 +296,11 @@ std::vector<double> ClosedNetwork::throughput_curve(int max_population) const {
   const obs::ProfileScope profile("mva.throughput_curve");
   obs::Registry& reg = obs::registry_or_default(registry_);
   reg.counter("queueing.mva.throughput_curves").add(1);
-  const std::size_t num_s = stations_.size();
-  if (max_population > cache_.solved) {
-    const std::uint64_t per_station = extend(max_population);
-    reg.counter("queueing.mva.recursion_steps")
-        .add(per_station * static_cast<std::uint64_t>(num_s));
-    for (std::size_t s = 0; s < num_s; ++s) {
-      reg.counter("queueing.mva.station_steps." + stations_[s].name)
-          .add(per_station);
-    }
-  } else {
-    reg.counter("queueing.mva.cache_hits").add(1);
-  }
-  std::vector<double> curve(
-      cache_.throughput.begin(),
-      cache_.throughput.begin() + static_cast<std::size_t>(max_population));
+  std::vector<double> curve;
+  curve.reserve(static_cast<std::size_t>(max_population));
+  recurse(max_population, &curve);
+  reg.counter("queueing.mva.recursion_steps")
+      .add(recursion_steps(max_population, stations_.size()));
   if constexpr (util::kAuditEnabled) {
     // X(n) is non-decreasing in n only when every station's service rate
     // is non-decreasing in its local population. The web-system model

@@ -10,18 +10,13 @@
 // probabilities (Reiser & Lavenberg) solves the network in O(N * S * N)
 // time for population N.
 //
-// Incremental solving: the recursion for population n depends only on the
-// recursion state at n-1, so the network memoizes the highest population it
-// has solved and resumes from there. solve(m) after solve(n >= m) or
-// throughput_curve(n >= m) is a cached read; solve(m > n) runs only the
-// populations (n, m]. Any structural mutation -- add_station,
-// set_station_rates, or a think-time change -- invalidates the cache, and
-// the next solve restarts from population 1. Results are bitwise identical
-// to a from-scratch solve in every case.
+// Every solve runs the recursion in one pass from population 1. The
+// per-station working arrays (pre-extended rate tables and marginals) are
+// scratch owned by the network and reused across its solves instead of
+// being reallocated per solve.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -78,23 +73,20 @@ struct MvaResult {
 /// and a sequence of load-dependent stations.
 ///
 /// Not safe for concurrent solves on one instance: solving mutates the
-/// internal recursion cache (each pool task should own its network, which
+/// internal recursion scratch (each pool task should own its network, which
 /// is how every caller in this codebase already works).
 class ClosedNetwork {
  public:
   /// `think_time` is the delay-center service time, in seconds (>= 0).
   explicit ClosedNetwork(double think_time = 0.0);
 
-  /// Changing the think time invalidates the recursion cache (Z enters
-  /// every population step); setting the identical value keeps it.
   void set_think_time(double think_time);
   double think_time() const noexcept { return think_time_; }
 
-  /// Add a station; returns its index. Invalidates the recursion cache.
+  /// Add a station; returns its index.
   std::size_t add_station(Station station);
 
   /// Replace station `index`'s rate table (same validation as add_station).
-  /// Invalidates the recursion cache unless the table is identical.
   void set_station_rates(std::size_t index, std::vector<double> rates);
 
   std::size_t num_stations() const noexcept { return stations_.size(); }
@@ -115,51 +107,38 @@ class ClosedNetwork {
   /// equivalent to the subnetwork in any enclosing product-form model.
   std::vector<double> throughput_curve(int max_population) const;
 
-  /// Highest population the cached recursion has reached since the last
-  /// structural mutation (0 when cold). Exposed for tests and diagnostics.
-  int solved_population() const noexcept { return cache_.solved; }
-
   /// Route this network's solve/step counters to `registry` (nullptr means
   /// the process default). Handles are resolved per solve, so the setting
   /// takes effect immediately.
   void set_registry(obs::Registry* registry) noexcept { registry_ = registry; }
 
  private:
-  // Recursion state, resumable at population `solved`. Per station the
-  // rate table is pre-extended (rate[j-1] for j = 1..capacity, implicit
-  // last-value extension applied once) alongside jr[j-1] = j / rate[j-1],
-  // the exact per-job demand term of the residence-time loop. `marginal`
-  // holds P(j jobs at the station | population = solved).
-  struct StationCache {
+  // Per-station recursion scratch: the rate table pre-extended to the
+  // population (rate[j-1] for j = 1..N, implicit last-value extension
+  // applied once) alongside jr[j-1] = j / rate[j-1], the exact per-job
+  // demand term of the residence-time loop, and marginal[j] = P(j jobs at
+  // the station) at the population last stepped.
+  struct StationScratch {
     std::vector<double> rate;
     std::vector<double> jr;
     std::vector<double> marginal;
   };
-  struct Cache {
-    int solved = 0;    // populations 1..solved are computed
-    int capacity = 0;  // per-station table length the arrays cover
-    std::vector<StationCache> per_station;
-    // Per-population history so solve(m <= solved) is a cached read:
-    // throughput[n-1] = X(n), response[n-1] = R(n), and the per-station
-    // residence times / empty-station probabilities flattened as
-    // [(n-1) * num_stations + s].
-    std::vector<double> throughput;
-    std::vector<double> response;
-    std::vector<double> residence;
-    std::vector<double> marginal0;
-    std::vector<double> residence_scratch;
+  struct Totals {
+    double throughput = 0.0;
+    double response = 0.0;
   };
 
-  void invalidate() noexcept { cache_ = Cache{}; }
-  /// Grow per-station tables to cover `population` and run the recursion
-  /// for populations (cache_.solved, population]. Returns executed inner
-  /// steps per station (0 when fully cached).
-  std::uint64_t extend(int population) const;
+  /// Run the recursion for populations 1..population (>= 1), appending
+  /// X(n) to `curve` when non-null. Leaves each station's residence time
+  /// in residence_ and its marginals in scratch_; returns X and R at
+  /// `population`.
+  Totals recurse(int population, std::vector<double>* curve) const;
 
   double think_time_;
   std::vector<Station> stations_;
   obs::Registry* registry_ = nullptr;
-  mutable Cache cache_;
+  mutable std::vector<StationScratch> scratch_;
+  mutable std::vector<double> residence_;
 };
 
 }  // namespace rac::queueing

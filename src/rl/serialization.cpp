@@ -102,19 +102,16 @@ QTable load_qtable(std::istream& is) {
   }
   util::expect_token(is, "default_q", "load_qtable");
   QTable table;
-  table.set_default_q(
-      util::parse_double(util::read_token(is, "load_qtable"), "load_qtable"));
+  table.set_default_q(util::read_double(is, "load_qtable"));
 
   util::expect_token(is, "states", "load_qtable");
-  const std::uint64_t count =
-      util::parse_u64(util::read_token(is, "load_qtable"), "load_qtable");
+  const std::uint64_t count = util::read_u64(is, "load_qtable");
   // Rows are read as they parse: `count` is unchecked input, so it sizes
   // nothing up front.
   for (std::uint64_t row = 0; row < count; ++row) {
     std::array<int, config::kNumParams> values{};
     for (auto& v : values) {
-      v = util::parse_int(util::read_token(is, "load_qtable state row"),
-                          "load_qtable state row");
+      v = util::read_int(is, "load_qtable state row");
     }
     const config::Configuration state(values);
     if (state.values() != values) {
@@ -126,9 +123,7 @@ QTable load_qtable(std::istream& is) {
     }
     for (std::size_t a = 0; a < config::kNumActions; ++a) {
       table.set_q(state, config::Action(static_cast<int>(a)),
-                  util::parse_double(
-                      util::read_token(is, "load_qtable Q row"),
-                      "load_qtable Q row"));
+                  util::read_double(is, "load_qtable Q row"));
     }
   }
   // v1 files simply end after the last row; v2 marks the end explicitly so

@@ -134,7 +134,7 @@ struct ThreeTierSystem::Impl {
       return req;
     }
     request_arena.push_back(
-        std::make_unique<Request>());  // rac-lint: allow(hot-path-alloc) arena growth, amortized by the free list
+        std::make_unique<Request>());  // rac-analyze: allow(hot-path-alloc) arena growth, amortized by the free list
     return request_arena.back().get();
   }
 
@@ -566,7 +566,7 @@ struct ThreeTierSystem::Impl {
 
 ThreeTierSystem::ThreeTierSystem(const SystemParams& params,
                                  const SimSetup& setup)
-    : impl_(std::make_unique<Impl>(  // rac-lint: allow(hot-path-alloc) one-time pimpl construction
+    : impl_(std::make_unique<Impl>(  // rac-analyze: allow(hot-path-alloc) one-time pimpl construction
           params, setup)) {}
 
 ThreeTierSystem::~ThreeTierSystem() = default;

@@ -1,8 +1,8 @@
 // Contract macros: the project's one way to state runtime invariants.
 //
 // Library code must not use raw `assert` (compiled out under NDEBUG, so
-// release builds drift silently) or ad-hoc prints; `rac-lint` enforces
-// this. Instead:
+// release builds drift silently) or ad-hoc prints; `rac-analyze`
+// enforces this. Instead:
 //
 //   RAC_EXPECT(cond, "msg")     -- precondition on the caller
 //   RAC_ENSURE(cond, "msg")     -- postcondition on the callee

@@ -114,8 +114,8 @@ double parse_double(std::string_view token, std::string_view what) {
   if (!body.empty() && body[0] == '-') sign = 1;
   if (body.size() >= sign + 2 && body[sign] == '0' &&
       (body[sign + 1] == 'x' || body[sign + 1] == 'X')) {
-    stripped.assign(body.substr(0, sign));
-    stripped.append(body.substr(sign + 2));
+    stripped = body.substr(sign + 2);
+    if (sign == 1) stripped.insert(stripped.begin(), '-');
     body = stripped;
   }
   if (!parse_with_format(body, std::chars_format::hex, value)) {
@@ -147,6 +147,30 @@ std::string read_token(std::istream& is, std::string_view what) {
     throw std::runtime_error(std::string(what) + ": unexpected end of input");
   }
   return token;
+}
+
+double read_double(std::istream& is, std::string_view what) {
+  return parse_double(read_token(is, what), what);
+}
+
+std::int64_t read_i64(std::istream& is, std::string_view what) {
+  return parse_i64(read_token(is, what), what);
+}
+
+std::uint64_t read_u64(std::istream& is, std::string_view what) {
+  return parse_u64(read_token(is, what), what);
+}
+
+int read_int(std::istream& is, std::string_view what) {
+  return parse_int(read_token(is, what), what);
+}
+
+bool read_bool(std::istream& is, std::string_view what) {
+  const std::uint64_t v = read_u64(is, what);
+  if (v > 1) {
+    throw std::runtime_error(std::string(what) + ": flag must be 0 or 1");
+  }
+  return v == 1;
 }
 
 void expect_token(std::istream& is, std::string_view expected,

@@ -5,7 +5,7 @@
 // host, under any process locale. printf "%a" / std::stod / stream
 // numeric inserters all honor the locale (LC_NUMERIC decimal point, num_get
 // thousands grouping), so a file written under de_DE is corrupt under "C"
-// and vice versa (the PR-4 serialization bug class; rac-lint rule
+// and vice versa (the PR-4 serialization bug class; rac-analyze rule
 // `locale-io`). These helpers route every number through
 // std::to_chars/std::from_chars, which are locale-independent by
 // specification; callers write the returned tokens as plain strings and
@@ -62,6 +62,19 @@ int parse_int(std::string_view token, std::string_view what);
 /// Next whitespace-separated token; throws std::runtime_error naming
 /// `what` on end of stream.
 std::string read_token(std::istream& is, std::string_view what);
+
+/// read_token then parse_*: the next token as a number. Both failures
+/// throw std::runtime_error naming `what`.
+double read_double(std::istream& is, std::string_view what);
+std::int64_t read_i64(std::istream& is, std::string_view what);
+std::uint64_t read_u64(std::istream& is, std::string_view what);
+int read_int(std::istream& is, std::string_view what);
+
+/// Flags persist as the tokens "1" / "0". read_bool reads one back and
+/// throws std::runtime_error ("<what>: flag must be 0 or 1") on any other
+/// value.
+inline const char* bool_token(bool b) { return b ? "1" : "0"; }
+bool read_bool(std::istream& is, std::string_view what);
 
 /// read_token that must equal `expected`; throws otherwise.
 void expect_token(std::istream& is, std::string_view expected,

@@ -175,7 +175,7 @@ double r_squared(std::span<const double> observed,
   // Exact-zero checks are the point here: a constant observed series has
   // no variance to explain, and only a bitwise-perfect prediction of it
   // deserves R^2 = 1.
-  if (ss_tot == 0.0) return ss_res == 0.0 ? 1.0 : 0.0;  // rac-lint: allow(float-eq)
+  if (ss_tot == 0.0) return ss_res == 0.0 ? 1.0 : 0.0;  // rac-analyze: allow(float-eq)
   return 1.0 - ss_res / ss_tot;
 }
 

@@ -15,7 +15,7 @@ namespace {
 // (which obs wires into its registry), and util cannot depend on obs.
 double elapsed_us(std::chrono::steady_clock::time_point start) {
   const auto end =
-      std::chrono::steady_clock::now();  // rac-lint: allow(untracked-timer)
+      std::chrono::steady_clock::now();  // rac-analyze: allow(untracked-timer)
   return std::chrono::duration<double, std::micro>(end - start).count();
 }
 
@@ -96,7 +96,7 @@ bool ThreadPool::help(const Region* scope, std::unique_lock<std::mutex>& lock) {
   const Region* const outer = current_;
   current_ = &region;
   const auto start =
-      std::chrono::steady_clock::now();  // rac-lint: allow(untracked-timer)
+      std::chrono::steady_clock::now();  // rac-analyze: allow(untracked-timer)
   try {
     (*region.body)(task->index);
   } catch (...) {

@@ -42,22 +42,6 @@ util::Rng interval_rng(std::uint64_t seed, std::int64_t interval,
       util::derive_seed(seed, static_cast<std::uint64_t>(interval)), salt));
 }
 
-double read_double(std::istream& is, std::string_view what) {
-  return util::parse_double(util::read_token(is, what), what);
-}
-
-std::uint64_t read_u64(std::istream& is, std::string_view what) {
-  return util::parse_u64(util::read_token(is, what), what);
-}
-
-int read_int(std::istream& is, std::string_view what) {
-  return util::parse_int(util::read_token(is, what), what);
-}
-
-std::int64_t read_i64(std::istream& is, std::string_view what) {
-  return util::parse_i64(util::read_token(is, what), what);
-}
-
 }  // namespace
 
 TrafficTarget one_hot_target(MixType mix) {
@@ -364,7 +348,7 @@ TrafficModel TrafficModel::load(std::istream& is) {
     throw std::runtime_error("traffic-model: unsupported version " + version);
   }
   util::expect_token(is, "shapes", kWhat);
-  const std::uint64_t count = read_u64(is, kWhat);
+  const std::uint64_t count = util::read_u64(is, kWhat);
   if (count > kMaxShapes) {
     throw std::runtime_error("traffic-model: implausible shape count");
   }
@@ -373,30 +357,30 @@ TrafficModel TrafficModel::load(std::istream& is) {
     const std::string kind = util::read_token(is, kWhat);
     if (kind == "diurnal") {
       DiurnalParams p;
-      p.period_intervals = read_double(is, kWhat);
-      p.amplitude = read_double(is, kWhat);
-      p.phase_intervals = read_double(is, kWhat);
+      p.period_intervals = util::read_double(is, kWhat);
+      p.amplitude = util::read_double(is, kWhat);
+      p.phase_intervals = util::read_double(is, kWhat);
       model.add_diurnal(p);
     } else if (kind == "flash-crowd") {
       FlashCrowdParams p;
-      p.seed = read_u64(is, kWhat);
-      p.onset_prob = read_double(is, kWhat);
-      p.ramp_intervals = read_int(is, kWhat);
-      p.hold_intervals = read_int(is, kWhat);
-      p.decay_intervals = read_int(is, kWhat);
-      p.peak_scale = read_double(is, kWhat);
+      p.seed = util::read_u64(is, kWhat);
+      p.onset_prob = util::read_double(is, kWhat);
+      p.ramp_intervals = util::read_int(is, kWhat);
+      p.hold_intervals = util::read_int(is, kWhat);
+      p.decay_intervals = util::read_int(is, kWhat);
+      p.peak_scale = util::read_double(is, kWhat);
       model.add_flash_crowd(p);
     } else if (kind == "mix-drift") {
       MixDriftParams p;
       p.from = parse_mix_name(util::read_token(is, kWhat));
       p.to = parse_mix_name(util::read_token(is, kWhat));
-      p.start_interval = read_i64(is, kWhat);
-      p.duration_intervals = read_int(is, kWhat);
+      p.start_interval = util::read_i64(is, kWhat);
+      p.duration_intervals = util::read_int(is, kWhat);
       model.add_mix_drift(p);
     } else if (kind == "think-noise") {
       ThinkNoiseParams p;
-      p.seed = read_u64(is, kWhat);
-      p.sigma = read_double(is, kWhat);
+      p.seed = util::read_u64(is, kWhat);
+      p.sigma = util::read_double(is, kWhat);
       model.add_think_noise(p);
     } else {
       throw std::runtime_error("traffic-model: unknown shape kind '" + kind +

@@ -1,7 +1,7 @@
 // A reproducible subsystem reaching the wall clock and ambient
 // randomness through the util wrappers in taint_util_bad.cpp. No line
-// here reads a clock or rand() directly, so rac-lint cannot see it; the
-// reachability rules must. Never compiled.
+// here reads a clock or rand() directly, so only the reachability rules
+// can see it. Never compiled.
 namespace rac::core {
 
 long decide_epoch() {

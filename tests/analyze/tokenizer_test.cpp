@@ -1,5 +1,5 @@
-// Exercises the shared srcscan scanner: the stripping and token-stream
-// behavior both rac-lint and rac-analyze depend on, in particular the raw
+// Exercises the srcscan scanner: the stripping and token-stream behavior
+// every rac-analyze rule depends on, in particular the raw
 // string literal and line-continuation handling that per-line strippers
 // get wrong.
 #include "tokenizer.hpp"
@@ -118,15 +118,16 @@ TEST(Tokenizer, UnterminatedStringStopsAtEndOfLine) {
 
 TEST(Tokenizer, ParseAllowExtractsCommaSeparatedIds) {
   const auto ids = rac::srcscan::parse_allow(
-      " rac-lint: allow(float-eq, rand) justification text", "rac-lint:");
+      " rac-analyze: allow(float-eq, rand) justification text",
+      "rac-analyze:");
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], "float-eq");
   EXPECT_EQ(ids[1], "rand");
-  EXPECT_TRUE(rac::srcscan::parse_allow("no marker here", "rac-lint:")
+  EXPECT_TRUE(rac::srcscan::parse_allow("no marker here", "rac-analyze:")
                   .empty());
-  // The other checker's marker does not match.
-  EXPECT_TRUE(rac::srcscan::parse_allow(" rac-analyze: allow(layer-edge)",
-                                        "rac-lint:")
+  // Another tool's marker does not match.
+  EXPECT_TRUE(rac::srcscan::parse_allow(" clang-tidy: allow(layer-edge)",
+                                        "rac-analyze:")
                   .empty());
 }
 

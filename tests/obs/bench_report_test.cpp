@@ -80,7 +80,8 @@ TEST(BenchReportJson, CarriesSchemaRunIdAndSections) {
   for (const char* key : {"bench", "git_sha", "seed", "threads", "wall_ms",
                           "trace_digest", "host", "process", "phases",
                           "metrics"}) {
-    EXPECT_NE(json.find("\"" + std::string(key) + "\":"), std::string::npos)
+    EXPECT_NE(json.find(std::string("\"").append(key).append("\":")),
+              std::string::npos)
         << key;
   }
   EXPECT_NE(json.find("\"core.policy_init\""), std::string::npos);

@@ -107,6 +107,25 @@ TEST(LineIo, ReadTokenThrowsAtEndOfStream) {
   EXPECT_THROW(read_token(is, "ctx"), std::runtime_error);
 }
 
+TEST(LineIo, ReadersParseTheNextTokenAndNameTheCaller) {
+  std::istringstream is("0x1.8p+0 -9 18446744073709551615 42 1 0 2 x");
+  EXPECT_EQ(read_double(is, "ctx"), 1.5);
+  EXPECT_EQ(read_i64(is, "ctx"), -9);
+  EXPECT_EQ(read_u64(is, "ctx"), 18446744073709551615ULL);
+  EXPECT_EQ(read_int(is, "ctx"), 42);
+  EXPECT_TRUE(read_bool(is, "ctx"));
+  EXPECT_FALSE(read_bool(is, "ctx"));
+  EXPECT_EQ(std::string(bool_token(true)) + bool_token(false), "10");
+  try {
+    read_bool(is, "flags");
+    FAIL() << "2 is not a flag";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "flags: flag must be 0 or 1");
+  }
+  EXPECT_THROW(read_int(is, "ctx"), std::runtime_error);  // "x"
+  EXPECT_THROW(read_double(is, "ctx"), std::runtime_error);  // end
+}
+
 TEST(LineIo, ExpectTokenMismatchThrows) {
   std::istringstream is("actual");
   EXPECT_THROW(expect_token(is, "expected", "ctx"), std::runtime_error);

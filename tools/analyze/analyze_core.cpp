@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +21,16 @@ using srcscan::Token;
 bool path_starts_with(std::string_view path, std::string_view prefix) {
   return path.size() >= prefix.size() &&
          path.substr(0, prefix.size()) == prefix;
+}
+
+/// The simulated subsystems, which must be reproducible from their inputs:
+/// scope of the wall-clock and reachability rules.
+bool reproducible_file(std::string_view relpath) {
+  return path_starts_with(relpath, "src/core/") ||
+         path_starts_with(relpath, "src/rl/") ||
+         path_starts_with(relpath, "src/env/") ||
+         path_starts_with(relpath, "src/tiersim/") ||
+         path_starts_with(relpath, "src/queueing/");
 }
 
 bool is_punct(const Token& t, std::string_view text) {
@@ -147,7 +159,7 @@ struct FuncRec {
 };
 
 struct FileAnalysis {
-  std::vector<Finding> findings;   // unordered-iter / parallel-ref-capture
+  std::vector<Finding> findings;   // per-file token rules
   std::vector<FuncRec> functions;  // for cross-file reachability
 };
 
@@ -688,41 +700,62 @@ class FileAnalyzer {
     return body_end;
   }
 
-  // --- function defs / calls / taints for reachability --------------------
+  // --- direct reads (rand, wall-clock), calls and taints -------------------
 
-  void record_call_or_taint(std::size_t at) {
-    FuncRec* fn = current_fn();
-    if (fn == nullptr) return;
-    const Token& t = toks_[at];
-    const bool called_like =
-        at + 1 < toks_.size() && is_punct(toks_[at + 1], "(");
-
+  /// The ambient clock or randomness read the identifier at `at` starts,
+  /// if any. Member calls (rng.rand(), p->time(0)) are not ambient reads,
+  /// and a qualified rand is only std::rand.
+  std::optional<TaintSite> ambient_read(std::size_t at) const {
     static const std::set<std::string> kClockIdents = {
         "system_clock", "gettimeofday", "clock_gettime", "localtime",
         "localtime_r",  "gmtime",       "gmtime_r",      "timespec_get"};
     static const std::set<std::string> kRandIdents = {"srand",
                                                       "random_device"};
-    if (kClockIdents.count(t.text)) {
-      fn->taints.push_back({"clock", t.text, t.line});
-      return;
+    const Token& t = toks_[at];
+    const auto punct_at = [&](std::size_t i, std::string_view text) {
+      return i < toks_.size() && is_punct(toks_[i], text);
+    };
+    if (at > 0 && (punct_at(at - 1, ".") || punct_at(at - 1, "->"))) {
+      return std::nullopt;
     }
-    if (kRandIdents.count(t.text)) {
-      fn->taints.push_back({"rand", t.text, t.line});
-      return;
+    if (kClockIdents.count(t.text)) return TaintSite{"clock", t.text, t.line};
+    if (kRandIdents.count(t.text)) return TaintSite{"rand", t.text, t.line};
+    const bool called = punct_at(at + 1, "(");
+    if (t.text == "rand") {
+      const bool qualified = at > 0 && punct_at(at - 1, "::");
+      if (qualified ? at > 1 && is_ident(toks_[at - 2], "std") : called) {
+        return TaintSite{"rand", "rand()", t.line};
+      }
     }
-    if (called_like && t.text == "rand") {
-      fn->taints.push_back({"rand", "rand()", t.line});
-      return;
-    }
-    if (called_like && t.text == "time" && at + 2 < toks_.size()) {
+    if (t.text == "time" && called && punct_at(at + 3, ")")) {
       const Token& arg = toks_[at + 2];
       if (is_ident(arg, "nullptr") || is_ident(arg, "NULL") ||
           (arg.kind == TokKind::kNumber && arg.text == "0")) {
-        fn->taints.push_back({"clock", "time(nullptr)", t.line});
-        return;
+        return TaintSite{"clock", "time(nullptr)", t.line};
       }
     }
-    if (called_like && !call_keywords().count(t.text)) {
+    return std::nullopt;
+  }
+
+  void record_call_or_taint(std::size_t at) {
+    FuncRec* fn = current_fn();
+    const Token& t = toks_[at];
+    if (const auto read = ambient_read(at)) {
+      const bool is_rand = read->kind == "rand";
+      if (is_rand ? !path_starts_with(file_, "src/util/rng.")
+                  : reproducible_file(file_)) {
+        out_.findings.push_back(
+            {file_, t.line, is_rand ? "rand" : "wall-clock",
+             is_rand ? "nondeterministic randomness; use the seeded "
+                       "util::Rng (util::derive_seed for per-task streams)"
+                     : "wall-clock read in a reproducible subsystem; time "
+                       "must come from the simulation clock or the caller"});
+      }
+      if (fn != nullptr) fn->taints.push_back(*read);
+      return;
+    }
+    if (fn != nullptr && at + 1 < toks_.size() &&
+        is_punct(toks_[at + 1], "(") && !call_keywords().count(t.text)) {
       fn->calls.push_back({t.text, t.line});
     }
   }
@@ -752,14 +785,6 @@ bool taint_exempt_file(std::string_view relpath) {
 /// util); call sites are only *reported* in the reproducible subsystems.
 bool taint_source_file(std::string_view relpath) {
   return path_starts_with(relpath, "src/") && !taint_exempt_file(relpath);
-}
-
-bool reproducible_file(std::string_view relpath) {
-  return path_starts_with(relpath, "src/core/") ||
-         path_starts_with(relpath, "src/rl/") ||
-         path_starts_with(relpath, "src/env/") ||
-         path_starts_with(relpath, "src/tiersim/") ||
-         path_starts_with(relpath, "src/queueing/");
 }
 
 struct TaintWitness {
@@ -831,6 +856,133 @@ std::vector<Finding> reachability_findings(
   return findings;
 }
 
+// ---------------------------------------------------------------------------
+// Per-line convention rules over the stripped (or, where a rule inspects
+// string-literal contents, the raw) lines.
+// ---------------------------------------------------------------------------
+
+struct LineRule {
+  std::string_view id;
+  std::regex pattern;
+  std::string_view message;
+  /// Empty: applies everywhere. Otherwise the file must be under one of
+  /// these prefixes for the rule to fire.
+  std::vector<std::string_view> only_under{};
+  /// Files exempt from the rule (exact relpath or directory prefix).
+  std::vector<std::string_view> except_under{};
+  /// Match the raw line instead of the stripped one; such patterns must be
+  /// anchored tightly enough not to fire inside comments.
+  bool match_raw = false;
+};
+
+const std::vector<LineRule>& line_rules() {
+  static const std::string kFloatLit =
+      R"((\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?)";
+  // Scoped to src/: a CLI binary under tools/, bench/ or examples/ owns the
+  // process, its stdout, and may report from the default registry.
+  static const std::vector<LineRule> rules = {
+      {"default-registry", std::regex(R"(\bdefault_registry\b)"),
+       "default_registry() referenced outside src/obs/; take an "
+       "obs::Registry* and resolve via obs::registry_or_default",
+       {"src/"}, {"src/obs/"}},
+      {"raw-assert",
+       std::regex(R"((^|[^\w])assert\s*\(|#\s*include\s*<cassert>)"),
+       "raw assert in library code (vanishes under NDEBUG); use "
+       "RAC_EXPECT/RAC_ENSURE/RAC_INVARIANT from util/contracts.hpp"},
+      {"iostream", std::regex(R"(\bstd\s*::\s*(cout|cerr|clog)\b)"),
+       "direct console I/O in library code; report via return values, "
+       "exceptions, or util::log",
+       {"src/"}, {"src/util/log.cpp"}},
+      {"include-hygiene", std::regex(R"(^\s*#\s*include\s*"[^"]*\.\./)"),
+       "path-traversing include; project includes are rooted at src/",
+       {}, {}, /*match_raw=*/true},
+      {"locale-io",
+       std::regex(
+           R"(\bstd\s*::\s*(stod|stof|stold)\b|\b(strtod|strtof|strtold|atof)\s*\(|\bsetlocale\s*\()"),
+       "locale-sensitive numeric parsing (result depends on the process "
+       "locale); use util/lineio parse_double/std::from_chars"},
+      // printf/scanf-family calls with a floating-point conversion in the
+      // format string, which stripping blanks: needs the raw line.
+      {"locale-io",
+       std::regex(
+           R"(\b((f|s|sn|v|vf|vs|vsn)?printf|(f|s|v|vf|vs)?scanf)\s*\(.*"[^"]*%[-+ #'0-9.*]*(l|L)?[aAeEfFgG])"),
+       "locale-sensitive printf/scanf float conversion (output depends on "
+       "the process locale); use util/lineio format_double/std::to_chars",
+       {}, {}, /*match_raw=*/true},
+      {"unchecked-measure", std::regex(R"((\.|->)\s*measure\s*\()"),
+       "direct Environment::measure() in the online management loop; "
+       "use measure_interval() and check its `lost` flag so a lost "
+       "interval degrades gracefully, or justify an offline/bootstrap "
+       "probe with a suppression",
+       {"src/core/"}},
+      {"untracked-timer",
+       std::regex(R"(\b(steady_clock|high_resolution_clock)\s*::\s*now\s*\()"),
+       "raw clock read in library code; time phases with obs::ProfileScope "
+       "or obs::ScopedTimer so the work shows up in bench reports, or "
+       "justify with a suppression",
+       {"src/"}, {"src/obs/"}},
+      {"hot-path-alloc",
+       std::regex(
+           R"(\bnew\b|\bmake_unique\s*<|\bmake_shared\s*<|\bunordered_(map|set)\s*<|\bstd\s*::\s*(map|set|list|multimap|multiset)\s*<)"),
+       "per-element heap allocation in a hot-path subsystem (operator "
+       "new, make_unique/make_shared, or a node-based container); use "
+       "flat/arena storage, or justify a cold-path site with a "
+       "suppression",
+       {"src/queueing/", "src/tiersim/", "src/rl/"}},
+      {"float-eq",
+       std::regex(R"((==|!=)\s*[-+]?)" + kFloatLit + "|" + kFloatLit +
+                  R"(\s*(==|!=))"),
+       "exact floating-point comparison against a literal; compare with a "
+       "tolerance or justify with a suppression"},
+  };
+  return rules;
+}
+
+bool rule_applies(const LineRule& rule, std::string_view relpath) {
+  for (const auto& exempt : rule.except_under) {
+    if (path_starts_with(relpath, exempt)) return false;
+  }
+  if (rule.only_under.empty()) return true;
+  for (const auto& prefix : rule.only_under) {
+    if (path_starts_with(relpath, prefix)) return true;
+  }
+  return false;
+}
+
+/// Line-rule and pragma-once findings for one file (before suppression).
+std::vector<Finding> line_findings(const SourceFile& file,
+                                   const srcscan::ScanResult& scanned) {
+  const std::string& relpath = file.relpath;
+  std::vector<Finding> findings;
+  std::istringstream in(file.contents);
+  std::string raw;
+  for (std::size_t i = 0;
+       i < scanned.lines.size() && std::getline(in, raw); ++i) {
+    const std::string& code = scanned.lines[i].code;
+    for (const auto& rule : line_rules()) {
+      if (!rule_applies(rule, relpath)) continue;
+      const std::string& target = rule.match_raw ? raw : code;
+      for (auto it = std::sregex_iterator(target.begin(), target.end(),
+                                          rule.pattern);
+           it != std::sregex_iterator(); ++it) {
+        findings.push_back({relpath, static_cast<int>(i) + 1,
+                            std::string(rule.id), std::string(rule.message)});
+      }
+    }
+  }
+  // A header's first tokens must be `#pragma once`; report at the first
+  // token's line.
+  const std::vector<Token>& toks = scanned.tokens;
+  const bool header = relpath.ends_with(".hpp") || relpath.ends_with(".h");
+  if (header && !(toks.size() >= 3 && is_punct(toks[0], "#") &&
+                  is_ident(toks[1], "pragma") && is_ident(toks[2], "once"))) {
+    findings.push_back({relpath, toks.empty() ? 1 : toks[0].line,
+                        "pragma-once",
+                        "header does not open with #pragma once"});
+  }
+  return findings;
+}
+
 void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
@@ -854,21 +1006,36 @@ void append_json_escaped(std::string& out, std::string_view s) {
 
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> info = {
-      {"include-cycle", "quoted-include cycle among project files"},
-      {"layer-unknown", "src/ module not declared in layers.manifest"},
-      {"layer-order", "module includes a module from a higher layer"},
-      {"layer-edge", "module include edge not declared in layers.manifest"},
-      {"layer-cycle", "cycle in the observed module dependency graph"},
-      {"unordered-iter",
-       "order-dependent work in a range-for over an unordered container"},
+      {"rand", "randomness outside util::Rng (determinism)"},
+      {"wall-clock", "wall-clock reads in simulated subsystems"},
       {"clock-reachability",
        "wall-clock read reachable through helpers in a reproducible "
        "subsystem"},
       {"rand-reachability",
        "ambient randomness reachable through helpers in a reproducible "
        "subsystem"},
+      {"unordered-iter",
+       "order-dependent work in a range-for over an unordered container"},
       {"parallel-ref-capture",
        "parallel lambda writes by-ref state not indexed by the task index"},
+      {"include-cycle", "quoted-include cycle among project files"},
+      {"layer-unknown", "src/ module not declared in layers.manifest"},
+      {"layer-order", "module includes a module from a higher layer"},
+      {"layer-edge", "module include edge not declared in layers.manifest"},
+      {"layer-cycle", "cycle in the observed module dependency graph"},
+      {"default-registry", "default_registry() pinned outside src/obs/"},
+      {"raw-assert", "assert() in library code; use contract macros"},
+      {"iostream", "std::cout/cerr/clog in library code; use util::log"},
+      {"pragma-once", "headers must open with #pragma once"},
+      {"include-hygiene", "no path-traversing quoted includes"},
+      {"locale-io", "locale-sensitive numeric I/O; use util/lineio"},
+      {"untracked-timer",
+       "raw steady/high_resolution clock reads in src/ outside obs/"},
+      {"hot-path-alloc",
+       "per-element heap allocation in src/{queueing,tiersim,rl}"},
+      {"float-eq", "exact float comparison against a literal"},
+      {"unchecked-measure",
+       "raw measure() in src/core/; use measure_interval or suppress"},
       {"unused-suppression",
        "allow() comment that suppresses no findings; remove it"},
   };
@@ -903,7 +1070,10 @@ std::vector<Finding> analyze_sources(const std::vector<SourceFile>& files,
 
   std::map<std::string, FileAnalysis> by_file;
   for (const SourceFile* f : ordered) {
-    FileAnalyzer analyzer(f->relpath, scans.at(f->relpath).tokens);
+    const srcscan::ScanResult& scanned = scans.at(f->relpath);
+    auto lines = line_findings(*f, scanned);
+    findings.insert(findings.end(), lines.begin(), lines.end());
+    FileAnalyzer analyzer(f->relpath, scanned.tokens);
     auto analysis = analyzer.run();
     findings.insert(findings.end(), analysis.findings.begin(),
                     analysis.findings.end());

@@ -1,17 +1,29 @@
-// rac-analyze: the project's semantic, cross-file static analyzer.
+// rac-analyze: the project's static checker.
 //
-// rac-lint stops at stripped-line regexes; this tool works on the srcscan
-// token stream with scope tracking and cross-file graphs, and enforces the
-// invariants the compiler cannot check and a per-line regex cannot see:
+// A dependency-free checker for the invariants this codebase enforces by
+// convention but the compiler cannot. Every rule runs on the srcscan front
+// end (comments and string literals stripped, token stream with lines):
+// per-line rules match the stripped lines, the rest work on the token
+// stream with scope tracking and cross-file graphs.
 //
-// Include/layer graph (see include_graph.hpp):
-//   include-cycle   quoted-include cycle among project files.
-//   layer-unknown   src/ module missing from layers.manifest.
-//   layer-order     module includes a module from a higher layer.
-//   layer-edge      module include edge not declared in layers.manifest.
-//   layer-cycle     cycle in the observed module dependency graph.
-//
-// Determinism dataflow:
+// Determinism (direct reads come from the same token scan that seeds the
+// reachability rules):
+//   rand            std::rand / rand() / srand / std::random_device
+//                   anywhere but src/util/rng.* -- all randomness must flow
+//                   through the seeded, deterministic util::Rng. Member
+//                   calls (rng.rand(), p->rand()) are not ambient reads.
+//   wall-clock      wall-clock reads (system_clock, time(nullptr),
+//                   gettimeofday, clock_gettime, localtime, gmtime, ...) in
+//                   src/{core,rl,env,tiersim,queueing} -- simulated
+//                   subsystems must be reproducible from their inputs.
+//   clock-reachability / rand-reachability
+//                   a reproducible subsystem calls a helper whose body --
+//                   possibly through further helpers, in any src/ file --
+//                   reaches a wall-clock read or ambient randomness. This
+//                   closes the wrapper loophole of the direct-read rules.
+//                   Taint sources in src/obs/, src/util/log.*, and
+//                   src/util/rng.* are exempt (instrumentation and the
+//                   seeded RNG own those reads by design).
 //   unordered-iter  range-for over an unordered_{map,set} whose body does
 //                   order-dependent work: compound-assignment accumulation
 //                   into outer state (floating-point sums change with
@@ -21,15 +33,6 @@
 //                   serialized output followed hash-table iteration
 //                   order). Scoped to src/ and bench/ -- decision traces
 //                   and bench digests are bit-compared across runs.
-//   clock-reachability / rand-reachability
-//                   a reproducible subsystem (src/{core,rl,env,tiersim,
-//                   queueing}) calls a helper whose body -- possibly
-//                   through further helpers, in any src/ file -- reaches a
-//                   wall-clock read or ambient randomness. rac-lint flags
-//                   the direct read; this closes the wrapper loophole.
-//                   Taint sources in src/obs/, src/util/log.*, and
-//                   src/util/rng.* are exempt (instrumentation and the
-//                   seeded RNG own those reads by design).
 //
 // Parallel safety:
 //   parallel-ref-capture
@@ -39,9 +42,44 @@
 //                   race TSan only reports when a schedule happens to
 //                   expose it; the write shape is detectable statically.
 //
-// Findings on a line carrying `// rac-analyze: allow(<rule>)` are
-// suppressed for the named rules; a suppression that suppresses nothing is
-// itself a finding (unused-suppression), exactly as in rac-lint.
+// Include/layer graph (see include_graph.hpp):
+//   include-cycle   quoted-include cycle among project files.
+//   layer-unknown   src/ module missing from layers.manifest.
+//   layer-order     module includes a module from a higher layer.
+//   layer-edge      module include edge not declared in layers.manifest.
+//   layer-cycle     cycle in the observed module dependency graph.
+//
+// Per-line conventions:
+//   default-registry  obs::default_registry() referenced in src/ outside
+//                   src/obs/ -- components take an injectable registry and
+//                   resolve it via obs::registry_or_default.
+//   raw-assert      assert( or <cassert> -- compiled out under NDEBUG; use
+//                   the RAC_EXPECT/RAC_ENSURE/RAC_INVARIANT contract macros.
+//   iostream        std::cout / std::cerr / std::clog in src/ (except
+//                   src/util/log.cpp) -- libraries report via return
+//                   values, exceptions, and util::log. CLI binaries under
+//                   tools/, bench/, and examples/ own their stdout.
+//   pragma-once     every header must open with #pragma once.
+//   include-hygiene quoted includes must not path-traverse ("../").
+//   locale-io       locale-sensitive numeric parsing (stod, strtod, atof,
+//                   setlocale) or printf/scanf float conversions; use
+//                   util/lineio.
+//   untracked-timer raw steady/high_resolution clock reads in src/ outside
+//                   src/obs/; time phases with obs::ProfileScope or
+//                   obs::ScopedTimer.
+//   hot-path-alloc  operator new, make_unique/make_shared, or a node-based
+//                   container in src/{queueing,tiersim,rl} -- the inner
+//                   loops there are allocation-free by design.
+//   float-eq        == / != against a floating-point literal.
+//   unchecked-measure
+//                   raw measure() in src/core/; use measure_interval() and
+//                   check its `lost` flag.
+//
+// Findings on a line carrying `// rac-analyze: allow(<rule>[, <rule>...])`
+// are suppressed for the named rules only; suppressions are expected to
+// carry a justification in the same comment. An allow() that suppresses
+// nothing on its line is itself a finding (unused-suppression), so stale
+// exemptions fail the build instead of accumulating.
 #pragma once
 
 #include <filesystem>
@@ -76,7 +114,7 @@ std::vector<Finding> analyze_sources(const std::vector<SourceFile>& files,
 
 /// Load every *.hpp/*.cpp/*.h/*.cc under root/<subdir> (or a single file)
 /// for each subdir, sorted. Throws std::runtime_error on a missing
-/// subdir, matching lint_tree.
+/// subdir.
 std::vector<SourceFile> load_tree(const std::filesystem::path& root,
                                   const std::vector<std::string>& subdirs);
 

@@ -1,11 +1,11 @@
-// srcscan: the shared lexical front end of the project's static checkers.
+// srcscan: the lexical front end of the project's static checker.
 //
-// rac-lint (line/regex rules) and rac-analyze (token/scope rules) both need
-// the same first pass over a C++ source file: comments and string literals
+// rac-analyze's per-line rules and its token/scope rules both need the
+// same first pass over a C++ source file: comments and string literals
 // identified and stripped, raw string literals (R"delim(...)delim") and
 // backslash line continuations handled, and a token stream with line
-// numbers for anything smarter than a per-line regex. Keeping that pass in
-// one library means a stripper bug cannot make one checker quieter than
+// numbers for anything smarter than a per-line regex. Both views come from
+// one scan, so a stripper bug cannot make one family of rules quieter than
 // the other.
 //
 // The scanner is error-tolerant by design: an unterminated string stops at
@@ -58,8 +58,7 @@ struct ScanResult {
 ScanResult scan(const std::string& contents);
 
 /// Rule ids listed in `<marker> ... allow(a, b)` occurrences inside a
-/// comment, e.g. marker "rac-lint:". Shared by both checkers' same-line
-/// suppression syntax.
+/// comment, e.g. marker "rac-analyze:": the same-line suppression syntax.
 std::vector<std::string> parse_allow(const std::string& comment,
                                      std::string_view marker);
 
