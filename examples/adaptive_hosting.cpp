@@ -127,12 +127,15 @@ int main() {
   std::cout << "]\n";
 
   const auto snapshot = obs::default_registry().snapshot();
-  const auto* checks = snapshot.counter("core.violation.pvar_checks");
-  const auto* retrains = snapshot.counter("core.rac.retrains");
-  const auto* evals = snapshot.counter("env.analytic.evaluations");
-  std::cout << "registry: " << (checks ? checks->value : 0)
-            << " violation checks, " << (retrains ? retrains->value : 0)
-            << " online retrains, " << (evals ? evals->value : 0)
-            << " model evaluations\n";
+  const auto count = [&snapshot](const char* name) {
+    const auto* counter = snapshot.counter(name);
+    return counter ? counter->value : 0;
+  };
+  std::cout << "registry: " << count("core.violation.pvar_checks")
+            << " violation checks, " << count("core.rac.retrains")
+            << " online retrains, " << count("env.analytic.measurements")
+            << " measurements (" << count("env.analytic.measure_hits")
+            << " served by the memo), "
+            << count("env.analytic.evaluations") << " model evaluations\n";
   return 0;
 }

@@ -12,6 +12,9 @@ Subcommands:
   collect  print the trajectory entry aggregated from --reports DIR
   append   append that entry to the trajectory file (the baseline refresh)
   report   render the trajectory as a table (one row per entry)
+  diff     compare two entries layer by layer (default: the last two):
+           per bench, wall_ms, trace_digest and every phase's inclusive
+           us on both sides with the head/base ratio
   check    sweep (quick) into a temp dir and gate against the last
            matching baseline entry; used by the `bench_regression_check`
            ctest
@@ -292,6 +295,62 @@ def report(trajectory_path, last):
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
 
 
+def pick_entry(entries, number, default, role):
+    """The 1-based entry `number` (as `report` numbers them), or `default`
+    from the end when None."""
+    index = len(entries) - default if number is None else number - 1
+    if not 0 <= index < len(entries):
+        raise SystemExit(
+            f"bench_trajectory: no entry #{index + 1} for --{role} "
+            f"(the trajectory has {len(entries)})"
+        )
+    return index
+
+
+def diff(trajectory_path, base_number, head_number):
+    """Per bench: wall_ms, trace_digest and each phase's inclusive us in
+    the base and head entries, with head/base. A side without the value
+    shows `-`."""
+    entries = load_trajectory(trajectory_path)["entries"]
+    base_i = pick_entry(entries, base_number, 2, "base")
+    head_i = pick_entry(entries, head_number, 1, "head")
+    base, head = entries[base_i], entries[head_i]
+
+    def describe(i, entry):
+        label = entry.get("label", "")
+        return f"#{i + 1} {str(entry.get('git_sha', '?'))[:12]} {label}"
+
+    print(f"base {describe(base_i, base)}")
+    print(f"head {describe(head_i, head)}")
+
+    def cell(value):
+        return "-" if value is None else f"{value:.1f}"
+
+    def ratio(b, h):
+        return "-" if b is None or h is None or b <= 0 else f"{h / b:.2f}x"
+
+    benches = list(head.get("benches", {}))
+    benches += [b for b in base.get("benches", {}) if b not in benches]
+    for bench in benches:
+        b_rec = base.get("benches", {}).get(bench, {})
+        h_rec = head.get("benches", {}).get(bench, {})
+        b_dig, h_dig = b_rec.get("trace_digest"), h_rec.get("trace_digest")
+        rows = [("metric / phase (inclusive us)", "base", "head", "head/base"),
+                ("trace_digest", b_dig or "-", h_dig or "-",
+                 "same" if b_dig == h_dig else "DIFFERS")]
+        values = [("wall_ms", b_rec.get("wall_ms"), h_rec.get("wall_ms"))]
+        b_ph, h_ph = b_rec.get("phases", {}), h_rec.get("phases", {})
+        for path in sorted(set(b_ph) | set(h_ph), key=lambda p: p.split("/")):
+            name = "  " * (path.count("/") + 1) + path.rsplit("/", 1)[-1]
+            values.append((name, b_ph.get(path), h_ph.get(path)))
+        rows += [(name, cell(b), cell(h), ratio(b, h)) for name, b, h in values]
+        print(f"\n== {bench}")
+        widths = [max(len(r[c]) for r in rows) for c in range(4)]
+        for r in rows:
+            print("  ".join([r[0].ljust(widths[0])] +
+                            [r[c].rjust(widths[c]) for c in range(1, 4)]))
+
+
 def find_baseline(trajectory, quick):
     """Last entry recorded in the same mode; None when there is none."""
     for entry in reversed(trajectory["entries"]):
@@ -471,6 +530,13 @@ def main():
     p_report.add_argument("--trajectory", required=True)
     p_report.add_argument("--last", type=int, default=0)
 
+    p_diff = sub.add_parser("diff", help="compare two entries per layer")
+    p_diff.add_argument("--trajectory", required=True)
+    p_diff.add_argument("--base", type=int, metavar="I",
+                        help="base entry, 1-based (default: second-last)")
+    p_diff.add_argument("--head", type=int, metavar="J",
+                        help="head entry, 1-based (default: last)")
+
     p_check = sub.add_parser("check", help="gate against the baseline")
     p_check.add_argument("--build-dir", required=True)
     p_check.add_argument("--trajectory", required=True)
@@ -492,6 +558,9 @@ def main():
         return 0
     if args.command == "report":
         report(args.trajectory, args.last)
+        return 0
+    if args.command == "diff":
+        diff(args.trajectory, args.base, args.head)
         return 0
     if args.command == "check":
         return check(

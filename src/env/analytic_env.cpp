@@ -1,11 +1,15 @@
 #include "env/analytic_env.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
+#include "config/params.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "queueing/mva.hpp"
+#include "util/rng.hpp"
 #include "workload/tpcw.hpp"
 
 namespace rac::env {
@@ -50,6 +54,38 @@ double swap_factor(const tiersim::SystemParams& P, double used_mb,
   return 1.0 + P.swap_slowdown_coeff * over * over;
 }
 
+/// Memo slot index: the context and target mixed through derive_seed,
+/// plus the configuration's grid position weighted by distinct odd
+/// per-parameter strides. One fine step on one parameter (an agent action)
+/// moves the index by an odd amount, so a configuration never shares a
+/// slot with its one-step neighbours, the operating points an agent near
+/// its optimum alternates between.
+std::size_t memo_index(const SystemContext& context, const Configuration& cfg,
+                       const std::optional<workload::TrafficTarget>& target,
+                       std::size_t slots) {
+  constexpr std::array<std::uint64_t, config::kNumParams> kStride = {
+      1, 5, 9, 13, 3, 7, 11, 15};
+  std::uint64_t h = util::derive_seed(
+      static_cast<std::uint64_t>(context.mix) * 8 +
+          static_cast<std::uint64_t>(context.level),
+      0);
+  if (target.has_value()) {
+    h = util::derive_seed(h, std::bit_cast<std::uint64_t>(
+                                 target->concurrency_scale));
+    h = util::derive_seed(h,
+                          std::bit_cast<std::uint64_t>(target->think_scale));
+    for (const double w : target->mix_weights) {
+      h = util::derive_seed(h, std::bit_cast<std::uint64_t>(w));
+    }
+  }
+  for (std::size_t i = 0; i < config::kNumParams; ++i) {
+    const config::ParamSpec& spec = config::catalog()[i];
+    h += kStride[i] * static_cast<std::uint64_t>(
+                          (cfg.values()[i] - spec.min) / spec.fine_step);
+  }
+  return static_cast<std::size_t>(h % slots);
+}
+
 }  // namespace
 
 AnalyticEnv::AnalyticEnv(const SystemContext& context,
@@ -60,6 +96,7 @@ AnalyticEnv::AnalyticEnv(const SystemContext& context,
       traffic_(options.registry) {
   obs::Registry& reg = obs::registry_or_default(opt_.registry);
   measurements_ = &reg.counter("env.analytic.measurements");
+  measure_hits_ = &reg.counter("env.analytic.measure_hits");
   noise_draws_ = &reg.counter("env.analytic.noise_draws");
   evaluations_ = &reg.counter("env.analytic.evaluations");
   evaluate_us_ =
@@ -94,9 +131,20 @@ Measurement AnalyticEnv::measure_interval(
   measurements_->add(1);
   const std::optional<workload::TrafficTarget> target =
       traffic_.next(ctx_.mix, overlay);
+  MemoSlot& slot = memo_[memo_index(ctx_, configuration, target, kMemoSlots)];
+  const bool hit = slot.filled && slot.context == ctx_ &&
+                   slot.configuration == configuration &&
+                   slot.target.has_value() == target.has_value() &&
+                   (!target || workload::same_target(*slot.target, *target));
+  if (hit) {
+    measure_hits_->add(1);
+  } else {
+    const PerfSample sample = evaluate_target(
+        configuration, target.has_value() ? &*target : nullptr, nullptr);
+    slot = MemoSlot{true, ctx_, configuration, target, sample};
+  }
   Measurement measurement;
-  measurement.sample = evaluate_target(
-      configuration, target.has_value() ? &*target : nullptr, nullptr);
+  measurement.sample = slot.sample;
   if (opt_.noise_sigma > 0.0) {
     measurement.sample.response_ms *= rng_.lognormal_unit(opt_.noise_sigma);
     measurement.sample.throughput_rps *=

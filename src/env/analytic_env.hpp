@@ -24,10 +24,19 @@
 // A short fixed-point iteration couples throughput-dependent quantities
 // (parked connections, pool sizes, live sessions, writer concurrency) with
 // the MVA solution. Measurement noise is multiplicative lognormal.
+//
+// For fixed options the model is a pure function of (context,
+// configuration, traffic target), and an agent near its optimum keeps
+// measuring the same few operating points, so measure_interval answers a
+// repeated one from a small memo of noiseless samples instead of solving
+// the fixed point again. Noise is drawn on every measurement either way.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "env/environment.hpp"
 #include "queueing/mva.hpp"
@@ -80,15 +89,18 @@ class AnalyticEnv : public Environment {
                        const AnalyticEnvOptions& options = {});
 
   /// Consumes the interval's traffic target (the overlay, else the model's
-  /// emission at the cursor) and advances the cursor.
+  /// emission at the cursor) and advances the cursor. The noiseless sample
+  /// comes from the memo when this environment already evaluated the same
+  /// (context, configuration, target); the noise draws do not depend on it.
   Measurement measure_interval(const config::Configuration& configuration,
                                const workload::TrafficTarget* overlay) override;
   void set_context(const SystemContext& context) override { ctx_ = context; }
   SystemContext context() const override { return ctx_; }
 
-  /// The model is pure apart from its noise Rng and reusable MVA scratch
-  /// networks, so independent clones are safe to measure concurrently (one
-  /// clone per pool task -- which is how the pool already shards work).
+  /// The model is pure apart from its noise Rng, its measurement memo and
+  /// reusable MVA scratch networks, so independent clones are safe to
+  /// measure concurrently (one clone per pool task -- which is how the pool
+  /// already shards work). A clone starts with an empty memo.
   bool thread_safe() const override { return true; }
   std::unique_ptr<Environment> clone_with_seed(
       std::uint64_t seed) const override;
@@ -114,9 +126,10 @@ class AnalyticEnv : public Environment {
 
   const AnalyticEnvOptions& options() const noexcept { return opt_; }
 
-  /// The measurement-noise Rng is the env's only mutable state; exposing
-  /// it lets a fleet checkpoint capture a live environment exactly and
-  /// resume measure() streams bit-identically.
+  /// The measurement-noise Rng is the only mutable state that shapes
+  /// future measurements (the memo and the MVA scratch only save work);
+  /// exposing it lets a fleet checkpoint capture a live environment exactly
+  /// and resume measure() streams bit-identically.
   util::RngState noise_state() const noexcept { return rng_.state(); }
   void restore_noise_state(const util::RngState& state) { rng_.restore(state); }
 
@@ -128,9 +141,26 @@ class AnalyticEnv : public Environment {
   // Metric handles, resolved once at construction (evaluate() stays free
   // of registry lookups, so concurrent clones never contend on it).
   obs::Counter* measurements_ = nullptr;
+  obs::Counter* measure_hits_ = nullptr;
   obs::Counter* noise_draws_ = nullptr;
   obs::Counter* evaluations_ = nullptr;
   obs::Histogram* evaluate_us_ = nullptr;
+
+  // Direct-mapped memo of measure_interval's noiseless samples, keyed by
+  // everything the model reads that can change: the context, the eight
+  // configuration values and the interval's target (bitwise) or its
+  // absence. Sixteen slots keep 98-99.6% of the hits an unbounded memo
+  // finds on the benchmark's onboard and fleet-256 workloads (DESIGN.md
+  // §13). Never persisted: a restored run re-evaluates to the same bits.
+  struct MemoSlot {
+    bool filled = false;
+    SystemContext context;
+    config::Configuration configuration;
+    std::optional<workload::TrafficTarget> target;
+    PerfSample sample;
+  };
+  static constexpr std::size_t kMemoSlots = 16;
+  std::array<MemoSlot, kMemoSlots> memo_{};
 
   PerfSample evaluate_target(const config::Configuration& configuration,
                              const workload::TrafficTarget* target,

@@ -133,11 +133,16 @@ BrowserProfile blend_browser_profile(
 // ---- diurnal ---------------------------------------------------------------
 
 DiurnalShape::DiurnalShape(const DiurnalParams& params) : params_(params) {
-  if (!(params_.period_intervals > 0.0)) {
-    throw std::invalid_argument("DiurnalShape: non-positive period");
+  if (!(params_.period_intervals > 0.0 &&
+        std::isfinite(params_.period_intervals))) {
+    throw std::invalid_argument(
+        "DiurnalShape: non-positive or non-finite period");
   }
   if (!(params_.amplitude >= 0.0 && params_.amplitude < 1.0)) {
     throw std::invalid_argument("DiurnalShape: amplitude outside [0, 1)");
+  }
+  if (!std::isfinite(params_.phase_intervals)) {
+    throw std::invalid_argument("DiurnalShape: non-finite phase");
   }
 }
 
@@ -171,8 +176,15 @@ FlashCrowdShape::FlashCrowdShape(const FlashCrowdParams& params)
   if (params_.decay_intervals < 1) {
     throw std::invalid_argument("FlashCrowdShape: non-positive decay");
   }
-  if (!(params_.peak_scale > 1.0)) {
-    throw std::invalid_argument("FlashCrowdShape: peak_scale must exceed 1");
+  if (std::int64_t{params_.ramp_intervals} + params_.hold_intervals +
+          params_.decay_intervals >
+      kMaxFlashCrowdIntervals) {
+    throw std::invalid_argument(
+        "FlashCrowdShape: crowd longer than kMaxFlashCrowdIntervals");
+  }
+  if (!(params_.peak_scale > 1.0 && std::isfinite(params_.peak_scale))) {
+    throw std::invalid_argument(
+        "FlashCrowdShape: peak_scale must be finite and exceed 1");
   }
 }
 

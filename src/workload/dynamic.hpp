@@ -108,8 +108,8 @@ struct DiurnalParams {
 /// concurrency *= 1 + amplitude * sin(2*pi * (interval + phase) / period).
 class DiurnalShape final : public TrafficShape {
  public:
-  /// Throws std::invalid_argument for a non-positive period or an
-  /// amplitude outside [0, 1).
+  /// Throws std::invalid_argument for a non-positive or non-finite period,
+  /// an amplitude outside [0, 1), or a non-finite phase.
   explicit DiurnalShape(const DiurnalParams& params);
 
   void apply(std::int64_t interval, TrafficTarget& target) const override;
@@ -139,7 +139,13 @@ struct FlashCrowdParams {
   double peak_scale = 2.5;
 };
 
-/// Total footprint of one crowd in intervals (ramp + hold + decay).
+/// Longest crowd (ramp + hold + decay) a FlashCrowdShape accepts.
+/// flash_scale_at scans that many candidate onsets for every interval, and
+/// a real crowd lasts hours to days, so a longer one is corrupt input.
+inline constexpr std::int64_t kMaxFlashCrowdIntervals = 10000;
+
+/// Total footprint of one crowd in intervals (ramp + hold + decay). The
+/// parameters must be ones a FlashCrowdShape accepts, so the sum fits.
 int flash_crowd_duration(const FlashCrowdParams& params);
 
 /// Pure per-interval onset decision: does a crowd begin at `interval`?
@@ -154,7 +160,8 @@ double flash_scale_at(const FlashCrowdParams& params, std::int64_t interval);
 class FlashCrowdShape final : public TrafficShape {
  public:
   /// Throws std::invalid_argument for an onset probability outside [0, 1],
-  /// non-positive ramp/decay, negative hold, or a peak_scale <= 1.
+  /// non-positive ramp/decay, negative hold, a crowd longer than
+  /// kMaxFlashCrowdIntervals, or a peak_scale that is <= 1 or not finite.
   explicit FlashCrowdShape(const FlashCrowdParams& params);
 
   void apply(std::int64_t interval, TrafficTarget& target) const override;

@@ -6,7 +6,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -119,6 +121,12 @@ TEST(DiurnalShape, RejectsBadParams) {
   EXPECT_THROW(DiurnalShape({0.0, 0.4, 0.0}), std::invalid_argument);
   EXPECT_THROW(DiurnalShape({96.0, 1.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(DiurnalShape({96.0, -0.1, 0.0}), std::invalid_argument);
+  // Non-finite parameters would reach sin() and poison every target.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(DiurnalShape({kInf, 0.2, 0.0}), std::invalid_argument);
+  EXPECT_THROW(DiurnalShape({96.0, 0.2, kNan}), std::invalid_argument);
+  EXPECT_THROW(DiurnalShape({96.0, 0.2, kInf}), std::invalid_argument);
 }
 
 TEST(FlashCrowdShape, EnvelopeRampsHoldsAndDecays) {
@@ -197,6 +205,23 @@ TEST(FlashCrowdShape, RejectsBadParams) {
   p = {};
   p.peak_scale = 1.0;
   EXPECT_THROW(FlashCrowdShape{p}, std::invalid_argument);
+  p = {};
+  p.peak_scale = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FlashCrowdShape{p}, std::invalid_argument);
+  // ramp + hold + decay would overflow int in flash_crowd_duration.
+  p = {};
+  p.ramp_intervals = std::numeric_limits<int>::max();
+  p.hold_intervals = std::numeric_limits<int>::max();
+  EXPECT_THROW(FlashCrowdShape{p}, std::invalid_argument);
+  // Long without overflowing: every interval would scan that many onsets.
+  p = {};
+  p.ramp_intervals = static_cast<int>(kMaxFlashCrowdIntervals);
+  p.hold_intervals = 0;
+  p.decay_intervals = 1;
+  EXPECT_THROW(FlashCrowdShape{p}, std::invalid_argument);
+  p.ramp_intervals -= 1;
+  EXPECT_NO_THROW(FlashCrowdShape{p});
+  EXPECT_EQ(flash_crowd_duration(p), kMaxFlashCrowdIntervals);
 }
 
 TEST(MixDriftShape, EndpointsAreBitwiseOneHot) {
@@ -338,6 +363,15 @@ TEST(TrafficModel, LoadRejectsMalformedInput) {
   {
     std::istringstream is("traffic-model v1\nshapes 1\nwarp 1 2 3\nend\n");
     EXPECT_THROW(TrafficModel::load(is), std::runtime_error);
+  }
+  // Well-formed tokens with hostile values: load itself must reject them,
+  // before any target_at can overflow or emit a non-finite scale.
+  for (const char* shape : {"flash-crowd 7 1 2147483647 2147483647 1 2",
+                            "flash-crowd 7 1 2 4 6 inf",
+                            "diurnal 96 0.2 nan", "diurnal inf 0.2 0"}) {
+    std::istringstream is(std::string("traffic-model v1\nshapes 1\n") +
+                          shape + "\nend\n");
+    EXPECT_THROW(TrafficModel::load(is), std::invalid_argument) << shape;
   }
 }
 
