@@ -4,21 +4,16 @@
 // is adapting to workload change; the figure-5 scenario changes context in
 // three steps, this one changes traffic every interval.
 //
-// Beyond the comparison, the binary gates the traffic layer's determinism
-// contract and exits nonzero on any failure:
-//   * the day's target stream is bitwise identical computed serially and
-//     on a 4-thread pool;
-//   * the RL day is digest-identical whether the offline library was
-//     trained on 1 or 4 threads;
-//   * a run checkpointed mid-day and resumed into a fresh environment
-//     (model re-installed, cursor sought) reproduces the uninterrupted
-//     decision trace byte for byte.
+// The binary measures the day and exits nonzero when the flash-crowd seed
+// scan or either SLA gate fails. The traffic layer's determinism contract
+// is pinned by tests instead:
+//   * TrafficModel.TargetStreamIsBitwiseIdenticalAcrossThreadCounts;
+//   * the ParallelDeterminism library-training goldens;
+//   * CheckpointResume.TrafficDayResumesIntoAFreshEnvironment.
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,9 +21,7 @@
 #include "core/rac_agent.hpp"
 #include "core/runner.hpp"
 #include "core/search.hpp"
-#include "core/snapshot.hpp"
 #include "harness.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/dynamic.hpp"
 
 namespace {
@@ -168,9 +161,8 @@ core::SearchResult tune_nominal_static() {
 // ordering policy at the afternoon's nominal level. best_match() later
 // recognises the drift from measurements alone -- the agent is never told
 // the mix changed.
-core::InitialPolicyLibrary train_library(util::ThreadPool* pool) {
-  core::PolicyInitOptions init;
-  init.pool = pool;
+core::InitialPolicyLibrary train_library() {
+  const core::PolicyInitOptions init;
   core::InitialPolicyLibrary library;
   const struct {
     workload::MixType mix;
@@ -206,15 +198,6 @@ double sla_attainment(const core::AgentTrace& trace) {
   return static_cast<double>(ok) / static_cast<double>(trace.records.size());
 }
 
-std::string jsonl(const obs::MemoryTraceSink& sink) {
-  std::string out;
-  for (const auto& event : sink.events()) {
-    out += obs::to_json(event);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace
 
 int main() {
@@ -238,31 +221,6 @@ int main() {
   std::cout << "day " << day << " intervals, flash crowd onset at interval "
             << onset << "\n";
 
-  // --- target stream is thread-count invariant ----------------------------
-  std::vector<workload::TrafficTarget> serial_targets(
-      static_cast<std::size_t>(day));
-  for (std::int64_t i = 0; i < day; ++i) {
-    serial_targets[static_cast<std::size_t>(i)] =
-        model->target_at(i, kBaseContext.mix);
-  }
-  std::vector<workload::TrafficTarget> pooled_targets(
-      static_cast<std::size_t>(day));
-  {
-    util::ThreadPool pool(4);
-    pool.parallel_for(static_cast<std::size_t>(day), [&](std::size_t i) {
-      pooled_targets[i] =
-          model->target_at(static_cast<std::int64_t>(i), kBaseContext.mix);
-    });
-  }
-  bool streams_match = true;
-  for (int i = 0; i < day; ++i) {
-    streams_match =
-        streams_match && workload::same_target(
-                             serial_targets[static_cast<std::size_t>(i)],
-                             pooled_targets[static_cast<std::size_t>(i)]);
-  }
-  gate(streams_match, "target stream bitwise identical serial vs 4 threads");
-
   // --- best static configuration for the nominal workload -----------------
   std::cout << "tuning the static configuration on the steady nominal "
                "workload (noiseless) ...\n";
@@ -273,7 +231,7 @@ int main() {
 
   // --- the day, measured: RL vs static-optimal vs static-default ----------
   std::cout << "training initial policies offline (Algorithm 2) ...\n";
-  const core::InitialPolicyLibrary library = train_library(nullptr);
+  const core::InitialPolicyLibrary library = train_library();
   const core::ContextSchedule schedule = {{0, kBaseContext}};
 
   core::RacOptions rac_options;
@@ -330,92 +288,13 @@ int main() {
   gate(sla_attainment(best_trace) >= sla_attainment(default_trace),
        "static-optimal is no worse than the static default");
 
-  // --- thread-count invariance of the whole pipeline ----------------------
-  // Train the library serially and on 4 threads, run the identical day from
-  // each, and require digest-identical decision traces.
-  {
-    const auto run_day = [&](util::ThreadPool* pool) {
-      const core::InitialPolicyLibrary lib = train_library(pool);
-      core::RacAgent agent(rac_options, lib, 0);
-      warm_up(agent, run_seed + 1);
-      auto environment = make_day_env(run_seed);
-      environment->set_traffic_model(model);
-      obs::DigestTraceSink sink;
-      core::RunOptions run;
-      run.sink = &sink;
-      core::run_agent(*environment, agent, schedule, day, run);
-      return sink.digest();
-    };
-    util::ThreadPool serial_pool(1);
-    util::ThreadPool wide_pool(4);
-    const std::string serial_digest = run_day(&serial_pool);
-    const std::string wide_digest = run_day(&wide_pool);
-    std::cout << "decision-trace digest serial " << serial_digest << ", 4t "
-              << wide_digest << "\n";
-    gate(serial_digest == wide_digest,
-         "decision-trace digest identical with 1- and 4-thread training");
-  }
-
-  // --- checkpoint mid-day, resume into a fresh environment ----------------
-  {
-    const int crash_at = day / 2 - 3;
-    const std::string checkpoint_path = "bench_dynamic_traffic_checkpoint.rac";
-    env::AnalyticEnvOptions noiseless = bench::default_env_options(run_seed);
-    noiseless.noise_sigma = 0.0;  // a fresh env must resume bit-identically
-    noiseless.num_clients = kNominalClients;
-
-    env::AnalyticEnv reference_env(kBaseContext, noiseless);
-    reference_env.set_traffic_model(model);
-    core::RacAgent reference_agent(rac_options, library, 0);
-    warm_up(reference_agent, run_seed + 1);
-    obs::MemoryTraceSink reference_sink;
-    core::RunOptions reference_run;
-    reference_run.sink = &reference_sink;
-    core::run_agent(reference_env, reference_agent, schedule, day,
-                    reference_run);
-
-    env::AnalyticEnv doomed_env(kBaseContext, noiseless);
-    doomed_env.set_traffic_model(model);
-    core::RacAgent doomed_agent(rac_options, library, 0);
-    warm_up(doomed_agent, run_seed + 1);
-    obs::MemoryTraceSink first_sink;
-    core::RunOptions first_leg;
-    first_leg.sink = &first_sink;
-    first_leg.checkpoint_every = 5;
-    first_leg.checkpoint_path = checkpoint_path;
-    core::run_agent(doomed_env, doomed_agent, schedule, crash_at, first_leg);
-
-    const core::RunCheckpoint checkpoint =
-        core::load_checkpoint_file(checkpoint_path);
-    gate(checkpoint.traffic_interval ==
-             static_cast<std::uint64_t>(crash_at),
-         "checkpoint carries the mid-day traffic cursor");
-
-    env::AnalyticEnv resumed_env(kBaseContext, noiseless);
-    resumed_env.set_traffic_model(model);  // the model is a run input ...
-    resumed_env.seek_traffic(checkpoint.traffic_interval);  // ... cursor isn't
-    core::RacAgent resumed_agent(rac_options, library, 0);
-    std::istringstream state(checkpoint.agent_state);
-    resumed_agent.restore(core::load_agent_snapshot(state));
-    obs::MemoryTraceSink second_sink;
-    core::RunOptions second_leg;
-    second_leg.sink = &second_sink;
-    second_leg.start_iteration =
-        static_cast<int>(checkpoint.completed_iterations);
-    core::run_agent(resumed_env, resumed_agent, schedule, day, second_leg);
-
-    gate(jsonl(first_sink) + jsonl(second_sink) == jsonl(reference_sink),
-         "checkpoint/resume decision trace byte-identical to uninterrupted");
-    std::remove(checkpoint_path.c_str());
-  }
-
   bench::paper_note(
       "an RL agent that reconfigures online should hold the SLA through "
       "traffic it was never scheduled for (diurnal swing, flash crowd, mix "
       "drift) better than any single static configuration",
       failures == 0
-          ? "RL SLA attainment beats the best static configuration; all "
-            "determinism gates hold (see PASS lines above)"
+          ? "RL SLA attainment beats the best static configuration (see "
+            "PASS lines above)"
           : "GATE FAILURES -- see FAIL lines above");
   return failures == 0 ? 0 : 1;
 }

@@ -142,19 +142,12 @@ int main() {
     fleet::FleetReport report;
     double seconds = 0.0;
   };
-  // Per-run digest for the serial-vs-parallel comparison, teed into the
-  // harness sink so the rac-bench-report digest (the trajectory gate)
-  // covers the fleet's actual decisions.
-  struct Tee final : obs::TraceSink {
-    obs::DigestTraceSink digest;
-    void emit(const obs::TraceEvent& event) override {
-      digest.emit(event);
-      bench::trace_sink().emit(event);
-    }
-    void flush() override { bench::trace_sink().flush(); }
-  };
   const auto drive = [&](util::ThreadPool& pool) {
-    Tee sink;
+    // Per-run digest for the serial-vs-parallel comparison, teed into the
+    // harness sink so the rac-bench-report digest (the trajectory gate)
+    // covers the fleet's actual decisions.
+    obs::DigestTraceSink digest;
+    obs::TeeTraceSink sink({&digest, &bench::trace_sink()});
     fleet::FleetOptions options;
     options.shard_count = 64;
     options.seed = run_seed;
@@ -181,7 +174,7 @@ int main() {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    return RunResult{sink.digest.digest(), checkpoint_digest(manager),
+    return RunResult{digest.digest(), checkpoint_digest(manager),
                      manager.report(), seconds};
   };
 

@@ -6,9 +6,7 @@
 #include <exception>
 #include <filesystem>
 #include <iostream>
-#include <optional>
 
-#include "core/library_io.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/pool.hpp"
 #include "obs/profiler.hpp"
@@ -106,92 +104,14 @@ std::unique_ptr<env::AnalyticEnv> make_env(const env::SystemContext& context,
       context, default_env_options(seed, noise_sigma));
 }
 
-namespace {
-
-// Cache filename for a library build: the context list plus the seed fully
-// determine the (deterministic) training result. Context tokens contain
-// '/', which cannot appear in a filename; the mix name plus level digit is
-// unique and filesystem-safe.
-std::string library_cache_name(const std::vector<env::SystemContext>& contexts,
-                               std::uint64_t seed) {
-  std::string name = "lib";
-  for (const auto& context : contexts) {
-    name += "-";
-    name += workload::mix_name(context.mix);
-    name += std::to_string(static_cast<int>(context.level));
-  }
-  name += "-s" + std::to_string(seed);
-  // Quick-mode builds train with fewer sweeps; never let them satisfy (or
-  // be satisfied by) a full-mode cache entry.
-  if (quick()) name += "-q";
-  name += ".rac";
-  return name;
-}
-
-// Load a cached library if it exists and matches the requested contexts;
-// nullopt means "rebuild". A stale or corrupt cache file is reported and
-// ignored, never trusted.
-std::optional<core::InitialPolicyLibrary> try_load_cached_library(
-    const std::string& path,
-    const std::vector<env::SystemContext>& contexts) {
-  std::optional<core::InitialPolicyLibrary> loaded;
-  try {
-    loaded = core::load_library_file(path);
-  } catch (const std::ios_base::failure&) {
-    return std::nullopt;  // no cache file yet
-  } catch (const std::exception& e) {
-    std::cerr << "library cache: ignoring unreadable " << path << ": "
-              << e.what() << "\n";
-    return std::nullopt;
-  }
-  if (loaded->size() != contexts.size()) {
-    std::cerr << "library cache: ignoring stale " << path << "\n";
-    return std::nullopt;
-  }
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    if (!(loaded->at(i).context == contexts[i])) {
-      std::cerr << "library cache: ignoring stale " << path << "\n";
-      return std::nullopt;
-    }
-  }
-  return loaded;
-}
-
-}  // namespace
-
 core::InitialPolicyLibrary build_offline_library(
     const std::vector<env::SystemContext>& contexts, std::uint64_t seed) {
-  // RAC_LIBRARY_CACHE=<dir> caches the offline build on disk: training is
-  // the dominant cost of every bench binary and is bit-deterministic, so
-  // a second run with the same contexts and seed can just reload it.
-  const char* cache_dir = std::getenv("RAC_LIBRARY_CACHE");
-  std::string cache_path;
-  if (cache_dir != nullptr && *cache_dir != '\0') {
-    cache_path =
-        std::string(cache_dir) + "/" + library_cache_name(contexts, seed);
-    if (auto cached = try_load_cached_library(cache_path, contexts)) {
-      std::cout << "library cache: loaded " << cache_path << "\n";
-      return std::move(*cached);
-    }
-  }
-
   core::PolicyInitOptions init;
   init.offline_td.max_sweeps = scaled(150, 40);
-  core::InitialPolicyLibrary library = core::build_library(
+  return core::build_library(
       contexts,
       [&](const env::SystemContext& ctx) { return make_env(ctx, seed); },
       init);
-
-  if (!cache_path.empty()) {
-    try {
-      core::save_library_file(cache_path, library);
-      std::cout << "library cache: saved " << cache_path << "\n";
-    } catch (const std::exception& e) {
-      std::cerr << "library cache: could not save " << cache_path << ": "
-                << e.what() << "\n";
-    }
-  }
-  return library;
 }
 
 core::ContextSchedule paper_schedule() {
@@ -278,47 +198,31 @@ void paper_note(const std::string& expectation, const std::string& measured) {
 
 obs::TraceSink& trace_sink() {
   // Composition with the report digest: RAC_TRACE and RAC_BENCH_REPORT are
-  // independent. RAC_TRACE alone -> JSONL sink; RAC_BENCH_REPORT alone ->
-  // digest sink; both -> a tee feeding both, so the report's digest covers
-  // exactly the events the trace file received; neither -> null sink.
-  static std::unique_ptr<obs::TraceSink> sink = [] {
-    std::unique_ptr<obs::TraceSink> from_env;
+  // independent. RAC_TRACE -> the JSONL sink; RAC_BENCH_REPORT -> the
+  // digest sink; both -> the tee feeds both, so the report's digest covers
+  // exactly the events the trace file received; neither -> the tee is
+  // empty and drops every event.
+  static const std::unique_ptr<obs::TraceSink> from_env = [] {
+    std::unique_ptr<obs::TraceSink> sink;
     try {
-      from_env = obs::sink_from_env();
+      sink = obs::sink_from_env();
     } catch (const std::exception& e) {
       std::cerr << "RAC_TRACE disabled: " << e.what() << "\n";
     }
-    if (from_env != nullptr) {
+    if (sink != nullptr) {
       std::cout << "decision trace -> "
-                << static_cast<obs::JsonlTraceSink*>(from_env.get())->path()
+                << static_cast<obs::JsonlTraceSink*>(sink.get())->path()
                 << " (JSONL, one record per iteration per agent)\n";
-      if (report_env_set()) {
-        struct DigestTee final : obs::TraceSink {
-          explicit DigestTee(std::unique_ptr<obs::TraceSink> inner)
-              : inner_(std::move(inner)) {}
-          void emit(const obs::TraceEvent& event) override {
-            digest_sink().emit(event);
-            inner_->emit(event);
-          }
-          void flush() override { inner_->flush(); }
-          std::unique_ptr<obs::TraceSink> inner_;
-        };
-        return std::unique_ptr<obs::TraceSink>(
-            new DigestTee(std::move(from_env)));
-      }
-      return from_env;
     }
-    if (report_env_set()) {
-      struct DigestOnly final : obs::TraceSink {
-        void emit(const obs::TraceEvent& event) override {
-          digest_sink().emit(event);
-        }
-      };
-      return std::unique_ptr<obs::TraceSink>(new DigestOnly);
-    }
-    return std::unique_ptr<obs::TraceSink>(new obs::NullTraceSink);
+    return sink;
   }();
-  return *sink;
+  static obs::TeeTraceSink tee = [] {
+    std::vector<obs::TraceSink*> sinks;
+    if (report_env_set()) sinks.push_back(&digest_sink());
+    if (from_env != nullptr) sinks.push_back(from_env.get());
+    return obs::TeeTraceSink(std::move(sinks));
+  }();
+  return tee;
 }
 
 core::AgentTrace run_traced(env::Environment& environment,

@@ -32,10 +32,7 @@ std::unique_ptr<env::AnalyticEnv> make_env(const env::SystemContext& context,
                                            double noise_sigma = 0.10);
 
 /// Offline-train one initial policy per context (Algorithm 2 on offline
-/// traces of that context). When $RAC_LIBRARY_CACHE names a directory, the
-/// built library is cached there (keyed by contexts + seed) and reloaded
-/// on later runs instead of re-training; stale or corrupt cache files are
-/// ignored and rebuilt.
+/// traces of that context).
 core::InitialPolicyLibrary build_offline_library(
     const std::vector<env::SystemContext>& contexts, std::uint64_t seed = 7);
 
@@ -75,8 +72,9 @@ void set_report_seed(std::uint64_t seed);
 void paper_note(const std::string& expectation, const std::string& measured);
 
 /// The process-wide decision-trace sink shared by every `run_traced` call:
-/// a JSONL sink at $RAC_TRACE when that variable is set, a null sink
-/// otherwise. Lets any bench binary produce machine-diffable traces with
+/// it feeds a JSONL sink at $RAC_TRACE when that variable is set and the
+/// report digest when $RAC_BENCH_REPORT is, and drops events otherwise.
+/// Lets any bench binary produce machine-diffable traces with
 /// `RAC_TRACE=out.jsonl ./bench_...`.
 obs::TraceSink& trace_sink();
 

@@ -28,8 +28,7 @@ Gating rules (check):
     intentional);
   * per-phase wall time is gated at +25% over baseline for phases costing
     >= 100 ms in the baseline, with up to 2 re-runs taking the minimum
-    (noise robustness); phases absent from either side are skipped, so a
-    warm library cache never trips the gate;
+    (noise robustness); phases absent from either side are skipped;
   * total wall_ms is recorded but not gated (too noisy across hosts and
     cache states) -- EXCEPT where the baseline entry carries a
     `speedup_floor` claim: `append --claim-speedup BENCH:RATIO` records

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <istream>
+#include <ostream>
 #include <sstream>
+#include <stdexcept>
+
+#include "util/lineio.hpp"
 
 namespace rac::config {
 
@@ -85,6 +90,25 @@ std::string Configuration::compact() const {
     os << v;
   }
   return os.str();
+}
+
+void write_configuration(std::ostream& os, const Configuration& c) {
+  const char* separator = "";
+  for (const int v : c.values()) {
+    os << separator << util::format_i64(v);
+    separator = " ";
+  }
+}
+
+Configuration read_configuration(std::istream& is, std::string_view what) {
+  std::array<int, kNumParams> values{};
+  for (int& v : values) v = util::read_int(is, what);
+  const Configuration configuration(values);
+  if (configuration.values() != values) {
+    throw std::runtime_error(std::string(what) +
+                             ": configuration outside parameter ranges");
+  }
+  return configuration;
 }
 
 }  // namespace rac::config

@@ -4,7 +4,9 @@
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "config/params.hpp"
 
@@ -61,5 +63,13 @@ struct ConfigurationHash {
     return c.hash();
   }
 };
+
+/// The persisted form shared by every on-disk format: the kNumParams
+/// values as util/lineio integer tokens, space-separated, with no leading
+/// or trailing separator. read_configuration throws std::runtime_error
+/// naming `what` on a malformed token or on a value outside its
+/// parameter's range (the clamping constructor would silently change it).
+void write_configuration(std::ostream& os, const Configuration& c);
+Configuration read_configuration(std::istream& is, std::string_view what);
 
 }  // namespace rac::config

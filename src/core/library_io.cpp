@@ -85,10 +85,8 @@ void save_library(std::ostream& os, const InitialPolicyLibrary& library) {
     os << "context " << env::context_token(policy.context) << "\n";
     os << "sla " << util::format_double(policy.sla.reference_response_ms)
        << "\n";
-    os << "best_sampled";
-    for (int v : policy.best_sampled.values()) {
-      os << ' ' << util::format_i64(v);
-    }
+    os << "best_sampled ";
+    config::write_configuration(os, policy.best_sampled);
     os << ' ' << util::format_double(policy.best_sampled_response_ms) << "\n";
     os << "regression_r2 " << util::format_double(policy.regression_r2)
        << "\n";
@@ -101,14 +99,7 @@ void save_library(std::ostream& os, const InitialPolicyLibrary& library) {
 
 InitialPolicyLibrary load_library(std::istream& is) {
   constexpr const char* kWhat = "load_library";
-  const std::string magic = util::read_token(is, kWhat);
-  const std::string version = util::read_token(is, kWhat);
-  if (magic != kMagic) {
-    throw std::runtime_error("load_library: not a rac-policy-library stream");
-  }
-  if (version != "v1") {
-    throw std::runtime_error("load_library: unsupported version " + version);
-  }
+  util::expect_header(is, kMagic, kVersion, kWhat);
   util::expect_token(is, "policies", kWhat);
   const std::uint64_t count = util::read_u64(is, kWhat);
   InitialPolicyLibrary library;
@@ -128,15 +119,7 @@ InitialPolicyLibrary load_library(std::istream& is) {
     util::expect_token(is, "sla", kWhat);
     policy.sla.reference_response_ms = util::read_double(is, kWhat);
     util::expect_token(is, "best_sampled", kWhat);
-    std::array<int, config::kNumParams> values{};
-    for (auto& v : values) {
-      v = util::read_int(is, kWhat);
-    }
-    policy.best_sampled = config::Configuration(values);
-    if (policy.best_sampled.values() != values) {
-      throw std::runtime_error(
-          "load_library: best_sampled outside parameter ranges");
-    }
+    policy.best_sampled = config::read_configuration(is, kWhat);
     policy.best_sampled_response_ms = util::read_double(is, kWhat);
     util::expect_token(is, "regression_r2", kWhat);
     policy.regression_r2 = util::read_double(is, kWhat);

@@ -16,33 +16,8 @@ namespace {
 
 constexpr const char* kSnapshotMagic = "rac-agent-snapshot";
 constexpr const char* kCheckpointMagic = "rac-checkpoint";
-// Snapshot v2 added the measurement-robustness hyperparameters and state
-// (PR 5); v1 snapshots still load, with those fields at their all-off
-// defaults.
-// Checkpoint v2 added the environment's traffic-model cursor (dynamic
-// traffic, workload/dynamic.hpp); v1 checkpoints still load, with the
-// cursor at 0 -- exactly what every pre-v2 run (no traffic model) had.
 constexpr int kSnapshotVersion = 2;
 constexpr int kCheckpointVersion = 2;
-
-config::Configuration read_configuration(std::istream& is,
-                                         std::string_view what) {
-  std::array<int, config::kNumParams> values{};
-  for (auto& v : values) v = util::read_int(is, what);
-  const config::Configuration configuration(values);
-  if (configuration.values() != values) {
-    throw std::runtime_error(std::string(what) +
-                             ": configuration outside parameter ranges");
-  }
-  return configuration;
-}
-
-void write_configuration(std::ostream& os, const config::Configuration& c) {
-  const auto& values = c.values();
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    os << util::format_i64(values[i]) << (i + 1 == values.size() ? "" : " ");
-  }
-}
 
 }  // namespace
 
@@ -81,7 +56,7 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s,
   }
   os << "\n";
   os << "current ";
-  write_configuration(os, s.current);
+  config::write_configuration(os, s.current);
   os << "\n";
   os << "first_decide " << util::bool_token(s.first_decide) << "\n";
   os << "policy_switches " << util::format_i64(s.policy_switches) << "\n";
@@ -109,10 +84,7 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s,
   os << "freeze " << util::bool_token(s.freeze_has_last) << ' '
      << util::format_double(s.freeze_last_raw) << ' '
      << util::format_i64(s.freeze_repeats) << "\n";
-  os << "rng";
-  for (std::uint64_t word : s.rng.words) os << ' ' << util::format_u64(word);
-  os << ' ' << util::bool_token(s.rng.has_cached_normal) << ' '
-     << util::format_double(s.rng.cached_normal) << "\n";
+  util::write_rng_state(os, "rng", s.rng);
   os << "detector " << util::format_i64(s.detector_consecutive) << ' '
      << util::bool_token(s.detector_last_violation) << ' '
      << util::format_u64(s.detector_history.size());
@@ -120,7 +92,7 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s,
   os << "\n";
   os << "experience " << util::format_u64(s.experience.size()) << "\n";
   for (const auto& entry : s.experience) {
-    write_configuration(os, entry.configuration);
+    config::write_configuration(os, entry.configuration);
     os << ' ' << util::format_double(entry.observation.response_ms) << ' '
        << util::format_u64(entry.observation.count) << "\n";
   }
@@ -131,16 +103,7 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshot& s,
 
 AgentSnapshot load_agent_snapshot(std::istream& is) {
   constexpr const char* kWhat = "load_agent_snapshot";
-  const std::string magic = util::read_token(is, kWhat);
-  const std::string version = util::read_token(is, kWhat);
-  if (magic != kSnapshotMagic) {
-    throw std::runtime_error("load_agent_snapshot: not an agent snapshot");
-  }
-  if (version != "v1" && version != "v2") {
-    throw std::runtime_error("load_agent_snapshot: unsupported version " +
-                             version);
-  }
-  const bool v2 = version == "v2";
+  util::expect_header(is, kSnapshotMagic, kSnapshotVersion, kWhat);
   AgentSnapshot s;
   util::expect_token(is, "sla", kWhat);
   s.sla_reference_response_ms = util::read_double(is, kWhat);
@@ -184,7 +147,7 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
     }
   }
   util::expect_token(is, "current", kWhat);
-  s.current = read_configuration(is, kWhat);
+  s.current = config::read_configuration(is, kWhat);
   util::expect_token(is, "first_decide", kWhat);
   s.first_decide = util::read_bool(is, kWhat);
   util::expect_token(is, "policy_switches", kWhat);
@@ -204,20 +167,20 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
   util::expect_token(is, "calibration", kWhat);
   s.calibration_initialized = util::read_bool(is, kWhat);
   s.calibration_value = util::read_double(is, kWhat);
-  if (v2) {
-    util::expect_token(is, "robustness", kWhat);
-    s.robustness_clamp = util::read_bool(is, kWhat);
-    s.robustness_floor = util::read_double(is, kWhat);
-    s.robustness_median_of = util::read_int(is, kWhat);
-    s.robustness_freeze_after = util::read_int(is, kWhat);
-    s.safe_fallback_enabled = util::read_bool(is, kWhat);
-    s.safe_fallback_after = util::read_int(is, kWhat);
-    s.safe_fallback_factor = util::read_double(is, kWhat);
-    if (s.robustness_median_of < 1 || s.robustness_freeze_after < 0) {
-      throw std::runtime_error(
-          "load_agent_snapshot: bad robustness hyperparameters");
-    }
-    util::expect_token(is, "recent", kWhat);
+  util::expect_token(is, "robustness", kWhat);
+  s.robustness_clamp = util::read_bool(is, kWhat);
+  s.robustness_floor = util::read_double(is, kWhat);
+  s.robustness_median_of = util::read_int(is, kWhat);
+  s.robustness_freeze_after = util::read_int(is, kWhat);
+  s.safe_fallback_enabled = util::read_bool(is, kWhat);
+  s.safe_fallback_after = util::read_int(is, kWhat);
+  s.safe_fallback_factor = util::read_double(is, kWhat);
+  if (s.robustness_median_of < 1 || s.robustness_freeze_after < 0) {
+    throw std::runtime_error(
+        "load_agent_snapshot: bad robustness hyperparameters");
+  }
+  util::expect_token(is, "recent", kWhat);
+  {
     const std::uint64_t n = util::read_u64(is, kWhat);
     if (n > static_cast<std::uint64_t>(s.robustness_median_of)) {
       throw std::runtime_error(
@@ -226,25 +189,22 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
     for (std::uint64_t i = 0; i < n; ++i) {
       s.recent_responses.push_back(util::read_double(is, kWhat));
     }
-    util::expect_token(is, "fallback", kWhat);
-    s.blowout_streak = util::read_int(is, kWhat);
-    s.last_safe_fallback = util::read_bool(is, kWhat);
-    s.safe_fallbacks = util::read_int(is, kWhat);
-    if (s.blowout_streak < 0 || s.safe_fallbacks < 0) {
-      throw std::runtime_error("load_agent_snapshot: negative fallback state");
-    }
-    util::expect_token(is, "freeze", kWhat);
-    s.freeze_has_last = util::read_bool(is, kWhat);
-    s.freeze_last_raw = util::read_double(is, kWhat);
-    s.freeze_repeats = util::read_int(is, kWhat);
-    if (s.freeze_repeats < 0) {
-      throw std::runtime_error("load_agent_snapshot: negative freeze repeats");
-    }
   }
-  util::expect_token(is, "rng", kWhat);
-  for (auto& word : s.rng.words) word = util::read_u64(is, kWhat);
-  s.rng.has_cached_normal = util::read_bool(is, kWhat);
-  s.rng.cached_normal = util::read_double(is, kWhat);
+  util::expect_token(is, "fallback", kWhat);
+  s.blowout_streak = util::read_int(is, kWhat);
+  s.last_safe_fallback = util::read_bool(is, kWhat);
+  s.safe_fallbacks = util::read_int(is, kWhat);
+  if (s.blowout_streak < 0 || s.safe_fallbacks < 0) {
+    throw std::runtime_error("load_agent_snapshot: negative fallback state");
+  }
+  util::expect_token(is, "freeze", kWhat);
+  s.freeze_has_last = util::read_bool(is, kWhat);
+  s.freeze_last_raw = util::read_double(is, kWhat);
+  s.freeze_repeats = util::read_int(is, kWhat);
+  if (s.freeze_repeats < 0) {
+    throw std::runtime_error("load_agent_snapshot: negative freeze repeats");
+  }
+  s.rng = util::read_rng_state(is, "rng");
   util::expect_token(is, "detector", kWhat);
   s.detector_consecutive = util::read_int(is, kWhat);
   s.detector_last_violation = util::read_bool(is, kWhat);
@@ -261,7 +221,7 @@ AgentSnapshot load_agent_snapshot(std::istream& is) {
     const std::uint64_t n = util::read_u64(is, kWhat);
     for (std::uint64_t i = 0; i < n; ++i) {
       rl::ExperienceEntry entry;
-      entry.configuration = read_configuration(is, kWhat);
+      entry.configuration = config::read_configuration(is, kWhat);
       entry.observation.response_ms = util::read_double(is, kWhat);
       entry.observation.count = util::read_u64(is, kWhat);
       s.experience.push_back(std::move(entry));
@@ -295,22 +255,12 @@ RunCheckpoint load_checkpoint_file(const std::string& path) {
   if (!is) {
     throw std::ios_base::failure("load_checkpoint_file: cannot open " + path);
   }
-  const std::string magic = util::read_token(is, kWhat);
-  const std::string version = util::read_token(is, kWhat);
-  if (magic != kCheckpointMagic) {
-    throw std::runtime_error("load_checkpoint_file: not a checkpoint file");
-  }
-  if (version != "v1" && version != "v2") {
-    throw std::runtime_error("load_checkpoint_file: unsupported version " +
-                             version);
-  }
+  util::expect_header(is, kCheckpointMagic, kCheckpointVersion, kWhat);
   RunCheckpoint checkpoint;
   util::expect_token(is, "completed", kWhat);
   checkpoint.completed_iterations = util::read_u64(is, kWhat);
-  if (version == "v2") {
-    util::expect_token(is, "traffic", kWhat);
-    checkpoint.traffic_interval = util::read_u64(is, kWhat);
-  }
+  util::expect_token(is, "traffic", kWhat);
+  checkpoint.traffic_interval = util::read_u64(is, kWhat);
   util::expect_token(is, "agent_state", kWhat);
   const std::uint64_t bytes = util::read_u64(is, kWhat);
   if (is.get() != '\n') {

@@ -14,9 +14,11 @@
 // adopts the state wholesale; a restored agent continues bit-identically
 // to one that never stopped.
 //
-// The serialization is the same locale-immune, line-oriented token format
+// The serialization ("rac-agent-snapshot v2", and "rac-checkpoint v2" for
+// run checkpoints) is the same locale-immune, line-oriented token format
 // as rl/serialization (hex doubles via util/lineio, explicit "end"
-// trailers so blocks can be embedded in larger streams).
+// trailers so blocks can be embedded in larger streams). Each loader
+// accepts only the version its writer emits.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +47,7 @@ struct AgentSnapshot {
   std::uint64_t violation_min_history = 3;
   bool online_learning = true;
   bool adaptive_policy_switching = true;
-  // Robustness hyperparameters (v2; v1 snapshots imply the defaults, i.e.
-  // all hardening off -- exactly what every pre-v2 agent ran with).
+  // Robustness hyperparameters (all hardening off by default).
   bool robustness_clamp = false;
   double robustness_floor = -5.0;
   int robustness_median_of = 1;
@@ -81,7 +82,7 @@ struct AgentSnapshot {
   double last_reward = 0.0;
   bool calibration_initialized = false;
   double calibration_value = 0.0;
-  // Robustness state (v2; empty/zero in v1 snapshots).
+  // Robustness state.
   std::vector<double> recent_responses;  // median-filter window, oldest first
   int blowout_streak = 0;
   bool last_safe_fallback = false;
@@ -102,8 +103,8 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshot& snapshot,
                          const rl::QTable& qtable);
 
 /// Parse a snapshot produced by save_agent_snapshot. Throws
-/// std::runtime_error on malformed input. Leaves the stream positioned
-/// just past the snapshot's "end" trailer.
+/// std::runtime_error on malformed input, any version but v2 included.
+/// Leaves the stream positioned just past the snapshot's "end" trailer.
 AgentSnapshot load_agent_snapshot(std::istream& is);
 
 /// A run checkpoint: how far the management loop got plus the agent's
@@ -114,8 +115,7 @@ AgentSnapshot load_agent_snapshot(std::istream& is);
 /// measurements, not loop iterations, so under measurement retries it can
 /// exceed `completed_iterations`. Resume callers re-install the traffic
 /// model themselves (the model is immutable run input, like the context
-/// schedule) and then seek_traffic() to this cursor. v1 checkpoints load
-/// with the cursor at 0, which is what every pre-v2 run had.
+/// schedule) and then seek_traffic() to this cursor.
 struct RunCheckpoint {
   std::uint64_t completed_iterations = 0;
   std::uint64_t traffic_interval = 0;
@@ -129,7 +129,7 @@ void write_checkpoint_file(const std::string& path,
 
 /// Load a checkpoint file; rejects trailing garbage. Throws
 /// std::ios_base::failure if the file cannot be opened and
-/// std::runtime_error on malformed contents.
+/// std::runtime_error on malformed contents, any version but v2 included.
 RunCheckpoint load_checkpoint_file(const std::string& path);
 
 }  // namespace rac::core

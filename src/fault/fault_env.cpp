@@ -1,6 +1,5 @@
 #include "fault/fault_env.hpp"
 
-#include <array>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -234,53 +233,35 @@ void FaultyEnv::restore(const FaultyEnvState& state) {
 
 void save_faulty_env_state(std::ostream& os, const FaultyEnvState& state) {
   os << "interval " << util::format_i64(state.interval) << "\n";
-  os << "has_last_reported " << (state.has_last_reported ? 1 : 0) << "\n";
+  os << "has_last_reported " << util::bool_token(state.has_last_reported)
+     << "\n";
   os << "last_reported " << util::format_double(state.last_reported.response_ms)
      << " " << util::format_double(state.last_reported.throughput_rps) << "\n";
-  os << "has_applied " << (state.has_applied ? 1 : 0) << "\n";
-  os << "applied";
-  for (const int v : state.applied_configuration.values()) {
-    os << " " << util::format_i64(v);
-  }
+  os << "has_applied " << util::bool_token(state.has_applied) << "\n";
+  os << "applied ";
+  config::write_configuration(os, state.applied_configuration);
   os << "\n";
 }
 
 FaultyEnvState load_faulty_env_state(std::istream& is) {
+  constexpr const char* kWhat = "faulty-env state";
   FaultyEnvState state;
-  util::expect_token(is, "interval", "faulty-env state");
+  util::expect_token(is, "interval", kWhat);
   state.interval = util::read_int(is, "interval");
   if (state.interval < 0) {
     throw std::runtime_error("faulty-env state: negative interval");
   }
-  const auto read_bool = [&is](const char* label) {
-    util::expect_token(is, label, "faulty-env state");
-    const std::string token = util::read_token(is, label);
-    if (token == "1") return true;
-    if (token == "0") return false;
-    throw std::runtime_error(std::string("faulty-env state: ") + label +
-                             " must be 0 or 1");
-  };
-  state.has_last_reported = read_bool("has_last_reported");
-  util::expect_token(is, "last_reported", "faulty-env state");
-  state.last_reported.response_ms = util::parse_double(
-      util::read_token(is, "last_reported"), "last_reported response");
-  state.last_reported.throughput_rps = util::parse_double(
-      util::read_token(is, "last_reported"), "last_reported throughput");
-  state.has_applied = read_bool("has_applied");
-  util::expect_token(is, "applied", "faulty-env state");
-  std::array<int, config::kNumParams> values{};
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = util::read_int(is, "applied");
-  }
-  // Reconstructing through the clamping constructor validates the ranges;
-  // a clamped (i.e. out-of-range) value is corrupt data, not a tolerable
-  // approximation of the run's actual state.
-  const config::Configuration reconstructed(values);
-  if (reconstructed.values() != values) {
-    throw std::runtime_error(
-        "faulty-env state: applied configuration value out of range");
-  }
-  state.applied_configuration = reconstructed;
+  util::expect_token(is, "has_last_reported", kWhat);
+  state.has_last_reported = util::read_bool(is, "has_last_reported");
+  util::expect_token(is, "last_reported", kWhat);
+  state.last_reported.response_ms =
+      util::read_double(is, "last_reported response");
+  state.last_reported.throughput_rps =
+      util::read_double(is, "last_reported throughput");
+  util::expect_token(is, "has_applied", kWhat);
+  state.has_applied = util::read_bool(is, "has_applied");
+  util::expect_token(is, "applied", kWhat);
+  state.applied_configuration = config::read_configuration(is, "applied");
   return state;
 }
 

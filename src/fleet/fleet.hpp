@@ -167,15 +167,15 @@ class FleetManager {
 
   /// Serialize / adopt the complete fleet state ("rac-fleet-checkpoint
   /// v2"): progress, the shared library, and every tenant's environment
-  /// noise stream, traffic cursor, fault position, and agent snapshot
-  /// (v1 files still load, with every traffic cursor at 0). See fleet_io.hpp
-  /// for the file-level wrappers. restore_checkpoint parses the whole
-  /// stream and validates it against the live specs (tenant count, ids,
-  /// fault topology, library shape) before adopting anything, throwing
-  /// std::runtime_error / std::invalid_argument on mismatch; each tenant's
-  /// snapshot is then adopted validate-then-commit, so discard the fleet
-  /// if a restore throws (an exotic half-bad file can leave earlier
-  /// tenants already restored).
+  /// noise stream, traffic cursor, fault position, and agent snapshot.
+  /// See fleet_io.hpp for the file-level wrappers. restore_checkpoint
+  /// accepts only v2, parses the whole stream and validates it against
+  /// the live specs (tenant count, ids, fault topology, library shape)
+  /// before adopting anything, throwing std::runtime_error /
+  /// std::invalid_argument on mismatch; each tenant's snapshot is then
+  /// adopted validate-then-commit, so discard the fleet if a restore
+  /// throws (an exotic half-bad file can leave earlier tenants already
+  /// restored).
   void save_checkpoint(std::ostream& os) const;
   void restore_checkpoint(std::istream& is);
 

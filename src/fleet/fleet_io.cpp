@@ -21,30 +21,7 @@ namespace rac::fleet {
 namespace {
 
 constexpr const char* kFleetMagic = "rac-fleet-checkpoint";
-// v2 added the per-tenant dynamic-traffic cursor ("traffic <n>" after the
-// env_rng line); v1 checkpoints still load, with every cursor at 0 --
-// exactly what every pre-v2 fleet (no traffic models) had.
 constexpr int kFleetVersion = 2;
-
-void write_rng_state(std::ostream& os, const util::RngState& state) {
-  os << "env_rng";
-  for (const std::uint64_t word : state.words) {
-    os << ' ' << util::format_u64(word);
-  }
-  os << ' ' << util::bool_token(state.has_cached_normal) << ' '
-     << util::format_double(state.cached_normal) << "\n";
-}
-
-util::RngState read_rng_state(std::istream& is) {
-  util::expect_token(is, "env_rng", "fleet checkpoint");
-  util::RngState state;
-  for (std::uint64_t& word : state.words) {
-    word = util::read_u64(is, "env_rng");
-  }
-  state.has_cached_normal = util::read_bool(is, "env_rng");
-  state.cached_normal = util::read_double(is, "env_rng");
-  return state;
-}
 
 }  // namespace
 
@@ -59,7 +36,7 @@ void FleetManager::save_checkpoint(std::ostream& os) const {
   os << "tenants " << util::format_u64(tenants_.size()) << "\n";
   for (const Tenant& tenant : tenants_) {
     os << "tenant " << util::format_i64(tenant.spec.id) << "\n";
-    write_rng_state(os, tenant.analytic->noise_state());
+    util::write_rng_state(os, "env_rng", tenant.analytic->noise_state());
     os << "traffic " << util::format_u64(tenant.analytic->traffic_interval())
        << "\n";
     os << "fault " << util::bool_token(tenant.faulty != nullptr) << "\n";
@@ -76,12 +53,7 @@ void FleetManager::save_checkpoint(std::ostream& os) const {
 }
 
 void FleetManager::restore_checkpoint(std::istream& is) {
-  util::expect_token(is, kFleetMagic, "fleet checkpoint magic");
-  const std::string version = util::read_token(is, "fleet checkpoint version");
-  if (version != "v1" && version != "v2") {
-    throw std::runtime_error("fleet checkpoint: unsupported version '" +
-                             version + "'");
-  }
+  util::expect_header(is, kFleetMagic, kFleetVersion, "fleet checkpoint");
   util::expect_token(is, "seed", "fleet checkpoint");
   const std::uint64_t seed = util::read_u64(is, "seed");
   util::expect_token(is, "fault_seed", "fleet checkpoint");
@@ -136,13 +108,9 @@ void FleetManager::restore_checkpoint(std::istream& is) {
                                " does not match the live fleet's " +
                                std::to_string(tenant.spec.id));
     }
-    rng_states.push_back(read_rng_state(is));
-    if (version == "v2") {
-      util::expect_token(is, "traffic", "fleet checkpoint");
-      traffic_cursors.push_back(util::read_u64(is, "traffic"));
-    } else {
-      traffic_cursors.push_back(0);
-    }
+    rng_states.push_back(util::read_rng_state(is, "env_rng"));
+    util::expect_token(is, "traffic", "fleet checkpoint");
+    traffic_cursors.push_back(util::read_u64(is, "traffic"));
     util::expect_token(is, "fault", "fleet checkpoint");
     const bool has_fault = util::read_bool(is, "fault");
     if (has_fault != (tenant.faulty != nullptr)) {

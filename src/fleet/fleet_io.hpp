@@ -1,5 +1,5 @@
-// Whole-fleet checkpoint/restore ("rac-fleet-checkpoint v2"; v1 files
-// still load, with every traffic cursor at 0).
+// Whole-fleet checkpoint/restore ("rac-fleet-checkpoint v2"; the loader
+// accepts only the version the writer emits).
 //
 // One checkpoint captures everything a fleet needs to continue
 // bit-identically: progress counters, the shared policy library (embedded

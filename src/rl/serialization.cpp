@@ -17,12 +17,9 @@ namespace rac::rl {
 namespace {
 constexpr const char* kMagic = "rac-qtable";
 
-// v1 wrote doubles with printf "%a" / read them with std::stod, both of
-// which obey the process locale -- a French locale turns "1.5" into "1,5"
-// and breaks the round trip. v2 goes through util/lineio (to_chars /
-// from_chars), adds an explicit "end" trailer so the table can be embedded
-// in larger streams (agent snapshots, policy libraries), and rejects
-// duplicate state rows instead of silently letting the last one win.
+// Numbers go through util/lineio (to_chars / from_chars, immune to the
+// process locale); the "end" trailer lets the table be embedded in larger
+// streams (agent snapshots, policy libraries).
 constexpr int kVersion = 2;
 
 // save_qtable formats into a fixed buffer of kBufferChars, handing it to
@@ -92,14 +89,7 @@ void save_qtable(std::ostream& os, const QTable& table) {
 
 QTable load_qtable(std::istream& is) {
   const obs::ProfileScope profile("rl.qtable.load");
-  const std::string magic = util::read_token(is, "load_qtable");
-  const std::string version = util::read_token(is, "load_qtable");
-  if (magic != kMagic) {
-    throw std::runtime_error("load_qtable: not a rac-qtable stream");
-  }
-  if (version != "v1" && version != "v2") {
-    throw std::runtime_error("load_qtable: unsupported version " + version);
-  }
+  util::expect_header(is, kMagic, kVersion, "load_qtable");
   util::expect_token(is, "default_q", "load_qtable");
   QTable table;
   table.set_default_q(util::read_double(is, "load_qtable"));
@@ -109,14 +99,8 @@ QTable load_qtable(std::istream& is) {
   // Rows are read as they parse: `count` is unchecked input, so it sizes
   // nothing up front.
   for (std::uint64_t row = 0; row < count; ++row) {
-    std::array<int, config::kNumParams> values{};
-    for (auto& v : values) {
-      v = util::read_int(is, "load_qtable state row");
-    }
-    const config::Configuration state(values);
-    if (state.values() != values) {
-      throw std::runtime_error("load_qtable: state outside parameter ranges");
-    }
+    const config::Configuration state =
+        config::read_configuration(is, "load_qtable state row");
     if (table.contains(state)) {
       throw std::runtime_error(
           "load_qtable: duplicate state row (each state must appear once)");
@@ -126,10 +110,7 @@ QTable load_qtable(std::istream& is) {
                   util::read_double(is, "load_qtable Q row"));
     }
   }
-  // v1 files simply end after the last row; v2 marks the end explicitly so
-  // embedding callers know where the table stops and file callers can
-  // reject trailing garbage.
-  if (version == "v2") util::expect_token(is, "end", "load_qtable");
+  util::expect_token(is, "end", "load_qtable");
   return table;
 }
 

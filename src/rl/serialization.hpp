@@ -3,14 +3,13 @@
 // Offline policy initialization is the expensive step of RAC (the paper
 // reports >10 hours of data collection per context on the real testbed);
 // a deployment trains once per anticipated context and ships the result.
-// The format is a line-oriented text format: versioned header, one row per
-// state with the 8 parameter values followed by the 17 action values, and
-// (since v2) an explicit "end" trailer so a table can be embedded inside a
-// larger stream (agent snapshots, policy libraries). Text keeps the files
-// diffable and platform-independent; round-trip precision uses hex floats
-// written and parsed with std::to_chars/std::from_chars, which are immune
-// to the process locale (v1 used printf "%a"/std::stod, which are not;
-// the loader still reads v1 files).
+// The format ("rac-qtable v2") is a line-oriented text format: versioned
+// header, one row per state with the 8 parameter values followed by the
+// 17 action values, and an explicit "end" trailer so a table can be
+// embedded inside a larger stream (agent snapshots, policy libraries).
+// Text keeps the files diffable and platform-independent; round-trip
+// precision uses hex floats written and parsed with
+// std::to_chars/std::from_chars, which are immune to the process locale.
 #pragma once
 
 #include <iosfwd>
@@ -23,8 +22,8 @@ namespace rac::rl {
 /// Serialize a Q-table. Throws std::ios_base::failure on stream errors.
 void save_qtable(std::ostream& os, const QTable& table);
 
-/// Parse a Q-table produced by save_qtable (v1 or v2). Throws
-/// std::runtime_error on malformed input: bad magic, unsupported version,
+/// Parse a Q-table produced by save_qtable. Throws
+/// std::runtime_error on malformed input: bad magic, any version but v2,
 /// truncated or malformed rows, and duplicate state rows (a duplicate
 /// would silently shadow earlier values). Leaves the stream positioned
 /// just past the table so callers can embed tables in larger formats.

@@ -18,22 +18,18 @@ namespace {
                            std::string(token) + "'");
 }
 
-template <typename T>
-T parse_integer(std::string_view token, std::string_view what) {
+// std::from_chars over the whole token: `format` is empty for integers
+// (base 10) or one std::chars_format for doubles.
+template <typename T, typename... Format>
+T parse_whole(std::string_view token, std::string_view what,
+              Format... format) {
   T value{};
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value, 10);
+  const auto [ptr, ec] = std::from_chars(
+      token.data(), token.data() + token.size(), value, format...);
   if (ec != std::errc{} || ptr != token.data() + token.size()) {
     bad_token(token, what);
   }
   return value;
-}
-
-bool parse_with_format(std::string_view token, std::chars_format fmt,
-                       double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), out, fmt);
-  return ec == std::errc{} && ptr == token.data() + token.size();
 }
 
 }  // namespace
@@ -85,51 +81,21 @@ std::string format_u64(std::uint64_t v) {
 }
 
 double parse_double(std::string_view token, std::string_view what) {
-  if (token.empty()) bad_token(token, what);
-  // from_chars never accepts an explicit '+', but legacy strtod-written
-  // files can carry one; strip a single leading plus (and nothing more).
-  std::string_view body = token;
-  if (body[0] == '+') {
-    body.remove_prefix(1);
-    if (body.empty() || body[0] == '+' || body[0] == '-') {
-      bad_token(token, what);
-    }
-  }
-  double value = 0.0;
   // Hex floats always carry a binary exponent marker ('p'); decimal and
   // special forms ("inf", "nan", "1.5e3") never do, so the marker decides
-  // the format unambiguously.
-  const bool hex = body.find('p') != std::string_view::npos ||
-                   body.find('P') != std::string_view::npos;
-  if (!hex) {
-    if (!parse_with_format(body, std::chars_format::general, value)) {
-      bad_token(token, what);
-    }
-    return value;
-  }
-  // from_chars hex format takes no 0x prefix; strip the legacy printf
-  // "%a" prefix (after an optional sign) so old files still load.
-  std::string stripped;
-  std::size_t sign = 0;
-  if (!body.empty() && body[0] == '-') sign = 1;
-  if (body.size() >= sign + 2 && body[sign] == '0' &&
-      (body[sign + 1] == 'x' || body[sign + 1] == 'X')) {
-    stripped = body.substr(sign + 2);
-    if (sign == 1) stripped.insert(stripped.begin(), '-');
-    body = stripped;
-  }
-  if (!parse_with_format(body, std::chars_format::hex, value)) {
-    bad_token(token, what);
-  }
-  return value;
+  // the format unambiguously. from_chars takes neither a leading '+' nor
+  // a 0x prefix, and format_double writes neither.
+  const bool hex = token.find_first_of("pP") != std::string_view::npos;
+  return parse_whole<double>(
+      token, what, hex ? std::chars_format::hex : std::chars_format::general);
 }
 
 std::int64_t parse_i64(std::string_view token, std::string_view what) {
-  return parse_integer<std::int64_t>(token, what);
+  return parse_whole<std::int64_t>(token, what);
 }
 
 std::uint64_t parse_u64(std::string_view token, std::string_view what) {
-  return parse_integer<std::uint64_t>(token, what);
+  return parse_whole<std::uint64_t>(token, what);
 }
 
 int parse_int(std::string_view token, std::string_view what) {
@@ -166,11 +132,11 @@ int read_int(std::istream& is, std::string_view what) {
 }
 
 bool read_bool(std::istream& is, std::string_view what) {
-  const std::uint64_t v = read_u64(is, what);
-  if (v > 1) {
+  const std::string token = read_token(is, what);
+  if (token != "0" && token != "1") {
     throw std::runtime_error(std::string(what) + ": flag must be 0 or 1");
   }
-  return v == 1;
+  return token == "1";
 }
 
 void expect_token(std::istream& is, std::string_view expected,
@@ -179,6 +145,20 @@ void expect_token(std::istream& is, std::string_view expected,
   if (token != expected) {
     throw std::runtime_error(std::string(what) + ": expected '" +
                              std::string(expected) + "', got '" + token + "'");
+  }
+}
+
+void expect_header(std::istream& is, std::string_view magic, int version,
+                   std::string_view what) {
+  const std::string got_magic = read_token(is, what);
+  const std::string got_version = read_token(is, what);
+  if (got_magic != magic) {
+    throw std::runtime_error(std::string(what) + ": not a " +
+                             std::string(magic) + " stream");
+  }
+  if (got_version != "v" + format_i64(version)) {
+    throw std::runtime_error(std::string(what) + ": unsupported version " +
+                             got_version);
   }
 }
 

@@ -13,8 +13,8 @@
 //
 // Doubles are formatted as hex floats ("1.91eb851eb851fp+1"): exact
 // round-trip, no shortest-decimal ambiguity, still diffable text. The
-// parser also accepts the legacy 0x-prefixed "%a" spelling and plain
-// decimal/scientific forms.
+// parser also accepts plain decimal/scientific forms, but not the 0x
+// prefix or leading '+' that printf "%a" writes.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +52,7 @@ char* put_i64(char* first, std::int64_t v);
 
 /// Strict parsers: the whole token must be consumed. Throw
 /// std::runtime_error naming `what` on malformed input. parse_double
-/// accepts hex floats (with or without 0x prefix) and decimal forms.
+/// accepts format_double's hex floats and decimal forms.
 double parse_double(std::string_view token, std::string_view what);
 std::int64_t parse_i64(std::string_view token, std::string_view what);
 std::uint64_t parse_u64(std::string_view token, std::string_view what);
@@ -72,13 +72,19 @@ int read_int(std::istream& is, std::string_view what);
 
 /// Flags persist as the tokens "1" / "0". read_bool reads one back and
 /// throws std::runtime_error ("<what>: flag must be 0 or 1") on any other
-/// value.
+/// token.
 inline const char* bool_token(bool b) { return b ? "1" : "0"; }
 bool read_bool(std::istream& is, std::string_view what);
 
 /// read_token that must equal `expected`; throws otherwise.
 void expect_token(std::istream& is, std::string_view expected,
                   std::string_view what);
+
+/// Reads a format's "<magic> v<version>" header and throws
+/// std::runtime_error naming `what` unless both tokens match: every loader
+/// accepts exactly the version its writer emits.
+void expect_header(std::istream& is, std::string_view magic, int version,
+                   std::string_view what);
 
 /// Durable file replace: write `parts`, in order, to `path + ".tmp"`,
 /// flush, then rename over `path` (atomic on POSIX filesystems -- readers

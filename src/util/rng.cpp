@@ -1,10 +1,13 @@
 #include "util/rng.hpp"
 
 #include <cmath>
+#include <istream>
 #include <numbers>
+#include <ostream>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
+#include "util/lineio.hpp"
 
 namespace rac::util {
 
@@ -138,6 +141,23 @@ void Rng::restore(const RngState& state) {
   s_ = state.words;
   cached_normal_ = state.cached_normal;
   has_cached_normal_ = state.has_cached_normal;
+}
+
+void write_rng_state(std::ostream& os, std::string_view label,
+                     const RngState& state) {
+  os << label;
+  for (const std::uint64_t word : state.words) os << ' ' << format_u64(word);
+  os << ' ' << bool_token(state.has_cached_normal) << ' '
+     << format_double(state.cached_normal) << "\n";
+}
+
+RngState read_rng_state(std::istream& is, std::string_view label) {
+  expect_token(is, label, label);
+  RngState state;
+  for (std::uint64_t& word : state.words) word = read_u64(is, label);
+  state.has_cached_normal = read_bool(is, label);
+  state.cached_normal = read_double(is, label);
+  return state;
 }
 
 }  // namespace rac::util

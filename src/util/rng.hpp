@@ -8,8 +8,10 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace rac::util {
@@ -32,6 +34,14 @@ struct RngState {
   double cached_normal = 0.0;
   bool has_cached_normal = false;
 };
+
+/// The persisted form of an RngState, one token line in the util/lineio
+/// idiom: "<label> <word0> <word1> <word2> <word3> <cached flag>
+/// <cached normal>\n". read_rng_state expects `label` first and throws
+/// std::runtime_error naming it on malformed input.
+void write_rng_state(std::ostream& os, std::string_view label,
+                     const RngState& state);
+RngState read_rng_state(std::istream& is, std::string_view label);
 
 /// xoshiro256** engine. Satisfies UniformRandomBitGenerator.
 class Rng {

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <istream>
 #include <numbers>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
 #include "util/contracts.hpp"
-#include "util/lineio.hpp"
 #include "util/rng.hpp"
 
 namespace rac::workload {
@@ -22,11 +19,6 @@ namespace {
 // scripts (the FaultyEnv per-(interval, kind) idiom).
 constexpr std::uint64_t kFlashSalt = 0xF1A5'0000'0001ULL;
 constexpr std::uint64_t kThinkSalt = 0xF1A5'0000'0003ULL;
-
-// A practical ceiling on deserialized shape counts: a model is authored by
-// hand or by a bench, never generated at scale, so a huge count is corrupt
-// data rather than a real model.
-constexpr std::uint64_t kMaxShapes = 4096;
 
 constexpr std::size_t idx(MixType mix) {
   return static_cast<std::size_t>(static_cast<int>(mix));
@@ -154,12 +146,6 @@ void DiurnalShape::apply(std::int64_t interval, TrafficTarget& target) const {
   target.concurrency_scale *= 1.0 + params_.amplitude * std::sin(angle);
 }
 
-void DiurnalShape::save(std::ostream& os) const {
-  os << kind() << ' ' << util::format_double(params_.period_intervals) << ' '
-     << util::format_double(params_.amplitude) << ' '
-     << util::format_double(params_.phase_intervals) << "\n";
-}
-
 // ---- flash crowd -----------------------------------------------------------
 
 FlashCrowdShape::FlashCrowdShape(const FlashCrowdParams& params)
@@ -235,15 +221,6 @@ void FlashCrowdShape::apply(std::int64_t interval,
   target.concurrency_scale *= flash_scale_at(params_, interval);
 }
 
-void FlashCrowdShape::save(std::ostream& os) const {
-  os << kind() << ' ' << util::format_u64(params_.seed) << ' '
-     << util::format_double(params_.onset_prob) << ' '
-     << util::format_i64(params_.ramp_intervals) << ' '
-     << util::format_i64(params_.hold_intervals) << ' '
-     << util::format_i64(params_.decay_intervals) << ' '
-     << util::format_double(params_.peak_scale) << "\n";
-}
-
 // ---- mix drift -------------------------------------------------------------
 
 MixDriftShape::MixDriftShape(const MixDriftParams& params) : params_(params) {
@@ -277,13 +254,6 @@ void MixDriftShape::apply(std::int64_t interval, TrafficTarget& target) const {
   target.mix_weights = weights;
 }
 
-void MixDriftShape::save(std::ostream& os) const {
-  os << kind() << ' ' << mix_name(params_.from) << ' '
-     << mix_name(params_.to) << ' '
-     << util::format_i64(params_.start_interval) << ' '
-     << util::format_i64(params_.duration_intervals) << "\n";
-}
-
 // ---- think noise -----------------------------------------------------------
 
 ThinkNoiseShape::ThinkNoiseShape(const ThinkNoiseParams& params)
@@ -298,11 +268,6 @@ void ThinkNoiseShape::apply(std::int64_t interval,
   if (params_.sigma <= 0.0) return;
   util::Rng rng = interval_rng(params_.seed, interval, kThinkSalt);
   target.think_scale *= rng.lognormal_unit(params_.sigma);
-}
-
-void ThinkNoiseShape::save(std::ostream& os) const {
-  os << kind() << ' ' << util::format_u64(params_.seed) << ' '
-     << util::format_double(params_.sigma) << "\n";
 }
 
 // ---- the model -------------------------------------------------------------
@@ -341,66 +306,6 @@ TrafficTarget TrafficModel::target_at(std::int64_t interval,
   RAC_ENSURE(target.think_scale > 0.0,
              "TrafficModel::target_at: non-positive think scale");
   return target;
-}
-
-void TrafficModel::save(std::ostream& os) const {
-  os << "traffic-model v1\n";
-  os << "shapes " << util::format_u64(shapes_.size()) << "\n";
-  for (const auto& shape : shapes_) {
-    shape->save(os);
-  }
-  os << "end\n";
-}
-
-TrafficModel TrafficModel::load(std::istream& is) {
-  constexpr const char* kWhat = "traffic-model";
-  util::expect_token(is, "traffic-model", kWhat);
-  const std::string version = util::read_token(is, kWhat);
-  if (version != "v1") {
-    throw std::runtime_error("traffic-model: unsupported version " + version);
-  }
-  util::expect_token(is, "shapes", kWhat);
-  const std::uint64_t count = util::read_u64(is, kWhat);
-  if (count > kMaxShapes) {
-    throw std::runtime_error("traffic-model: implausible shape count");
-  }
-  TrafficModel model;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string kind = util::read_token(is, kWhat);
-    if (kind == "diurnal") {
-      DiurnalParams p;
-      p.period_intervals = util::read_double(is, kWhat);
-      p.amplitude = util::read_double(is, kWhat);
-      p.phase_intervals = util::read_double(is, kWhat);
-      model.add_diurnal(p);
-    } else if (kind == "flash-crowd") {
-      FlashCrowdParams p;
-      p.seed = util::read_u64(is, kWhat);
-      p.onset_prob = util::read_double(is, kWhat);
-      p.ramp_intervals = util::read_int(is, kWhat);
-      p.hold_intervals = util::read_int(is, kWhat);
-      p.decay_intervals = util::read_int(is, kWhat);
-      p.peak_scale = util::read_double(is, kWhat);
-      model.add_flash_crowd(p);
-    } else if (kind == "mix-drift") {
-      MixDriftParams p;
-      p.from = parse_mix_name(util::read_token(is, kWhat));
-      p.to = parse_mix_name(util::read_token(is, kWhat));
-      p.start_interval = util::read_i64(is, kWhat);
-      p.duration_intervals = util::read_int(is, kWhat);
-      model.add_mix_drift(p);
-    } else if (kind == "think-noise") {
-      ThinkNoiseParams p;
-      p.seed = util::read_u64(is, kWhat);
-      p.sigma = util::read_double(is, kWhat);
-      model.add_think_noise(p);
-    } else {
-      throw std::runtime_error("traffic-model: unknown shape kind '" + kind +
-                               "'");
-    }
-  }
-  util::expect_token(is, "end", kWhat);
-  return model;
 }
 
 }  // namespace rac::workload

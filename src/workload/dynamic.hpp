@@ -20,16 +20,15 @@
 // util::derive_seed(shape seed, interval) plus a per-kind salt -- the
 // fault::FaultyEnv::faults_at idiom -- never from a shared stream, so a
 // target stream is bitwise identical at any RAC_THREADS, across
-// clone_with_seed, and across a checkpoint/restore boundary (the
-// environments persist only their interval cursor; the model itself is
-// immutable and shared by const pointer).
+// clone_with_seed, and across a checkpoint/restore boundary. A model is
+// run input, built in code and shared by const pointer, and has no
+// on-disk form: checkpoints persist only the environments' interval
+// cursor, and a resumed run re-installs the same model.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "workload/tpcw.hpp"
@@ -84,14 +83,6 @@ class TrafficShape {
 
   /// Fold this shape's effect for `interval` (>= 0) into `target`.
   virtual void apply(std::int64_t interval, TrafficTarget& target) const = 0;
-
-  /// Serialization tag ("diurnal", "flash-crowd", "mix-drift",
-  /// "think-noise").
-  virtual std::string kind() const = 0;
-
-  /// Write the shape as one "<kind> <params...>\n" token line (the
-  /// TrafficModel v1 format; numbers via util/lineio).
-  virtual void save(std::ostream& os) const = 0;
 };
 
 // ---- diurnal sinusoid ------------------------------------------------------
@@ -113,10 +104,6 @@ class DiurnalShape final : public TrafficShape {
   explicit DiurnalShape(const DiurnalParams& params);
 
   void apply(std::int64_t interval, TrafficTarget& target) const override;
-  std::string kind() const override { return "diurnal"; }
-  void save(std::ostream& os) const override;
-
-  const DiurnalParams& params() const noexcept { return params_; }
 
  private:
   DiurnalParams params_;
@@ -165,10 +152,6 @@ class FlashCrowdShape final : public TrafficShape {
   explicit FlashCrowdShape(const FlashCrowdParams& params);
 
   void apply(std::int64_t interval, TrafficTarget& target) const override;
-  std::string kind() const override { return "flash-crowd"; }
-  void save(std::ostream& os) const override;
-
-  const FlashCrowdParams& params() const noexcept { return params_; }
 
  private:
   FlashCrowdParams params_;
@@ -196,10 +179,6 @@ class MixDriftShape final : public TrafficShape {
   explicit MixDriftShape(const MixDriftParams& params);
 
   void apply(std::int64_t interval, TrafficTarget& target) const override;
-  std::string kind() const override { return "mix-drift"; }
-  void save(std::ostream& os) const override;
-
-  const MixDriftParams& params() const noexcept { return params_; }
 
  private:
   MixDriftParams params_;
@@ -219,10 +198,6 @@ class ThinkNoiseShape final : public TrafficShape {
   explicit ThinkNoiseShape(const ThinkNoiseParams& params);
 
   void apply(std::int64_t interval, TrafficTarget& target) const override;
-  std::string kind() const override { return "think-noise"; }
-  void save(std::ostream& os) const override;
-
-  const ThinkNoiseParams& params() const noexcept { return params_; }
 
  private:
   ThinkNoiseParams params_;
@@ -244,21 +219,11 @@ class TrafficModel {
   TrafficModel& add_think_noise(const ThinkNoiseParams& params);
 
   bool empty() const noexcept { return shapes_.empty(); }
-  std::size_t size() const noexcept { return shapes_.size(); }
-  const TrafficShape& shape(std::size_t i) const { return *shapes_.at(i); }
 
   /// The target for one interval: starts from one_hot_target(base_mix) and
   /// applies every shape in insertion order. Pure function of
   /// (shapes, interval, base_mix); interval must be >= 0 (contract).
   TrafficTarget target_at(std::int64_t interval, MixType base_mix) const;
-
-  /// Token round-trip ("traffic-model v1" ... "end") in the snapshot
-  /// idiom: locale-immune, hex-float doubles, embeddable in a larger
-  /// stream (load leaves the stream just past the trailer). load throws
-  /// std::runtime_error on malformed input (std::invalid_argument when a
-  /// well-formed token carries an out-of-range parameter).
-  void save(std::ostream& os) const;
-  static TrafficModel load(std::istream& is);
 
  private:
   std::vector<std::shared_ptr<const TrafficShape>> shapes_;

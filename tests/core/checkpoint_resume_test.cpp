@@ -20,6 +20,7 @@
 #include "env/analytic_env.hpp"
 #include "fault/fault_env.hpp"
 #include "obs/trace.hpp"
+#include "workload/dynamic.hpp"
 
 namespace rac::core {
 namespace {
@@ -256,6 +257,72 @@ TEST(CheckpointResume, InjectedFaultRunStitchesBitIdentically) {
               reference_env.true_history()[i].throughput_rps);
   }
 
+  std::remove(checkpoint_path.c_str());
+}
+
+// The same bar under dynamic traffic: a day with a diurnal swing, a flash
+// crowd and a mix drift, checkpointed by run_agent and resumed into a
+// *fresh* environment. The traffic model is run input, so the resumed run
+// re-installs it and seeks the checkpoint's cursor. Noise is off because a
+// fresh environment's noise stream starts over.
+TEST(CheckpointResume, TrafficDayResumesIntoAFreshEnvironment) {
+  const InitialPolicyLibrary library = small_library();
+  const RacOptions options;
+  const SystemContext context{MixType::kShopping, VmLevel::kLevel1};
+  const ContextSchedule schedule = {{0, context}};
+  auto model = std::make_shared<workload::TrafficModel>();
+  model->add_diurnal({24.0, 0.3, 0.0})
+      .add_flash_crowd({7, 0.1, 2, 3, 4, 1.5})
+      .add_mix_drift({MixType::kShopping, MixType::kOrdering, 10, 8})
+      .add_think_noise({11, 0.1});
+  AnalyticEnvOptions noiseless;
+  noiseless.noise_sigma = 0.0;
+  const std::string checkpoint_path =
+      ::testing::TempDir() + "/rac_checkpoint_traffic_test.rac";
+
+  // --- reference: never crashes -----------------------------------------
+  AnalyticEnv reference_env(context, noiseless);
+  reference_env.set_traffic_model(model);
+  RacAgent reference_agent(options, library, 0);
+  obs::MemoryTraceSink reference_sink;
+  RunOptions reference_run;
+  reference_run.sink = &reference_sink;
+  run_agent(reference_env, reference_agent, schedule, kTotal, reference_run);
+
+  // --- leg 1: checkpointing run that "crashes" at kCrashAt ---------------
+  AnalyticEnv doomed_env(context, noiseless);
+  doomed_env.set_traffic_model(model);
+  RacAgent doomed_agent(options, library, 0);
+  obs::MemoryTraceSink first_sink;
+  RunOptions first_leg;
+  first_leg.sink = &first_sink;
+  first_leg.checkpoint_every = 5;
+  first_leg.checkpoint_path = checkpoint_path;
+  run_agent(doomed_env, doomed_agent, schedule, kCrashAt, first_leg);
+
+  const RunCheckpoint checkpoint = load_checkpoint_file(checkpoint_path);
+  ASSERT_EQ(checkpoint.completed_iterations,
+            static_cast<std::uint64_t>(kCrashAt));
+  // One measurement per interval, so the cursor is the interval count.
+  ASSERT_EQ(checkpoint.traffic_interval, static_cast<std::uint64_t>(kCrashAt));
+
+  // --- leg 2: fresh environment and agent --------------------------------
+  AnalyticEnv resumed_env(context, noiseless);
+  resumed_env.set_traffic_model(model);
+  resumed_env.seek_traffic(checkpoint.traffic_interval);
+  RacAgent resumed_agent(options, library, 0);
+  std::istringstream state(checkpoint.agent_state);
+  resumed_agent.restore(load_agent_snapshot(state));
+  obs::MemoryTraceSink second_sink;
+  RunOptions second_leg;
+  second_leg.sink = &second_sink;
+  second_leg.start_iteration =
+      static_cast<int>(checkpoint.completed_iterations);
+  run_agent(resumed_env, resumed_agent, schedule, kTotal, second_leg);
+
+  EXPECT_EQ(resumed_env.traffic_interval(), reference_env.traffic_interval());
+  EXPECT_EQ(jsonl(first_sink) + jsonl(second_sink), jsonl(reference_sink));
+  EXPECT_EQ(final_state(resumed_agent), final_state(reference_agent));
   std::remove(checkpoint_path.c_str());
 }
 

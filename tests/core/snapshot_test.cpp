@@ -150,6 +150,20 @@ TEST(AgentSnapshotIo, RejectsForeignMagicAndVersion) {
   EXPECT_THROW(load_agent_snapshot(foreign), std::runtime_error);
   std::istringstream unsupported("rac-agent-snapshot v9\n");
   EXPECT_THROW(load_agent_snapshot(unsupported), std::runtime_error);
+
+  // A well-formed v1 snapshot (no robustness lines) is no longer read.
+  std::string v1;
+  std::istringstream lines(serialized(sample_snapshot()));
+  for (std::string line; std::getline(lines, line);) {
+    if (line == "rac-agent-snapshot v2") line = "rac-agent-snapshot v1";
+    for (const char* v2_only : {"robustness ", "recent ", "fallback ",
+                                "freeze "}) {
+      if (line.rfind(v2_only, 0) == 0) line.clear();
+    }
+    if (!line.empty()) v1 += line + "\n";
+  }
+  std::istringstream old_version(v1);
+  EXPECT_THROW(load_agent_snapshot(old_version), std::runtime_error);
 }
 
 TEST(AgentSnapshotIo, RejectsTruncatedInput) {
@@ -254,20 +268,6 @@ TEST(CheckpointIo, TrafficCursorRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointIo, V1FileLoadsWithZeroTrafficCursor) {
-  // A pre-traffic checkpoint (v1, no "traffic" line) must keep loading;
-  // the cursor defaults to 0 -- exactly what a run without a traffic
-  // model had.
-  const std::string path = ::testing::TempDir() + "/rac_checkpoint_v1.rac";
-  util::atomic_write_file(
-      path, "rac-checkpoint v1\ncompleted 7\nagent_state 6\nopaque\nend\n");
-  const RunCheckpoint loaded = load_checkpoint_file(path);
-  EXPECT_EQ(loaded.completed_iterations, 7u);
-  EXPECT_EQ(loaded.traffic_interval, 0u);
-  EXPECT_EQ(loaded.agent_state, "opaque");
-  std::remove(path.c_str());
-}
-
 TEST(CheckpointIo, MissingFileThrowsIosFailure) {
   EXPECT_THROW(load_checkpoint_file("/nonexistent/dir/cp.rac"),
                std::ios_base::failure);
@@ -290,6 +290,11 @@ TEST(CheckpointIo, RejectsTrailingGarbageAndTruncation) {
 
   // A byte count larger than the remaining file is a truncated state.
   util::atomic_write_file(path, text.substr(0, text.size() - 10));
+  EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
+
+  // A well-formed v1 checkpoint (no traffic line) is no longer read.
+  util::atomic_write_file(
+      path, "rac-checkpoint v1\ncompleted 7\nagent_state 6\nopaque\nend\n");
   EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
   std::remove(path.c_str());
 }

@@ -78,6 +78,9 @@ TEST(Serialization, RejectsForeignStream) {
 TEST(Serialization, RejectsUnsupportedVersion) {
   std::stringstream stream("rac-qtable v99\ndefault_q 0x0p+0\nstates 0\n");
   EXPECT_THROW(load_qtable(stream), std::runtime_error);
+  // v1 (printf "%a" doubles, no trailer) is no longer written or read.
+  std::stringstream v1("rac-qtable v1\ndefault_q 0p+0\nstates 0\n");
+  EXPECT_THROW(load_qtable(v1), std::runtime_error);
 }
 
 TEST(Serialization, RejectsTruncatedRows) {
@@ -141,29 +144,6 @@ TEST(Serialization, TablesCanBeEmbeddedBackToBack) {
   std::string next;
   stream >> next;
   EXPECT_EQ(next, "tail-token");
-}
-
-TEST(Serialization, LoadsLegacyV1PrintfHexFloats) {
-  // v1 files were written with printf "%a" (0x-prefixed hex floats) and
-  // have no "end" trailer. Craft one by hand and check exact values.
-  util::Rng rng(3);
-  const auto state = config::ConfigSpace::random_fine(rng);
-  std::ostringstream os;
-  os << "rac-qtable v1\n";
-  os << "default_q -0x1p-1\n";  // -0.5
-  os << "states 1\n";
-  for (int v : state.values()) os << v << ' ';
-  for (std::size_t a = 0; a < config::kNumActions; ++a) {
-    os << "0x1.8p+0" << (a + 1 == config::kNumActions ? "\n" : " ");
-  }
-  std::istringstream is(os.str());
-  const QTable loaded = load_qtable(is);
-  EXPECT_DOUBLE_EQ(loaded.default_q(), -0.5);
-  ASSERT_EQ(loaded.size(), 1u);
-  for (std::size_t a = 0; a < config::kNumActions; ++a) {
-    EXPECT_DOUBLE_EQ(loaded.q(state, config::Action(static_cast<int>(a))),
-                     1.5);
-  }
 }
 
 TEST(Serialization, RejectsDuplicateStateRows) {

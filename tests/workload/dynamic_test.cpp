@@ -1,5 +1,5 @@
-// Dynamic-traffic layer: shape purity/determinism, blend identities, the
-// model's token round-trip, and the golden cross-thread target streams.
+// Dynamic-traffic layer: shape purity/determinism, parameter validation,
+// blend identities, and the golden cross-thread target streams.
 #include "workload/dynamic.hpp"
 
 #include <gtest/gtest.h>
@@ -7,8 +7,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -332,46 +330,6 @@ TEST(TrafficModel, TargetStreamIsBitwiseIdenticalAcrossThreadCounts) {
   for (std::int64_t i = 0; i < kIntervals; ++i) {
     expect_same(serial[static_cast<std::size_t>(i)],
                 parallel[static_cast<std::size_t>(i)]);
-  }
-}
-
-TEST(TrafficModel, SaveLoadRoundTripsTheTargetStreamBitwise) {
-  const TrafficModel model = day_model();
-  std::stringstream stream;
-  model.save(stream);
-  stream << "sentinel\n";  // the loader must stop exactly at the trailer
-  const TrafficModel loaded = TrafficModel::load(stream);
-  ASSERT_EQ(loaded.size(), model.size());
-  for (std::int64_t i = 0; i < 200; ++i) {
-    expect_same(model.target_at(i, MixType::kBrowsing),
-                loaded.target_at(i, MixType::kBrowsing));
-  }
-  std::string tail;
-  stream >> tail;
-  EXPECT_EQ(tail, "sentinel");
-}
-
-TEST(TrafficModel, LoadRejectsMalformedInput) {
-  {
-    std::istringstream is("not-a-model v1\nend\n");
-    EXPECT_THROW(TrafficModel::load(is), std::runtime_error);
-  }
-  {
-    std::istringstream is("traffic-model v9\nend\n");
-    EXPECT_THROW(TrafficModel::load(is), std::runtime_error);
-  }
-  {
-    std::istringstream is("traffic-model v1\nshapes 1\nwarp 1 2 3\nend\n");
-    EXPECT_THROW(TrafficModel::load(is), std::runtime_error);
-  }
-  // Well-formed tokens with hostile values: load itself must reject them,
-  // before any target_at can overflow or emit a non-finite scale.
-  for (const char* shape : {"flash-crowd 7 1 2147483647 2147483647 1 2",
-                            "flash-crowd 7 1 2 4 6 inf",
-                            "diurnal 96 0.2 nan", "diurnal inf 0.2 0"}) {
-    std::istringstream is(std::string("traffic-model v1\nshapes 1\n") +
-                          shape + "\nend\n");
-    EXPECT_THROW(TrafficModel::load(is), std::invalid_argument) << shape;
   }
 }
 
