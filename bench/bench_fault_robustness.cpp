@@ -63,7 +63,6 @@ core::RunOptions run_options(bool hardened) {
   core::RunOptions options;
   options.robustness.enabled = hardened;
   options.robustness.max_retries = 2;
-  options.robustness.hold_last_on_missing = true;
   return options;
 }
 

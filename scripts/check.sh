@@ -44,9 +44,9 @@
 #               selftest` builds the standalone bench/e2e CMake project
 #               (under build-e2e/) and runs a smoke pass over all four
 #               workloads plus tamper tests of its result checker (~5 s
-#               plus the build). Tier-1 never builds bench/e2e, so this
-#               is the phase that catches an interface change breaking
-#               the benchmark driver.
+#               plus the build). Tier-1 only compiles rac_e2e.cpp (the
+#               rac_e2e_compile_check object target); this phase also
+#               links and runs it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

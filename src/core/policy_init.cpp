@@ -34,10 +34,6 @@ double InitialPolicy::predict_reward(const config::Configuration& c) const {
 
 InitialPolicy learn_initial_policy(env::Environment& environment,
                                    const PolicyInitOptions& options) {
-  if (options.samples_per_config < 1) {
-    throw std::invalid_argument("learn_initial_policy: bad sample count");
-  }
-
   obs::Registry& registry = obs::registry_or_default(options.registry);
   obs::Counter& c_policies = registry.counter("core.policy_init.policies");
   obs::Counter& c_samples =
@@ -58,47 +54,30 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
   // include them so the initial policy knows the online starting state.
   samples.push_back(config::Configuration::defaults());
 
+  // Fan the grid out over the pool, one private clone per sample. The
+  // clone is reseeded from (environment seed, sample index), so every
+  // sample owns a fixed noise stream: the responses -- and everything
+  // trained from them -- are bit-identical at any thread count,
+  // independent of how many measurements `environment` served before.
   std::vector<double> responses(samples.size(), 0.0);
-  if (environment.thread_safe()) {
-    // Fan the grid out over the pool, one private clone per sample. The
-    // clone is reseeded from (environment seed, sample index), so every
-    // sample owns a fixed noise stream: the responses -- and everything
-    // trained from them -- are bit-identical at any thread count,
-    // independent of how many measurements `environment` served before.
-    util::ThreadPool& pool =
-        options.pool != nullptr ? *options.pool : obs::shared_pool();
-    // Workers re-anchor at the submitting thread's open phases so the
-    // profile tree has the same shape at any thread count.
-    const std::vector<std::string> profile_path =
-        obs::Profiler::default_profiler().capture_path();
-    pool.parallel_for(samples.size(), [&](std::size_t i) {
-      const obs::ProfileAnchor anchor(profile_path);
-      const obs::ProfileScope sample_profile("policy_init.coarse_sample");
-      const auto clone = environment.clone_with_seed(i);
-      if (clone == nullptr) {
-        throw std::logic_error(
-            "learn_initial_policy: thread_safe environment returned a null "
-            "clone");
-      }
-      double total = 0.0;
-      for (int rep = 0; rep < options.samples_per_config; ++rep) {
-        total += clone->measure(samples[i])  // rac-analyze: allow(unchecked-measure) offline probe
-                     .response_ms;
-      }
-      responses[i] = total / options.samples_per_config;
-    });
-  } else {
-    // Shared mutable environment: measure serially in sample order.
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const obs::ProfileScope sample_profile("policy_init.coarse_sample");
-      double total = 0.0;
-      for (int rep = 0; rep < options.samples_per_config; ++rep) {
-        total += environment.measure(samples[i])  // rac-analyze: allow(unchecked-measure) offline probe
-                     .response_ms;
-      }
-      responses[i] = total / options.samples_per_config;
+  util::ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : obs::shared_pool();
+  // Workers re-anchor at the submitting thread's open phases so the
+  // profile tree has the same shape at any thread count.
+  const std::vector<std::string> profile_path =
+      obs::Profiler::default_profiler().capture_path();
+  pool.parallel_for(samples.size(), [&](std::size_t i) {
+    const obs::ProfileAnchor anchor(profile_path);
+    const obs::ProfileScope sample_profile("policy_init.coarse_sample");
+    const auto clone = environment.clone_with_seed(i);
+    if (clone == nullptr) {
+      throw std::invalid_argument(
+          "learn_initial_policy: the environment cannot be cloned, and every "
+          "coarse sample is measured on a clone");
     }
-  }
+    responses[i] = clone->measure(samples[i])  // rac-analyze: allow(unchecked-measure) offline probe
+                       .response_ms;
+  });
 
   std::vector<double> features;  // normalized configs, row-major
   features.reserve(samples.size() * config::kNumParams);
@@ -165,8 +144,7 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
                     options.registry);
   }
   c_policies.add(1);
-  c_samples.add(samples.size() *
-                static_cast<std::size_t>(options.samples_per_config));
+  c_samples.add(samples.size());
   return policy;
 }
 

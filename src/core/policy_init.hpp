@@ -35,8 +35,7 @@ class ThreadPool;
 namespace rac::core {
 
 struct PolicyInitOptions {
-  int coarse_levels = 4;       // positions per group during data collection
-  int samples_per_config = 1;  // measurements averaged per sampled config
+  int coarse_levels = 4;  // positions per group during data collection
   SlaSpec sla{};
   /// Offline Algorithm-1 constants (paper: alpha=.1, gamma=.9, eps=.1).
   rl::TdParams offline_td{0.1, 0.9, 0.1, 1e-3, 10, 300};
@@ -44,9 +43,8 @@ struct PolicyInitOptions {
   /// Registry receiving core.policy_init.* / rl.td.* telemetry; nullptr
   /// means obs::default_registry().
   obs::Registry* registry = nullptr;
-  /// Worker pool for the coarse measurement fan-out (used only when the
-  /// environment advertises thread_safe()); nullptr means the process-wide
-  /// obs::shared_pool().
+  /// Worker pool for the coarse measurement fan-out; nullptr means the
+  /// process-wide obs::shared_pool().
   util::ThreadPool* pool = nullptr;
 };
 
@@ -78,12 +76,12 @@ struct InitialPolicy {
 /// Run Algorithm 2 against `environment` (assumed already set to the
 /// context being trained for).
 ///
-/// Determinism: when `environment.thread_safe()`, every coarse sample is
-/// measured on a private clone reseeded from (environment seed, sample
-/// index), so the result is bit-identical regardless of the pool's thread
-/// count and of any measurements previously drawn from `environment`.
-/// Non-thread-safe environments are measured serially in place, exactly as
-/// before.
+/// Determinism: every coarse sample is measured once on a private clone
+/// reseeded from (environment seed, sample index), so the result is
+/// bit-identical regardless of the pool's thread count and of any
+/// measurements previously drawn from `environment`. An environment that
+/// cannot clone (clone_with_seed returns nullptr) throws
+/// std::invalid_argument.
 InitialPolicy learn_initial_policy(env::Environment& environment,
                                    const PolicyInitOptions& options = {});
 

@@ -202,7 +202,7 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
       }
       {
         const obs::ProfileScope measure_profile("runner.measure");
-        measured = environment.measure_interval(applied, nullptr);
+        measured = environment.measure_interval(applied);
         // Paper-exact path (robustness off): every interval lands, a lost
         // one as its timeout sentinel. The hardened path retries with
         // exponential backoff in simulated time: each retry is accounted
@@ -216,7 +216,7 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
           c_measure_retries.add(1);
           c_backoff.add(backoff);
           backoff *= 2;
-          measured = environment.measure_interval(applied, nullptr);
+          measured = environment.measure_interval(applied);
         }
       }
       missing = options.robustness.enabled && measured.lost;
@@ -229,8 +229,7 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
         // not told anything -- a fabricated observation would teach it
         // about an interval that never happened.
         c_missing.add(1);
-        if (options.robustness.hold_last_on_missing &&
-            !trace.records.empty()) {
+        if (!trace.records.empty()) {
           sample.response_ms = trace.records.back().response_ms;
           sample.throughput_rps = trace.records.back().throughput_rps;
           c_held.add(1);

@@ -62,12 +62,11 @@ struct MeasureRobustness {
   /// Additional measure_interval attempts after the first is lost.
   /// Retry cost is accounted (core.fault.backoff_units grows 1, 2, 4, ...
   /// per retry -- exponential backoff in simulated time; the loop never
-  /// sleeps, wall-clock is banned in this layer).
+  /// sleeps, wall-clock is banned in this layer). When every attempt fails
+  /// the loop skips the agent's observe() and records the previous
+  /// interval's sample ("hold last decision"; a zero sample when there is
+  /// none).
   int max_retries = 2;
-  /// When every attempt fails: record the previous interval's sample and
-  /// skip the agent's observe() ("hold last decision"). When false the
-  /// interval is recorded as a zero sample and still skipped.
-  bool hold_last_on_missing = true;
 };
 
 /// Observability and persistence attachments for a run.

@@ -20,6 +20,8 @@ using config::Configuration;
 using config::ParamId;
 
 constexpr double kMs = 1000.0;
+/// Fraction of the interval affected by bursts.
+constexpr double kBurstProb = 0.30;
 
 /// Think-gap distribution: exp(t) with probability (1-p), exp(t)+exp(b)
 /// with probability p (the mid-session pause model of BrowserProfile).
@@ -125,12 +127,9 @@ std::unique_ptr<Environment> AnalyticEnv::clone_with_seed(
   return clone;
 }
 
-Measurement AnalyticEnv::measure_interval(
-    const Configuration& configuration,
-    const workload::TrafficTarget* overlay) {
+Measurement AnalyticEnv::measure_interval(const Configuration& configuration) {
   measurements_->add(1);
-  const std::optional<workload::TrafficTarget> target =
-      traffic_.next(ctx_.mix, overlay);
+  const std::optional<workload::TrafficTarget> target = traffic_.next(ctx_.mix);
   MemoSlot& slot = memo_[memo_index(ctx_, configuration, target, kMemoSlots)];
   const bool hit = slot.filled && slot.context == ctx_ &&
                    slot.configuration == configuration &&
@@ -390,7 +389,7 @@ PerfSample AnalyticEnv::evaluate_target(
   // bounds the damage.
   const double admit_ceiling = std::min<double>(max_clients, N);
   const double over = std::max(0.0, admit_ceiling - need);
-  const double burst_s = opt_.burst_prob * (over / static_cast<double>(N)) *
+  const double burst_s = kBurstProb * (over / static_cast<double>(N)) *
                          0.5 * over * (diag.appdb_demand_ms / kMs) /
                          static_cast<double>(app_vm.vcpus);
 

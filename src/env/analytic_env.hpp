@@ -54,8 +54,6 @@ struct AnalyticEnvOptions {
   std::uint64_t seed = 42;
   /// Coupling fixed-point iterations (converges in a handful).
   int fixed_point_iterations = 6;
-  /// Fraction of the interval affected by bursts.
-  double burst_prob = 0.30;
   /// Metrics destination; nullptr means the process-wide default registry.
   obs::Registry* registry = nullptr;
 };
@@ -88,12 +86,12 @@ class AnalyticEnv : public Environment {
   explicit AnalyticEnv(const SystemContext& context,
                        const AnalyticEnvOptions& options = {});
 
-  /// Consumes the interval's traffic target (the overlay, else the model's
-  /// emission at the cursor) and advances the cursor. The noiseless sample
-  /// comes from the memo when this environment already evaluated the same
-  /// (context, configuration, target); the noise draws do not depend on it.
-  Measurement measure_interval(const config::Configuration& configuration,
-                               const workload::TrafficTarget* overlay) override;
+  /// Consumes the interval's traffic target (the model's emission at the
+  /// cursor) and advances the cursor. The noiseless sample comes from the
+  /// memo when this environment already evaluated the same (context,
+  /// configuration, target); the noise draws do not depend on it.
+  Measurement measure_interval(
+      const config::Configuration& configuration) override;
   void set_context(const SystemContext& context) override { ctx_ = context; }
   SystemContext context() const override { return ctx_; }
 
@@ -101,7 +99,6 @@ class AnalyticEnv : public Environment {
   /// reusable MVA scratch networks, so independent clones are safe to
   /// measure concurrently (one clone per pool task -- which is how the pool
   /// already shards work). A clone starts with an empty memo.
-  bool thread_safe() const override { return true; }
   std::unique_ptr<Environment> clone_with_seed(
       std::uint64_t seed) const override;
 
@@ -114,8 +111,8 @@ class AnalyticEnv : public Environment {
   /// Deterministic model evaluation under a traffic target: the blended
   /// mix statistics and browser profile, the scaled population, and the
   /// think modulation. A one-hot target with unit scales is bitwise
-  /// identical to evaluate(). Benches use this as the noiseless oracle
-  /// when scoring static configurations through a dynamic day.
+  /// identical to evaluate(). The tests use this as the noiseless oracle
+  /// of measurements under a traffic model.
   PerfSample evaluate_under(const config::Configuration& configuration,
                             const workload::TrafficTarget& target,
                             ModelDiagnostics* diagnostics = nullptr) const;

@@ -11,8 +11,9 @@
 //   * SimEnv -- the discrete-event ThreeTierSystem; the ground-truth
 //     substrate.
 //
-// measure(), measure_under() and the traffic methods are non-virtual
-// conveniences over measure_interval() and traffic_cursor().
+// Load reaches an environment through its context and its traffic model
+// only. measure() and the traffic methods are non-virtual conveniences
+// over measure_interval() and traffic_cursor().
 #pragma once
 
 #include <cstdint>
@@ -69,18 +70,15 @@ class TrafficCursor {
   std::uint64_t position() const noexcept { return position_; }
   void seek(std::uint64_t position) noexcept { position_ = position; }
 
-  /// This interval's target: the overlay when given, else the model's
-  /// emission at the cursor under the scheduled `mix` (nullopt with no or
-  /// an empty model). Any installed model advances the cursor, overlay or
-  /// not.
-  std::optional<workload::TrafficTarget> next(
-      workload::MixType mix, const workload::TrafficTarget* overlay);
+  /// This interval's target: the model's emission at the cursor under the
+  /// scheduled `mix` (nullopt with no or an empty model). Any installed
+  /// model advances the cursor.
+  std::optional<workload::TrafficTarget> next(workload::MixType mix);
 
  private:
   std::shared_ptr<const workload::TrafficModel> model_;
   std::uint64_t position_ = 0;
   obs::Counter* intervals_ = nullptr;
-  obs::Counter* overlays_ = nullptr;
   obs::Gauge* concurrency_scale_ = nullptr;
   obs::Gauge* think_scale_ = nullptr;
 };
@@ -89,26 +87,16 @@ class Environment {
  public:
   virtual ~Environment() = default;
 
-  /// Apply `configuration` and measure one interval. A non-null `overlay`
-  /// is a transient traffic target for this interval only (the dynamic
-  /// workload the agent must ride out -- it is NOT told): it replaces
-  /// whatever the installed traffic model would have emitted, and the
-  /// scheduled context is untouched afterwards. Environments without blend
-  /// support route overlays through measure_with_context_swap().
+  /// Apply `configuration` and measure one interval under the current
+  /// context and, when a traffic model is installed, the model's target at
+  /// the cursor.
   virtual Measurement measure_interval(
-      const config::Configuration& configuration,
-      const workload::TrafficTarget* overlay) = 0;
+      const config::Configuration& configuration) = 0;
 
   /// The reported sample of one interval (a lost interval reports its
   /// timeout sentinel; use measure_interval to tell).
   PerfSample measure(const config::Configuration& configuration) {
-    return measure_interval(configuration, nullptr).sample;
-  }
-
-  /// The reported sample of one interval under a transient overlay.
-  PerfSample measure_under(const workload::TrafficTarget& overlay,
-                           const config::Configuration& configuration) {
-    return measure_interval(configuration, &overlay).sample;
+    return measure_interval(configuration).sample;
   }
 
   /// Reallocate workload mix and/or VM resources (the external dynamics the
@@ -117,16 +105,12 @@ class Environment {
 
   virtual SystemContext context() const = 0;
 
-  /// Reentrancy contract for the worker pool: true when `clone_with_seed`
-  /// returns independent copies that may be measured concurrently from
-  /// multiple threads. The fast model-based environments opt in; the
-  /// discrete-event simulator (heavyweight mutable state) does not.
-  virtual bool thread_safe() const { return false; }
-
   /// Independent copy of this environment (same context, mechanism
   /// constants, traffic model and cursor) whose measurement-noise stream is
-  /// reseeded from `seed`. Implementations advertising thread_safe() must
-  /// return non-null; the default returns nullptr (cloning unsupported).
+  /// reseeded from `seed`. Clones must be safe to measure concurrently,
+  /// one per thread: offline policy initialization measures every coarse
+  /// sample on its own clone. The default returns nullptr (cloning
+  /// unsupported, as for the discrete-event simulator).
   virtual std::unique_ptr<Environment> clone_with_seed(
       std::uint64_t /*seed*/) const {
     return nullptr;
@@ -157,14 +141,6 @@ class Environment {
   /// Reposition the traffic cursor (restore path). Without a cursor a
   /// nonzero target throws std::invalid_argument.
   void seek_traffic(std::uint64_t interval);
-
- protected:
-  /// Overlay fallback for environments without blend support: measure
-  /// under the overlay's dominant mix via a set_context swap (exactly the
-  /// legacy surge-fault semantics), then restore the scheduled context.
-  Measurement measure_with_context_swap(
-      const config::Configuration& configuration,
-      const workload::TrafficTarget& overlay);
 };
 
 }  // namespace rac::env

@@ -39,15 +39,11 @@ void SimEnv::rebuild(const config::Configuration& configuration) {
   system_ = std::make_unique<tiersim::ThreeTierSystem>(opt_.system, setup);
 }
 
-Measurement SimEnv::measure_interval(const config::Configuration& configuration,
-                                     const workload::TrafficTarget* overlay) {
-  if (overlay != nullptr) {
-    return measure_with_context_swap(configuration, *overlay);
-  }
+Measurement SimEnv::measure_interval(
+    const config::Configuration& configuration) {
   measurements_->add(1);
   const obs::ScopedTimer timer(measure_us_);
-  const std::optional<workload::TrafficTarget> target =
-      traffic_.next(ctx_.mix, nullptr);
+  const std::optional<workload::TrafficTarget> target = traffic_.next(ctx_.mix);
 
   // A changed target replaces the browser population, like a mix switch at
   // the load balancer. An unchanged one (bit-for-bit, so the one-hot

@@ -12,6 +12,9 @@
 // like a mix switch. An unchanged target (including the one-hot identity
 // an empty model emits) keeps the live system, so static traffic is
 // bitwise the legacy behaviour.
+//
+// The live system cannot be copied, so clone_with_seed returns nullptr and
+// offline policy initialization rejects a SimEnv.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +41,8 @@ class SimEnv : public Environment {
  public:
   explicit SimEnv(const SystemContext& context, const SimEnvOptions& options = {});
 
-  /// Overlays take the base context-swap fallback: it reproduces the
-  /// legacy surge rebuild-and-restore seed sequence bit for bit.
-  Measurement measure_interval(const config::Configuration& configuration,
-                               const workload::TrafficTarget* overlay) override;
+  Measurement measure_interval(
+      const config::Configuration& configuration) override;
   void set_context(const SystemContext& context) override;
   SystemContext context() const override { return ctx_; }
   TrafficCursor* traffic_cursor() override { return &traffic_; }

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "util/lineio.hpp"
 #include "util/rng.hpp"
-#include "workload/dynamic.hpp"
 
 namespace rac::fault {
 
@@ -120,7 +119,7 @@ FaultDecision FaultyEnv::faults_at(int interval) const {
   // One throwaway generator per (interval, kind): the draw depends only on
   // the fault seed and those two indices, never on how many draws anything
   // else made -- this is what makes the fault script reproducible across
-  // clones and checkpoint boundaries.
+  // runs and checkpoint boundaries.
   const auto draw = [&](FaultKind kind, double p) {
     if (p <= 0.0) return false;
     util::Rng rng(util::derive_seed(
@@ -139,9 +138,7 @@ FaultDecision FaultyEnv::faults_at(int interval) const {
 }
 
 env::Measurement FaultyEnv::measure_interval(
-    const config::Configuration& requested,
-    const workload::TrafficTarget* overlay) {
-  if (overlay != nullptr) return measure_with_context_swap(requested, *overlay);
+    const config::Configuration& requested) {
   const int interval = state_.interval;
   ++state_.interval;
   const FaultDecision d = faults_at(interval);
@@ -163,20 +160,14 @@ env::Measurement FaultyEnv::measure_interval(
 
   // The system always actually runs the interval -- the truth is recorded
   // even when the monitor then drops or distorts the report. A surge
-  // interval rides on the traffic layer: it is measured under a one-hot
-  // TrafficTarget of the surge mix (env::Environment::measure_under), with
-  // the VM level flipped around the measurement when the surge context
-  // moves it. The scheduled context is restored immediately after.
+  // interval runs under the surge context, and the scheduled context is
+  // restored immediately after.
   env::PerfSample truth;
   if (d.surge && d.surge_context.has_value()) {
     const env::SystemContext scheduled = inner_->context();
-    const bool level_changed = d.surge_context->level != scheduled.level;
-    if (level_changed) {
-      inner_->set_context({scheduled.mix, d.surge_context->level});
-    }
-    truth = inner_->measure_under(
-        workload::one_hot_target(d.surge_context->mix), effective);
-    if (level_changed) inner_->set_context(scheduled);
+    inner_->set_context(*d.surge_context);
+    truth = inner_->measure(effective);
+    inner_->set_context(scheduled);
     surges_->add(1);
   } else {
     truth = inner_->measure(effective);
@@ -211,18 +202,6 @@ void FaultyEnv::set_context(const env::SystemContext& context) {
 }
 
 env::SystemContext FaultyEnv::context() const { return inner_->context(); }
-
-std::unique_ptr<env::Environment> FaultyEnv::clone_with_seed(
-    std::uint64_t seed) const {
-  std::unique_ptr<env::Environment> inner_clone =
-      inner_->clone_with_seed(seed);
-  if (inner_clone == nullptr) return nullptr;
-  auto clone =
-      std::make_unique<FaultyEnv>(std::move(inner_clone), options_);
-  clone->state_ = state_;
-  clone->true_history_ = true_history_;
-  return clone;
-}
 
 void FaultyEnv::restore(const FaultyEnvState& state) {
   if (state.interval < 0) {

@@ -11,18 +11,22 @@
 //                      reported sample;
 //   * reconfig-fail -- the actuation is lost: the system keeps running
 //                      the previously applied configuration;
-//   * surge         -- a short workload surge / VM flap: the interval is
-//                      measured under a different SystemContext, which is
-//                      restored afterwards (the scheduled context is not
-//                      disturbed).
+//   * surge         -- a short workload surge / VM flap: the inner
+//                      environment is switched to a different
+//                      SystemContext for the interval and switched back to
+//                      the scheduled one right after.
 //
 // Faults come from two sources that compose: a scripted schedule of
 // episodes (like the runner's context schedule) and a stochastic profile
 // of per-interval probabilities. The stochastic draws are a pure function
 // of (seed, interval, fault kind) -- no shared stream -- so the fault
-// script is bitwise-reproducible across runs, across clone_with_seed, and
-// across a checkpoint/restore boundary regardless of how the inner
-// environment consumes randomness.
+// script is bitwise-reproducible across runs and across a
+// checkpoint/restore boundary regardless of how the inner environment
+// consumes randomness.
+//
+// The decorator does not clone: clone_with_seed keeps the base's nullptr,
+// because offline training measures a bare environment, never a faulty
+// one.
 #pragma once
 
 #include <cstdint>
@@ -142,11 +146,9 @@ class FaultyEnv final : public env::Environment {
             FaultyEnvOptions options);
 
   /// Advance one interval: decide faults, actuate (or fail to), measure
-  /// the truth, derive the reported sample. An overlay takes the base
-  /// context-swap fallback around that whole pipeline.
+  /// the truth, derive the reported sample.
   env::Measurement measure_interval(
-      const config::Configuration& configuration,
-      const workload::TrafficTarget* overlay) override;
+      const config::Configuration& configuration) override;
 
   void set_context(const env::SystemContext& context) override;
   env::SystemContext context() const override;
@@ -156,17 +158,6 @@ class FaultyEnv final : public env::Environment {
   env::TrafficCursor* traffic_cursor() override {
     return inner_->traffic_cursor();
   }
-
-  /// The decorator serializes measurement through its fault state, so it
-  /// never advertises concurrent use even over a thread-safe inner
-  /// environment.
-  bool thread_safe() const override { return false; }
-
-  /// Clone: the inner environment is cloned with `seed` (fresh noise
-  /// stream), the fault layer keeps its own seed, options, and position --
-  /// the clone experiences the identical fault script.
-  std::unique_ptr<env::Environment> clone_with_seed(
-      std::uint64_t seed) const override;
 
   /// Pure function of (options, interval): the faults injected into that
   /// interval. This is what the determinism contract rests on.

@@ -55,9 +55,8 @@ struct TrafficTarget {
 /// recorded before this layer existed.
 TrafficTarget one_hot_target(MixType mix);
 
-/// The mix carrying the largest weight (lowest enum index on ties).
-/// Environments that cannot honor a fractional blend (or decorate one that
-/// cannot) degrade to measuring under this mix.
+/// The mix carrying the largest weight (lowest enum index on ties): the
+/// nominal mix SimEnv gives a simulator rebuilt under a blended target.
 MixType dominant_mix(const TrafficTarget& target);
 
 /// Bitwise equality (doubles compared by representation, so a copied

@@ -3,6 +3,6 @@
 void probe(Env& env, Env* remote, const Config& c) {
   auto a = env.measure(c);      // fires: dot call
   auto b = remote->measure(c);  // fires: arrow call
-  auto ok = env.measure_interval(c, nullptr);  // clean: the checked API
+  auto ok = env.measure_interval(c);  // clean: the checked API
   auto boot = env.measure(c);  // rac-analyze: allow(unchecked-measure) probe
 }

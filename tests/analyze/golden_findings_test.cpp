@@ -185,7 +185,7 @@ const std::vector<Case>& cases() {
       {"measure@interval",
        {tx("src/core/fixture.cpp",
            "void f(Env& e, const Config& c) { auto m ="
-           " e.measure_interval(c, nullptr); }\n")},
+           " e.measure_interval(c); }\n")},
        nullptr,
        ""},
       {"timer@core",

@@ -160,7 +160,7 @@ TEST(LintRules, MeasureIntervalDoesNotTripUncheckedMeasure) {
   const auto findings = analyze_text(
       "src/core/fixture.cpp",
       "void f(Env& e, const Config& c) {"
-      " auto m = e.measure_interval(c, nullptr); }\n");
+      " auto m = e.measure_interval(c); }\n");
   EXPECT_EQ(count_rule(findings, "unchecked-measure"), 0);
 }
 

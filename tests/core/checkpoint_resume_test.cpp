@@ -182,7 +182,6 @@ TEST(CheckpointResume, InjectedFaultRunStitchesBitIdentically) {
   RunOptions hardened_run;
   hardened_run.robustness.enabled = true;
   hardened_run.robustness.max_retries = 2;
-  hardened_run.robustness.hold_last_on_missing = true;
 
   const std::string checkpoint_path =
       ::testing::TempDir() + "/rac_checkpoint_fault_test.rac";

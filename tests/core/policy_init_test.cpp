@@ -7,6 +7,7 @@
 
 #include "core/policy_library.hpp"
 #include "env/analytic_env.hpp"
+#include "env/sim_env.hpp"
 #include "rl/policy.hpp"
 
 namespace rac::core {
@@ -98,11 +99,11 @@ TEST_F(PolicyInitTest, GreedyWalkFromDefaultImprovesTruePerformance) {
   EXPECT_LT(end_rt, 0.6 * start_rt);
 }
 
-TEST(PolicyInit, RejectsBadSampleCount) {
-  AnalyticEnv env({MixType::kShopping, VmLevel::kLevel1}, quiet_env());
-  PolicyInitOptions opt;
-  opt.samples_per_config = 0;
-  EXPECT_THROW(learn_initial_policy(env, opt), std::invalid_argument);
+TEST(PolicyInit, RejectsAnEnvironmentThatCannotClone) {
+  // Every coarse sample is measured on a clone; the simulator has none.
+  env::SimEnv env({MixType::kShopping, VmLevel::kLevel1});
+  EXPECT_THROW(learn_initial_policy(env, fast_options()),
+               std::invalid_argument);
 }
 
 // --- library ----------------------------------------------------------------

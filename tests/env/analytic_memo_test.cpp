@@ -2,8 +2,8 @@
 // (evaluate / evaluate_under) times the env's own lognormal noise stream,
 // bit for bit, whether a measurement was answered from the memo or solved.
 // The sequence below revisits operating points on purpose: repeats of one
-// configuration, one-parameter neighbours, context switches, overlay and
-// traffic-model targets, and a clone's first measurement.
+// configuration, one-parameter neighbours, context switches, traffic-model
+// targets, and a clone's first measurement.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -96,16 +96,24 @@ TEST(AnalyticMemo, MeasureMatchesEvaluatePlusNoiseBitwise) {
       registry.counter("env.analytic.evaluations");
 
   int step = 0;
-  // One plain measurement under the env's scheduled traffic (no model or
-  // overlay here), checked against the oracle.
+  // One plain measurement (no traffic model installed), checked against
+  // the oracle.
   const auto check = [&](const Configuration& c) {
     expect_same(env.measure(c), oracle.next(c, std::nullopt), "measure",
                 step++);
   };
-  const auto check_under = [&](const TrafficTarget& t, const Configuration& c) {
-    expect_same(env.measure_under(t, c), oracle.next(c, t), "measure_under",
-                step++);
-  };
+  // Installs `model` (which rewinds its cursor) and checks `intervals`
+  // measurements of `c` under its targets.
+  const auto check_model =
+      [&](const std::shared_ptr<const workload::TrafficModel>& model,
+          const Configuration& c, int intervals) {
+        env.set_traffic_model(model);
+        for (int i = 0; i < intervals; ++i) {
+          const TrafficTarget t = model->target_at(
+              static_cast<std::int64_t>(env.traffic_interval()), home.mix);
+          expect_same(env.measure(c), oracle.next(c, t), "model", step++);
+        }
+      };
 
   // Repeats of one configuration: one solve, then hits.
   const Configuration base;
@@ -168,39 +176,30 @@ TEST(AnalyticMemo, MeasureMatchesEvaluatePlusNoiseBitwise) {
   oracle.set_context(home);
   check(base);
 
-  // Overlay targets: a repeated one, others that differ in a single field,
-  // and plain measurements between them.
-  TrafficTarget surge = workload::one_hot_target(MixType::kShopping);
-  surge.concurrency_scale = 1.5;
-  TrafficTarget slow = workload::one_hot_target(MixType::kShopping);
-  slow.think_scale = 0.75;
-  const TrafficTarget ordering = workload::one_hot_target(MixType::kOrdering);
-  for (int i = 0; i < 2; ++i) {
-    check_under(surge, base);
-    check_under(surge, base);
-    check(base);
-    check_under(slow, base);
-    check_under(ordering, base);
-    check(base);
-  }
-  // Twelve targets at one configuration, twice over: some share a slot, so
-  // a key that ignored the target's value would serve another's sample.
-  for (int k = 0; k < 24; ++k) {
-    TrafficTarget t = workload::one_hot_target(MixType::kShopping);
-    t.concurrency_scale = 1.0 + 0.05 * (k % 12);
-    check_under(t, base);
+  // Traffic models at one configuration, each visited twice with plain
+  // measurements between the visits. A twelve-interval diurnal day moves
+  // only the targets' concurrency scale, think noise only their think
+  // scale. Twelve targets share sixteen slots, so a key that ignored the
+  // target, or that field, would serve another target's sample.
+  auto day = std::make_shared<workload::TrafficModel>();
+  day->add_diurnal({12.0, 0.3, 0.0});
+  auto think = std::make_shared<workload::TrafficModel>();
+  think->add_think_noise({11, 0.2});
+  for (const auto& model : {day, think}) {
+    for (int visit = 0; visit < 2; ++visit) {
+      check_model(model, base, 12);
+      env.set_traffic_model(nullptr);
+      check(base);
+      check(base);
+    }
   }
 
-  // A traffic model: one target repeated before the mix drifts, a fresh
-  // one each interval while it drifts, another repeated once it is over.
+  // A mix drift moves only the mix weights: one target repeated before the
+  // mix drifts, a fresh one each interval while it drifts (eleven share
+  // sixteen slots), another repeated once it is over.
   auto model = std::make_shared<workload::TrafficModel>();
-  model->add_mix_drift({MixType::kShopping, MixType::kOrdering, 2, 4});
-  env.set_traffic_model(model);
-  for (int i = 0; i < 12; ++i) {
-    const TrafficTarget t = model->target_at(
-        static_cast<std::int64_t>(env.traffic_interval()), home.mix);
-    expect_same(env.measure(base), oracle.next(base, t), "model", step++);
-  }
+  model->add_mix_drift({MixType::kShopping, MixType::kOrdering, 2, 12});
+  check_model(model, base, 18);
 
   // A clone starts cold (its first measurement is solved, although the
   // original holds that key) and draws from its own noise stream.

@@ -34,15 +34,10 @@ std::shared_ptr<const TrafficModel> busy_model() {
   return model;
 }
 
-/// A stationary environment: no traffic cursor, overlays through the base
-/// context-swap fallback.
+/// A stationary environment: no traffic cursor, no clone.
 class CursorlessEnv final : public Environment {
  public:
-  Measurement measure_interval(const Configuration& configuration,
-                               const workload::TrafficTarget* overlay) override {
-    if (overlay != nullptr) {
-      return measure_with_context_swap(configuration, *overlay);
-    }
+  Measurement measure_interval(const Configuration& /*config*/) override {
     Measurement m;
     m.sample = {100.0, 50.0};
     return m;
@@ -76,6 +71,7 @@ struct EnvCase {
       make;
   bool has_cursor = true;
   bool decorated = false;
+  bool clonable = false;
 };
 
 // gtest prints parameters into test names; print the stable case name, not
@@ -137,23 +133,11 @@ TEST_P(EnvContract, EachMeasurementAdvancesTheCursor) {
   const std::uint64_t step = GetParam().has_cursor ? 1 : 0;
   EXPECT_GT(env->measure(c).response_ms, 0.0);
   EXPECT_EQ(env->traffic_interval(), step);
-  EXPECT_GT(
-      env->measure_under(workload::one_hot_target(MixType::kOrdering), c)
-          .response_ms,
-      0.0);
+  // A context switch moves no cursor; the next measurement does.
+  env->set_context({MixType::kOrdering, VmLevel::kLevel2});
+  EXPECT_EQ(env->traffic_interval(), step);
+  EXPECT_GT(env->measure(c).response_ms, 0.0);
   EXPECT_EQ(env->traffic_interval(), 2 * step);
-}
-
-TEST_P(EnvContract, OverlayLeavesTheContextUntouched) {
-  auto env = make();
-  const Configuration c;
-  env->measure(c);
-  env->measure_under(workload::one_hot_target(MixType::kOrdering), c);
-  EXPECT_EQ(env->context(), kScheduled);
-  env->set_context({MixType::kBrowsing, VmLevel::kLevel2});
-  env->measure_under(workload::one_hot_target(MixType::kShopping), c);
-  EXPECT_EQ(env->context(),
-            (SystemContext{MixType::kBrowsing, VmLevel::kLevel2}));
 }
 
 TEST_P(EnvContract, CloneCarriesTheModelAndCursor) {
@@ -163,11 +147,10 @@ TEST_P(EnvContract, CloneCarriesTheModelAndCursor) {
   env->measure(c);
   env->measure(c);
   const auto clone = env->clone_with_seed(0);
-  if (clone == nullptr) {
-    // Cloning is optional, except for environments offered to the pool.
-    EXPECT_FALSE(env->thread_safe());
-    return;
-  }
+  // Cloning is optional; offline policy initialization needs it, and only
+  // the analytic twin offers it.
+  ASSERT_EQ(clone != nullptr, GetParam().clonable);
+  if (clone == nullptr) return;
   EXPECT_EQ(clone->traffic_model(), env->traffic_model());
   EXPECT_EQ(clone->traffic_interval(), env->traffic_interval());
   EXPECT_EQ(clone->context(), env->context());
@@ -185,11 +168,11 @@ TEST_P(EnvContract, DropIsLostWithSentinelAndNote) {
   const Configuration c;
 
   auto env = make(faults);
-  const Measurement first = env->measure_interval(c, nullptr);
+  const Measurement first = env->measure_interval(c);
   EXPECT_FALSE(first.lost);
   EXPECT_EQ(first.fault_note, "");
   EXPECT_GT(first.sample.response_ms, 0.0);
-  const Measurement second = env->measure_interval(c, nullptr);
+  const Measurement second = env->measure_interval(c);
   if (!GetParam().decorated) {  // nothing loses an undecorated interval
     EXPECT_FALSE(second.lost);
     EXPECT_EQ(second.fault_note, "");
@@ -213,7 +196,8 @@ INSTANTIATE_TEST_SUITE_P(
     Envs, EnvContract,
     ::testing::Values(
         EnvCase{"Analytic",
-                [](const fault::FaultyEnvOptions&) { return analytic(); }},
+                [](const fault::FaultyEnvOptions&) { return analytic(); },
+                true, false, true},
         EnvCase{"Sim", [](const fault::FaultyEnvOptions&) { return sim(); }},
         decorated("FaultyAnalytic", analytic), decorated("FaultySim", sim),
         EnvCase{"Cursorless",

@@ -1,16 +1,19 @@
 // Dynamic traffic through the environments: identity with no/empty model
-// (the golden-digest compatibility argument), overlay semantics, cursor
-// checkpoint/restore stitching, and the SimEnv population rebuild rules.
+// (the golden-digest compatibility argument), surges as context swaps,
+// cursor checkpoint/restore stitching, and the SimEnv population rebuild
+// rules.
 // The cursor contract every environment shares lives in
 // environment_contract_test.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "config/configuration.hpp"
+#include "config/params.hpp"
 #include "env/analytic_env.hpp"
 #include "env/sim_env.hpp"
 #include "fault/fault_env.hpp"
@@ -85,23 +88,6 @@ TEST(AnalyticTraffic, ConcurrencyScaleShiftsTheOperatingPoint) {
   const double base = env.evaluate(c).response_ms;
   EXPECT_GT(env.evaluate_under(c, heavy).response_ms, base);
   EXPECT_LT(env.evaluate_under(c, light).response_ms, base);
-}
-
-TEST(AnalyticTraffic, MeasureUnderOverridesOneIntervalThenReverts) {
-  const SystemContext ctx{MixType::kShopping, VmLevel::kLevel1};
-  AnalyticEnv env(ctx, noiseless());
-  AnalyticEnv reference(ctx, noiseless());
-  const Configuration c;
-  const auto surge = env.measure_under(
-      workload::one_hot_target(MixType::kOrdering), c);
-  // The overlay measured the ordering mix...
-  AnalyticEnv ordering({MixType::kOrdering, VmLevel::kLevel1}, noiseless());
-  EXPECT_EQ(bits(surge.response_ms),
-            bits(ordering.measure(c).response_ms));
-  // ...and did not disturb the scheduled stream.
-  EXPECT_EQ(bits(env.measure(c).response_ms),
-            bits(reference.measure(c).response_ms));
-  EXPECT_EQ(env.context(), ctx);
 }
 
 TEST(AnalyticTraffic, CursorSeekStitchesAnInterruptedRunBitwise) {
@@ -216,8 +202,8 @@ TEST(SimTraffic, SurgeOverSimEnvRestoresTheScheduledContext) {
 }
 
 TEST(FaultTraffic, SurgeTruthMatchesTheLegacyContextSwap) {
-  // The surge re-expression on measure_under must reproduce the legacy
-  // "set surge context, measure, restore" numbers bitwise.
+  // A surge must reproduce the "set surge context, measure, restore"
+  // numbers of a twin driven by hand, bitwise.
   const SystemContext scheduled{MixType::kShopping, VmLevel::kLevel1};
   const SystemContext surge_ctx{MixType::kOrdering, VmLevel::kLevel3};
   fault::FaultyEnvOptions opt;
@@ -250,6 +236,49 @@ TEST(FaultTraffic, SurgeTruthMatchesTheLegacyContextSwap) {
         << "interval " << i;
   }
   EXPECT_EQ(env.context(), scheduled);
+}
+
+TEST(FaultTraffic, SurgeOverSimEnvMatchesAContextSwapBitwise) {
+  // A surge over the simulator must draw the same rebuild seeds as a twin
+  // driven by hand through set_context(surge), measure,
+  // set_context(scheduled): during the surge and after it, for a surge that
+  // moves the mix and the level, the mix only, and the level only.
+  const SystemContext scheduled{MixType::kShopping, VmLevel::kLevel1};
+  const std::array<SystemContext, 3> surges = {{
+      {MixType::kOrdering, VmLevel::kLevel3},
+      {MixType::kOrdering, VmLevel::kLevel1},
+      {MixType::kShopping, VmLevel::kLevel3},
+  }};
+  Configuration a;
+  Configuration b;
+  b.set(config::ParamId::kMaxClients, 100);
+  for (const SystemContext& surge_ctx : surges) {
+    fault::FaultyEnvOptions opt;
+    fault::FaultEpisode episode;
+    episode.kind = fault::FaultKind::kSurge;
+    episode.start_interval = 1;
+    episode.duration = 2;
+    episode.surge_context = surge_ctx;
+    opt.schedule.push_back(episode);
+    fault::FaultyEnv env(std::make_unique<SimEnv>(scheduled, quick_sim()),
+                         opt);
+    SimEnv twin(scheduled, quick_sim());
+    for (int i = 0; i < 5; ++i) {
+      // Alternate configurations so the surge's rebuilds and the
+      // reconfigurations after them both carry a change.
+      const Configuration& c = i % 2 == 0 ? a : b;
+      const bool surging = i == 1 || i == 2;
+      if (surging) twin.set_context(surge_ctx);
+      const PerfSample want = twin.measure(c);
+      if (surging) twin.set_context(scheduled);
+      const PerfSample got = env.measure(c);
+      EXPECT_EQ(bits(got.response_ms), bits(want.response_ms))
+          << surge_ctx.name() << " interval " << i;
+      EXPECT_EQ(bits(got.throughput_rps), bits(want.throughput_rps))
+          << surge_ctx.name() << " interval " << i;
+    }
+    EXPECT_EQ(env.context(), scheduled);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -26,9 +25,7 @@ class FakeEnv final : public env::Environment {
   explicit FakeEnv(env::SystemContext ctx = env::table2_context(1))
       : ctx_(ctx) {}
 
-  env::Measurement measure_interval(
-      const Configuration& c, const workload::TrafficTarget* overlay) override {
-    if (overlay != nullptr) return measure_with_context_swap(c, *overlay);
+  env::Measurement measure_interval(const Configuration& c) override {
     ++calls;
     measured_configs.push_back(c);
     measured_contexts.push_back(ctx_);
@@ -43,12 +40,6 @@ class FakeEnv final : public env::Environment {
     ctx_ = c;
   }
   env::SystemContext context() const override { return ctx_; }
-  std::unique_ptr<env::Environment> clone_with_seed(
-      std::uint64_t /*seed*/) const override {
-    auto clone = std::make_unique<FakeEnv>(ctx_);
-    clone->calls = calls;  // same deterministic sample stream position
-    return clone;
-  }
 
   int calls = 0;
   std::vector<Configuration> measured_configs;
@@ -127,7 +118,7 @@ TEST(FaultyEnv, NoFaultsIsTransparent) {
     EXPECT_FALSE(wrapped.faults_at(i).any());
     const env::PerfSample expect = bare.measure(Configuration::defaults());
     const env::Measurement got =
-        wrapped.measure_interval(Configuration::defaults(), nullptr);
+        wrapped.measure_interval(Configuration::defaults());
     ASSERT_FALSE(got.lost);
     EXPECT_EQ(got.sample.response_ms, expect.response_ms);
     EXPECT_EQ(got.sample.throughput_rps, expect.throughput_rps);
@@ -207,7 +198,7 @@ TEST(FaultyEnv, FreezeRepeatsTheLastReportedSample) {
   FaultyEnv env(std::make_unique<FakeEnv>(), opt);
   const env::PerfSample r0 = env.measure(Configuration::defaults());
   const env::Measurement r1 =
-      env.measure_interval(Configuration::defaults(), nullptr);
+      env.measure_interval(Configuration::defaults());
   EXPECT_EQ(r1.sample.response_ms, r0.response_ms);
   EXPECT_EQ(r1.sample.throughput_rps, r0.throughput_rps);
   EXPECT_EQ(r1.fault_note, "freeze");
@@ -295,45 +286,13 @@ TEST(FaultyEnv, SurgeMeasuresUnderTheSurgeContextThenRestores) {
   ASSERT_EQ(fake->measured_contexts.size(), 1u);
   EXPECT_EQ(fake->measured_contexts[0], surge_ctx);
   EXPECT_EQ(env.context(), scheduled);  // restored afterwards
-  // The surge rides on measure_under: the level flip brackets the call and
-  // the default measure_under swaps the mix in and back out around the
-  // measurement itself.
-  const env::SystemContext level_flipped{scheduled.mix, surge_ctx.level};
-  ASSERT_EQ(fake->context_sets.size(), 4u);
-  EXPECT_EQ(fake->context_sets[0], level_flipped);
-  EXPECT_EQ(fake->context_sets[1], surge_ctx);
-  EXPECT_EQ(fake->context_sets[2], level_flipped);
-  EXPECT_EQ(fake->context_sets[3], scheduled);
+  // The surge is a context swap around the measurement.
+  ASSERT_EQ(fake->context_sets.size(), 2u);
+  EXPECT_EQ(fake->context_sets[0], surge_ctx);
+  EXPECT_EQ(fake->context_sets[1], scheduled);
   // The surge distorts the truth (Level-3 shift), not the reporting path.
   EXPECT_GT(reported.response_ms, 10000.0);
   EXPECT_DOUBLE_EQ(reported.response_ms, env.true_history()[0].response_ms);
-}
-
-TEST(FaultyEnv, CloneWithSeedContinuesTheSameFaultScript) {
-  FaultyEnvOptions opt;
-  opt.profile = stochastic_profile();
-  opt.seed = 31;
-  FaultyEnv env(std::make_unique<FakeEnv>(), opt);
-  for (int i = 0; i < 3; ++i) env.measure(Configuration::defaults());
-
-  auto clone_base = env.clone_with_seed(999);
-  ASSERT_NE(clone_base, nullptr);
-  auto* clone = dynamic_cast<FaultyEnv*>(clone_base.get());
-  ASSERT_NE(clone, nullptr);
-  EXPECT_EQ(clone->interval(), 3);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(same_decision(env.faults_at(i), clone->faults_at(i))) << i;
-  }
-  // The fake inner environment is deterministic, so the continuation is
-  // bitwise-identical too (reseeding only affects noisy inner envs).
-  const env::Measurement a =
-      env.measure_interval(Configuration::defaults(), nullptr);
-  const env::Measurement b =
-      clone->measure_interval(Configuration::defaults(), nullptr);
-  EXPECT_EQ(a.sample.response_ms, b.sample.response_ms);
-  EXPECT_EQ(a.sample.throughput_rps, b.sample.throughput_rps);
-  EXPECT_EQ(a.lost, b.lost);
-  EXPECT_EQ(a.fault_note, b.fault_note);
 }
 
 TEST(FaultyEnv, StateRestoreContinuesBitIdentically) {

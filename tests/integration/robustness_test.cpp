@@ -40,9 +40,8 @@ class FaultyEnv : public env::Environment {
         outlier_prob_(outlier_prob),
         outlier_scale_(outlier_scale) {}
 
-  env::Measurement measure_interval(
-      const Configuration& c, const workload::TrafficTarget* overlay) override {
-    env::Measurement m = inner_->measure_interval(c, overlay);
+  env::Measurement measure_interval(const Configuration& c) override {
+    env::Measurement m = inner_->measure_interval(c);
     if (rng_.bernoulli(outlier_prob_)) {
       // A garbage monitoring interval: GC pause, cron job, packet loss.
       m.sample.response_ms *= outlier_scale_;
