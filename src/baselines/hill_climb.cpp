@@ -1,18 +1,8 @@
 #include "baselines/hill_climb.hpp"
 
-#include <stdexcept>
-
 #include "config/space.hpp"
 
 namespace rac::baselines {
-
-HillClimbAgent::HillClimbAgent(const HillClimbOptions& options)
-    : opt_(options), detector_(options.violation) {
-  if (options.probe_step < 1 || options.passes < 1) {
-    throw std::invalid_argument("HillClimbAgent: bad options");
-  }
-  begin_pass();
-}
 
 void HillClimbAgent::begin_pass() {
   param_index_ = 0;
@@ -22,10 +12,6 @@ void HillClimbAgent::begin_pass() {
 void HillClimbAgent::advance_parameter() {
   if (param_index_ + 1 < config::kNumParams) {
     ++param_index_;
-    phase_ = Phase::kProbeUp;
-  } else if (pass_ + 1 < opt_.passes) {
-    ++pass_;
-    param_index_ = 0;
     phase_ = Phase::kProbeUp;
   } else {
     phase_ = Phase::kHold;
@@ -39,13 +25,13 @@ config::Configuration HillClimbAgent::decide() {
     case Phase::kHold:
       break;
     case Phase::kProbeUp:
-      pending_.step(param(), opt_.probe_step);
+      pending_.step(param(), 1);
       break;
     case Phase::kProbeDown:
-      pending_.step(param(), -opt_.probe_step);
+      pending_.step(param(), -1);
       break;
     case Phase::kWalk:
-      pending_.step(param(), direction_ * opt_.probe_step);
+      pending_.step(param(), direction_);
       break;
   }
   return pending_;

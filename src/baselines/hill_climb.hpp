@@ -12,7 +12,9 @@
 // It still tunes parameters independently and cannot escape local optima
 // created by parameter interactions. A violation detector (active only
 // while holding, not while the admin is knowingly experimenting) restarts
-// the pass when the system context visibly changes.
+// the pass when the system context visibly changes. Each probe moves one
+// fine-grid step (the online learning step), and the agent makes one pass
+// over the parameters, as an administrator usually stops after one.
 #pragma once
 
 #include <cstddef>
@@ -22,19 +24,8 @@
 
 namespace rac::baselines {
 
-struct HillClimbOptions {
-  /// Fine-grid steps taken per probe (1 = the online learning step).
-  int probe_step = 1;
-  /// Extra passes over all parameters after the first (the admin usually
-  /// stops after one; more passes approximate coordinate descent).
-  int passes = 1;
-  core::ViolationOptions violation{};
-};
-
 class HillClimbAgent : public core::ConfigAgent {
  public:
-  explicit HillClimbAgent(const HillClimbOptions& options = {});
-
   config::Configuration decide() override;
   void observe(const config::Configuration& applied,
                const env::PerfSample& sample) override;
@@ -53,12 +44,10 @@ class HillClimbAgent : public core::ConfigAgent {
     kHold,      // pass complete, hold the result
   };
 
-  HillClimbOptions opt_;
   core::ViolationDetector detector_;
   config::Configuration base_;   // settings locked in so far
   double base_response_ = 0.0;   // response time of `base_`
   std::size_t param_index_ = 0;
-  int pass_ = 0;
   int direction_ = +1;
   Phase phase_ = Phase::kBaseline;
   int restarts_ = 0;

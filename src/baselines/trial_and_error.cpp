@@ -1,19 +1,19 @@
 #include "baselines/trial_and_error.hpp"
 
-#include <stdexcept>
-
 #include "config/space.hpp"
 
 namespace rac::baselines {
 
 namespace {
-std::vector<int> spread_values(config::ParamId id, int count) {
+/// Candidate values tried per parameter, spread evenly over its range.
+constexpr int kValuesPerParameter = 3;
+
+std::vector<int> spread_values(config::ParamId id) {
   std::vector<int> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    const double t = count == 1 ? 0.0
-                                : static_cast<double>(i) /
-                                      static_cast<double>(count - 1);
+  values.reserve(kValuesPerParameter);
+  for (int i = 0; i < kValuesPerParameter; ++i) {
+    const double t = static_cast<double>(i) /
+                     static_cast<double>(kValuesPerParameter - 1);
     config::Configuration c;
     c.set_normalized(id, t);
     const int v = config::ConfigSpace::snap_to_fine(c).value(id);
@@ -23,18 +23,11 @@ std::vector<int> spread_values(config::ParamId id, int count) {
 }
 }  // namespace
 
-TrialAndErrorAgent::TrialAndErrorAgent(const TrialAndErrorOptions& options)
-    : opt_(options), detector_(options.violation) {
-  if (options.values_per_parameter < 2) {
-    throw std::invalid_argument("TrialAndErrorAgent: need >= 2 values");
-  }
-  start_parameter(0);
-}
+TrialAndErrorAgent::TrialAndErrorAgent() { start_parameter(0); }
 
 void TrialAndErrorAgent::start_parameter(std::size_t index) {
   param_index_ = index;
-  candidates_ =
-      spread_values(config::kAllParams[index], opt_.values_per_parameter);
+  candidates_ = spread_values(config::kAllParams[index]);
   candidate_index_ = 0;
   have_best_ = false;
   done_ = false;

@@ -7,8 +7,8 @@
 // processed, the resulted parameter settings are considered as the best
 // configuration."
 //
-// Each parameter is swept over a handful of candidate values spanning its
-// range (the admin tries low / middle / high); the sweep granularity is
+// Each parameter is swept over three candidate values spanning its range
+// (the admin tries low / middle / high); the sweep granularity is
 // deliberately coarse -- trying every fine-grid value for eight parameters
 // would take hundreds of intervals. Because parameters are tuned
 // independently and coarsely, the method is prone to being trapped in
@@ -29,15 +29,9 @@
 
 namespace rac::baselines {
 
-struct TrialAndErrorOptions {
-  /// Candidate values tried per parameter, spread evenly over its range.
-  int values_per_parameter = 3;
-  core::ViolationOptions violation{};
-};
-
 class TrialAndErrorAgent : public core::ConfigAgent {
  public:
-  explicit TrialAndErrorAgent(const TrialAndErrorOptions& options = {});
+  TrialAndErrorAgent();
 
   config::Configuration decide() override;
   void observe(const config::Configuration& applied,
@@ -49,7 +43,6 @@ class TrialAndErrorAgent : public core::ConfigAgent {
   const config::Configuration& base() const noexcept { return base_; }
 
  private:
-  TrialAndErrorOptions opt_;
   core::ViolationDetector detector_;
   config::Configuration base_;      // settings locked in so far
   std::size_t param_index_ = 0;

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/pool.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include <stdexcept>
@@ -40,8 +39,7 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
       registry.counter("core.policy_init.offline_samples");
   obs::Histogram& h_train = registry.histogram("core.policy_init.train_us",
                                                obs::latency_us_bounds());
-  const obs::ScopedTimer timer(&h_train);
-  const obs::ProfileScope profile("core.policy_init");
+  const obs::ProfileScope profile("core.policy_init", h_train);
 
   InitialPolicy policy;
   policy.context = environment.context();

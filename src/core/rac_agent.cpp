@@ -11,8 +11,6 @@
 #include "env/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
-#include "util/log.hpp"
 
 namespace rac::core {
 
@@ -113,7 +111,7 @@ config::Configuration RacAgent::decide() {
     return current_;
   }
   {
-    const obs::ScopedTimer timer(select_us_);
+    const obs::ProfileScope profile("rac.select", *select_us_);
     last_selection_ = online_policy_.select_detailed(qtable_, current_, rng_);
   }
   if (last_selection_.explored) explorations_->add(1);
@@ -136,8 +134,7 @@ double RacAgent::lookup_response(const config::Configuration& c) const {
 
 void RacAgent::retrain() {
   retrain_count_->add(1);
-  const obs::ScopedTimer timer(retrain_us_);
-  const obs::ProfileScope profile("rac.retrain");
+  const obs::ProfileScope profile("rac.retrain", *retrain_us_);
   // Batch sweep over every remembered state plus the current one, so the
   // fresh observation propagates through the Q-table (Section 4.2). Sweep
   // in canonical (sorted) state order: the result must not depend on how
@@ -238,9 +235,6 @@ void RacAgent::observe(const config::Configuration& applied,
       const auto match = library_.best_match(applied, effective);
       if (match.has_value()) {
         if (match != active_policy_) {
-          util::log_info("RAC: context change detected, switching to policy ",
-                         *match, " (", library_.at(*match).context.name(),
-                         ")");
           ++policy_switches_;
           last_policy_switched_ = true;
           policy_switch_count_->add(1);
@@ -251,9 +245,6 @@ void RacAgent::observe(const config::Configuration& applied,
           // for the PRE-change conditions, so re-seeding from the offline
           // prior below restores the library's knowledge of the stressed
           // region that online learning at the old operating point eroded.
-          util::log_info(
-              "RAC: context change detected, re-seeding active policy ",
-              *match, " (", library_.at(*match).context.name(), ")");
           policy_reseed_count_->add(1);
         }
         load_policy(*match);

@@ -12,7 +12,6 @@
 
 #include "core/snapshot.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 
 namespace rac::core {
 
@@ -153,7 +152,7 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
     checkpoint.traffic_interval = environment.traffic_interval();
     checkpoint.agent_state = std::move(state).str();
     {
-      const obs::ScopedTimer timer(&h_checkpoint);
+      const obs::ProfileScope profile("core.checkpoint.write", h_checkpoint);
       write_checkpoint_file(options.checkpoint_path, checkpoint);
     }
     c_checkpoint_writes.add(1);
@@ -194,8 +193,8 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
     int attempts = 1;
     bool missing = false;
     {
-      const obs::ScopedTimer timer(&h_iteration);
-      const obs::ProfileScope iteration_profile("runner.iteration");
+      const obs::ProfileScope iteration_profile("runner.iteration",
+                                                h_iteration);
       {
         const obs::ProfileScope decide_profile("runner.decide");
         applied = agent.decide();

@@ -1,38 +1,31 @@
 #include "core/search.hpp"
 
 #include <limits>
-#include <stdexcept>
 
 namespace rac::core {
 
 namespace {
+// Fine-grid greedy refinement budget.
+constexpr int kMaxLocalSteps = 200;
+
 double evaluate(env::Environment& environment,
-                const config::Configuration& configuration, int samples,
+                const config::Configuration& configuration,
                 int& evaluations) {
-  double total = 0.0;
-  for (int i = 0; i < samples; ++i) {
-    total += environment.measure(configuration)  // rac-analyze: allow(unchecked-measure) offline probe
-                 .response_ms;
-  }
   ++evaluations;
-  return total / samples;
+  return environment.measure(configuration)  // rac-analyze: allow(unchecked-measure) offline probe
+      .response_ms;
 }
 }  // namespace
 
 SearchResult find_best_configuration(env::Environment& environment,
                                      const SearchOptions& options) {
-  if (options.samples_per_eval < 1) {
-    throw std::invalid_argument("find_best_configuration: bad sample count");
-  }
-
   SearchResult result;
   result.best_response_ms = std::numeric_limits<double>::infinity();
 
   const config::ConfigSpace space(options.coarse_levels);
   for (const auto& candidate : space.coarse_grid()) {
-    const double response = evaluate(environment, candidate,
-                                     options.samples_per_eval,
-                                     result.evaluations);
+    const double response =
+        evaluate(environment, candidate, result.evaluations);
     if (response < result.best_response_ms) {
       result.best_response_ms = response;
       result.best = candidate;
@@ -40,14 +33,13 @@ SearchResult find_best_configuration(env::Environment& environment,
   }
 
   // Greedy fine-grid descent from the best coarse point.
-  for (int step = 0; step < options.max_local_steps; ++step) {
+  for (int step = 0; step < kMaxLocalSteps; ++step) {
     config::Configuration improved = result.best;
     double improved_response = result.best_response_ms;
     for (const auto& neighbor : config::ConfigSpace::neighbors(result.best)) {
       if (neighbor == result.best) continue;
-      const double response = evaluate(environment, neighbor,
-                                       options.samples_per_eval,
-                                       result.evaluations);
+      const double response =
+          evaluate(environment, neighbor, result.evaluations);
       if (response < improved_response) {
         improved_response = response;
         improved = neighbor;

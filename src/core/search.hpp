@@ -9,9 +9,7 @@
 namespace rac::core {
 
 struct SearchOptions {
-  int coarse_levels = 4;     // coarse-grid resolution of the initial scan
-  int max_local_steps = 200; // fine-grid greedy refinement budget
-  int samples_per_eval = 1;  // measurements averaged per configuration
+  int coarse_levels = 4;  // coarse-grid resolution of the initial scan
 };
 
 struct SearchResult {
@@ -20,7 +18,8 @@ struct SearchResult {
   int evaluations = 0;
 };
 
-/// Exhaustive coarse scan + greedy neighbour descent.
+/// Exhaustive coarse scan + greedy neighbour descent of at most 200 steps,
+/// one measurement per evaluated configuration.
 SearchResult find_best_configuration(env::Environment& environment,
                                      const SearchOptions& options = {});
 

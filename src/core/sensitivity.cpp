@@ -17,7 +17,7 @@ std::vector<config::ParamId> SensitivityReport::selected(
 
 SensitivityReport analyze_sensitivity(env::Environment& environment,
                                       const SensitivityOptions& options) {
-  if (options.samples_per_point < 1 || options.stride < 1) {
+  if (options.stride < 1) {
     throw std::invalid_argument("analyze_sensitivity: bad options");
   }
 
@@ -31,14 +31,11 @@ SensitivityReport analyze_sensitivity(env::Environment& environment,
     const auto grid = config::ConfigSpace::fine_grid(id);
     for (std::size_t i = 0; i < grid.size();
          i += static_cast<std::size_t>(options.stride)) {
-      config::Configuration c = options.base;
+      config::Configuration c = config::Configuration::defaults();
       c.set(id, grid[i]);
-      double total = 0.0;
-      for (int rep = 0; rep < options.samples_per_point; ++rep) {
-        total += environment.measure(c)  // rac-analyze: allow(unchecked-measure) offline probe
-                     .response_ms;
-      }
-      const double response = total / options.samples_per_point;
+      const double response =
+          environment.measure(c)  // rac-analyze: allow(unchecked-measure) offline probe
+              .response_ms;
       ++report.evaluations;
       if (response < entry.min_response_ms) {
         entry.min_response_ms = response;

@@ -4,8 +4,8 @@
 // choice as future work ("configurable parameters need to be selected
 // automatically in a more efficient way", Section 7). This module
 // implements the obvious first tool: sweep each parameter's grid with the
-// others held at a base configuration, measure the response-time range it
-// commands, and rank. Parameters whose whole sweep moves the response
+// others held at the Table-1 defaults, measure the response-time range it
+// commands (one measurement per grid point), and rank. Parameters whose whole sweep moves the response
 // time less than a threshold are not worth the online search space they
 // would cost (Section 3.1's tradeoff).
 #pragma once
@@ -31,10 +31,6 @@ struct ParameterSensitivity {
 };
 
 struct SensitivityOptions {
-  /// Base configuration the non-swept parameters hold.
-  config::Configuration base{};
-  /// Measurements averaged per grid point (noise suppression).
-  int samples_per_point = 1;
   /// Sweep every `stride`-th fine-grid value (1 = full grid).
   int stride = 1;
 };

@@ -7,8 +7,9 @@
 
 #include "config/params.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "obs/profiler.hpp"
 #include "queueing/mva.hpp"
+#include "tiersim/system_params.hpp"
 #include "util/rng.hpp"
 #include "workload/tpcw.hpp"
 
@@ -19,6 +20,8 @@ namespace {
 using config::Configuration;
 using config::ParamId;
 
+/// Mechanism constants shared with the DES.
+constexpr tiersim::SystemParams kSystem{};
 constexpr double kMs = 1000.0;
 /// Fraction of the interval affected by bursts.
 constexpr double kBurstProb = 0.30;
@@ -168,8 +171,9 @@ PerfSample AnalyticEnv::evaluate_target(
     const Configuration& cfg, const workload::TrafficTarget* target,
     ModelDiagnostics* diagnostics) const {
   evaluations_->add(1);
-  const obs::ScopedTimer eval_timer(evaluate_us_);
-  const tiersim::SystemParams& P = opt_.system;
+  const obs::ProfileScope evaluate_profile("env.analytic.evaluate",
+                                          *evaluate_us_);
+  const tiersim::SystemParams& P = kSystem;
   // With a traffic target: the blended workload at the scaled population.
   // A one-hot blend with unit scales reproduces the plain path bitwise
   // (0 * x accumulates as +0.0 and the division is by exactly 1.0), so a

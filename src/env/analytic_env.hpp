@@ -40,7 +40,6 @@
 
 #include "env/environment.hpp"
 #include "queueing/mva.hpp"
-#include "tiersim/system_params.hpp"
 #include "util/rng.hpp"
 
 namespace rac::env {
@@ -49,8 +48,6 @@ struct AnalyticEnvOptions {
   int num_clients = 400;
   /// Lognormal sigma of measurement noise; 0 disables noise.
   double noise_sigma = 0.10;
-  /// Mechanism constants shared with the DES.
-  tiersim::SystemParams system{};
   std::uint64_t seed = 42;
   /// Coupling fixed-point iterations (converges in a handful).
   int fixed_point_iterations = 6;

@@ -4,9 +4,14 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "obs/profiler.hpp"
 
 namespace rac::env {
+
+namespace {
+/// Mechanism constants shared with the analytic model.
+constexpr tiersim::SystemParams kSystem{};
+}  // namespace
 
 SimEnv::SimEnv(const SystemContext& context, const SimEnvOptions& options)
     : ctx_(context),
@@ -36,13 +41,13 @@ void SimEnv::rebuild(const config::Configuration& configuration) {
                static_cast<double>(opt_.num_clients) *
                applied_target_->concurrency_scale)));
   }
-  system_ = std::make_unique<tiersim::ThreeTierSystem>(opt_.system, setup);
+  system_ = std::make_unique<tiersim::ThreeTierSystem>(kSystem, setup);
 }
 
 Measurement SimEnv::measure_interval(
     const config::Configuration& configuration) {
   measurements_->add(1);
-  const obs::ScopedTimer timer(measure_us_);
+  const obs::ProfileScope profile("env.sim.measure", *measure_us_);
   const std::optional<workload::TrafficTarget> target = traffic_.next(ctx_.mix);
 
   // A changed target replaces the browser population, like a mix switch at

@@ -30,7 +30,6 @@ struct SimEnvOptions {
   int num_clients = 400;
   double warmup_s = 60.0;    // settle time after a reconfiguration
   double measure_s = 240.0;  // observation window (paper: 5-minute interval)
-  tiersim::SystemParams system{};
   std::uint64_t seed = 42;
   /// Metrics destination (also forwarded to the simulator); nullptr means
   /// the process-wide default registry.

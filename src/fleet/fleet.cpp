@@ -12,6 +12,7 @@
 #include "core/reward.hpp"
 #include "obs/pool.hpp"
 #include "obs/profiler.hpp"
+#include "rl/td_learner.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -22,6 +23,9 @@ namespace {
 // Distinct from every tenant stream index (those stay below 2 * tenants +
 // 2), so retraining never replays a tenant's env/agent seeds.
 constexpr std::uint64_t kRetrainSalt = 0xF1EE7000000000ULL;
+
+// Algorithm-1 constants of the cross-tenant retraining sweeps.
+constexpr rl::TdParams kRetrainTd{0.1, 0.9, 0.1, 1e-3, 8, 40};
 
 // RacAgent with the tenant id baked into its reported name, so the fleet's
 // interleaved trace events stay attributable (and the order-insensitive
@@ -267,7 +271,7 @@ void FleetManager::cross_tenant_retrain() {
         kRetrainSalt +
             static_cast<std::uint64_t>(retrain_rounds_) * library_.size() +
             i));
-    rl::batch_train(table, starts, reward, opt_.retrain_td, rng,
+    rl::batch_train(table, starts, reward, kRetrainTd, rng,
                     opt_.registry);
     retrained[i] = std::move(table);
   });

@@ -43,7 +43,6 @@
 #include "workload/dynamic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rl/td_learner.hpp"
 
 namespace rac::util {
 class ThreadPool;
@@ -101,8 +100,6 @@ struct FleetOptions {
   /// are absolute multiples, so run(a); run(b) retrains exactly like
   /// run(a + b).
   int retrain_every = 0;
-  /// Algorithm-1 constants of the cross-tenant retraining sweeps.
-  rl::TdParams retrain_td{0.1, 0.9, 0.1, 1e-3, 8, 40};
   /// Pool the shards fan out on; nullptr means obs::shared_pool().
   util::ThreadPool* pool = nullptr;
   /// Registry receiving the fleet-level fleet.* metrics; nullptr means

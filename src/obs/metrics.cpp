@@ -70,6 +70,10 @@ std::vector<double> Histogram::exponential_bounds(double start, double factor,
   return bounds;
 }
 
+std::vector<double> latency_us_bounds() {
+  return Histogram::exponential_bounds(1.0, 2.0, 24);
+}
+
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& c : counters_) {

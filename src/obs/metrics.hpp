@@ -171,6 +171,10 @@ class Registry {
 /// summing unlike layouts would fabricate a distribution).
 MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts);
 
+/// Shared bucket layout for microsecond-scale latency histograms:
+/// 1us .. ~8.6s in powers of 2.
+std::vector<double> latency_us_bounds();
+
 /// The process-wide registry every built-in instrumentation point uses.
 Registry& default_registry();
 

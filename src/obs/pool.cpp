@@ -1,7 +1,6 @@
 #include "obs/pool.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 
 namespace rac::obs {
 

@@ -9,12 +9,22 @@ namespace rac::obs {
 
 namespace {
 
+std::atomic<bool> g_profiling{true};
+
 std::uint64_t next_profiler_id() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 }  // namespace
+
+void set_profiling(bool enabled) noexcept {
+  g_profiling.store(enabled, std::memory_order_relaxed);
+}
+
+bool profiling_enabled() noexcept {
+  return g_profiling.load(std::memory_order_relaxed);
+}
 
 struct Profiler::Node {
   explicit Node(std::string node_name) : name(std::move(node_name)) {}
@@ -226,11 +236,19 @@ ProfileScope::ProfileScope(const char* name, Profiler* profiler)
   start_ns_ = profiler_->clock_now();
 }
 
+ProfileScope::ProfileScope(const char* name, Histogram& histogram)
+    : ProfileScope(name) {
+  if (profiler_ != nullptr) histogram_ = &histogram;
+}
+
 ProfileScope::~ProfileScope() {
   if (profiler_ == nullptr) return;
+  const std::uint64_t elapsed_ns = profiler_->clock_now() - start_ns_;
+  if (histogram_ != nullptr) {
+    histogram_->observe(static_cast<double>(elapsed_ns) / 1000.0);
+  }
   if (profiler_->epoch() != epoch_) return;  // reset() abandoned this frame
-  const std::uint64_t end_ns = profiler_->clock_now();
-  profiler_->exit(node_, end_ns - start_ns_);
+  profiler_->exit(node_, elapsed_ns);
 }
 
 ProfileAnchor::ProfileAnchor(const std::vector<std::string>& path,

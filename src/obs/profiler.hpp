@@ -1,11 +1,14 @@
-// Hierarchical phase profiler: a call tree of named scopes on top of the
-// flat ScopedTimer histograms.
+// Hierarchical phase profiler: a call tree of named scopes, and the
+// project's one timer.
 //
 // ProfileScope pushes a frame onto the calling thread's tree (creating the
 // node on first entry) and records inclusive nanoseconds on exit; nesting
 // scopes builds the phase hierarchy, and snapshot() merges every thread's
 // tree into one deterministic PhaseNode tree (children sorted by name,
-// per-phase calls summed across threads).
+// per-phase calls summed across threads). A scope built with a registry
+// Histogram also records its elapsed microseconds there, from the same two
+// clock reads, so a site that exports a latency histogram and a phase
+// costs one clock pair and the two can never disagree on what was timed.
 //
 // Determinism across util::ThreadPool fan-out is the hard part: a task may
 // run on the thread that submitted it, on an idle worker with no frames
@@ -24,11 +27,12 @@
 // thread count; only the timings differ, and structure_signature() strips
 // those for golden comparisons.
 //
-// Scopes honor the process-global set_profiling switch: a scope built
-// while profiling is disabled takes no clock samples and touches no tree.
-// The clock is injectable (set_clock) so tests can prove that. reset() and
-// snapshot() require quiescence -- call them only when no scopes are open
-// on other threads (benches snapshot after the pool has joined).
+// Scopes honor the process-global set_profiling switch (on by default): a
+// scope built while profiling is disabled takes no clock samples, touches
+// no tree and records into no histogram. The clock is injectable
+// (set_clock) so tests can prove that. reset() and snapshot() require
+// quiescence -- call them only when no scopes are open on other threads
+// (benches snapshot after the pool has joined).
 #pragma once
 
 #include <atomic>
@@ -39,9 +43,14 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/timer.hpp"
+#include "obs/metrics.hpp"
 
 namespace rac::obs {
+
+/// Whether ProfileScope and ProfileAnchor take clock samples and touch
+/// the tree. Default: enabled.
+void set_profiling(bool enabled) noexcept;
+bool profiling_enabled() noexcept;
 
 /// One phase in a merged snapshot. `inclusive_us` is the summed wall time
 /// of the phase across all threads (a phase fanned out to N workers can
@@ -131,16 +140,21 @@ class Profiler {
 /// RAII frame in the profiler's call tree. `name` must outlive the scope
 /// (string literals in practice). A scope constructed while
 /// profiling_enabled() is false is a complete no-op: no clock reads, no
-/// tree access.
+/// tree access, no histogram observation.
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name, Profiler* profiler = nullptr);
+  /// A frame in the default profiler that also records its elapsed time,
+  /// in microseconds, into `histogram`. A scope that read the clock at
+  /// entry always records; a reset() in between only skips the tree.
+  ProfileScope(const char* name, Histogram& histogram);
   ~ProfileScope();
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
   Profiler* profiler_;
+  Histogram* histogram_ = nullptr;
   Profiler::Node* node_ = nullptr;
   std::uint64_t start_ns_ = 0;
   std::uint64_t epoch_ = 0;

@@ -55,12 +55,6 @@ class TraceSink {
   virtual void flush() {}
 };
 
-/// Swallows everything; install when tracing is off.
-class NullTraceSink final : public TraceSink {
- public:
-  void emit(const TraceEvent&) override {}
-};
-
 /// Collects events in memory (thread-safe); tests and reports read them.
 class MemoryTraceSink final : public TraceSink {
  public:

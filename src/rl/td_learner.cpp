@@ -11,7 +11,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "rl/policy.hpp"
 #include "util/contracts.hpp"
 
@@ -109,7 +108,6 @@ TdResult batch_train(QTable& table,
     result.converged = true;
     return result;
   }
-  const obs::ProfileScope profile("rl.batch_train");
 
   // Telemetry handles (resolved once per batch against the injected
   // registry) and local accumulators: the inner loop runs millions of
@@ -123,7 +121,7 @@ TdResult batch_train(QTable& table,
   obs::Gauge& g_error = reg.gauge("rl.td.last_error");
   obs::Histogram& h_train =
       reg.histogram("rl.td.batch_train_us", obs::latency_us_bounds());
-  const obs::ScopedTimer timer(&h_train);
+  const obs::ProfileScope profile("rl.batch_train", h_train);
   std::uint64_t backups = 0;
 
   // Per-batch scratch, sized by the rows the batch touches, never by the

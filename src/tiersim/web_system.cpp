@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "util/contracts.hpp"
 #include "workload/dynamic.hpp"
 
@@ -586,8 +585,7 @@ Measurement ThreeTierSystem::run(double warmup_s, double measure_s) {
   obs::Counter& c_ps_jobs = registry.counter("tiersim.ps_jobs_submitted");
   obs::Histogram& h_interval =
       registry.histogram("tiersim.interval_us", obs::latency_us_bounds());
-  const obs::ScopedTimer timer(&h_interval);
-  const obs::ProfileScope profile("tiersim.interval");
+  const obs::ProfileScope profile("tiersim.interval", h_interval);
 
   const std::uint64_t ps_jobs_before =
       impl_->web_cpu.jobs_submitted() + impl_->app_cpu.jobs_submitted();

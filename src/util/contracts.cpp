@@ -1,45 +1,15 @@
 #include "util/contracts.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <sstream>
 
-#include "util/log.hpp"
-
-namespace rac::util {
-
-namespace {
-std::atomic<ContractMode> g_mode{ContractMode::kThrow};
-}  // namespace
-
-void set_contract_mode(ContractMode mode) noexcept {
-  g_mode.store(mode, std::memory_order_relaxed);
-}
-
-ContractMode contract_mode() noexcept {
-  return g_mode.load(std::memory_order_relaxed);
-}
-
-namespace detail {
+namespace rac::util::detail {
 
 void contract_fail(const char* kind, const char* expr, const char* file,
                    int line, const char* message) {
   std::ostringstream os;
   os << kind << " failed: (" << expr << ") at " << file << ':' << line;
   if (message != nullptr && *message != '\0') os << ": " << message;
-  const std::string what = os.str();
-  switch (contract_mode()) {
-    case ContractMode::kThrow:
-      throw ContractViolation(what);
-    case ContractMode::kAbort:
-      log_error(what);
-      std::abort();
-    case ContractMode::kLog:
-      log_error(what);
-      return;
-  }
+  throw ContractViolation(os.str());
 }
 
-}  // namespace detail
-
-}  // namespace rac::util
+}  // namespace rac::util::detail

@@ -12,19 +12,12 @@
 //                                  build sets -DRAC_AUDIT=ON
 //
 // The first three always evaluate their condition (they are cheap: one
-// compare and a never-taken branch on the hot path). What happens on
-// failure is a process-wide runtime choice:
-//
-//   ContractMode::kThrow  (default) -- throw ContractViolation
-//   ContractMode::kAbort            -- log the failure, std::abort()
-//   ContractMode::kLog              -- log the failure, continue
-//
-// kThrow keeps failures testable and recoverable; kAbort is what a
-// production deployment running under a supervisor wants (a core dump at
-// the first bad state beats a poisoned Q-table); kLog exists for
-// best-effort data-gathering runs. Note that a kThrow failure inside a
-// `noexcept` function still terminates -- by design, such contracts are
-// "fail loudly" either way.
+// compare and a never-taken branch on the hot path) and, on failure,
+// always throw ContractViolation naming the kind, the condition, the
+// source location and the message. Throwing keeps failures testable and
+// lets a caller that owns the process decide what a broken invariant
+// costs. Note that a failure inside a `noexcept` function still
+// terminates -- by design, such contracts are "fail loudly" either way.
 //
 // Heavyweight audit *blocks* (e.g. scanning a whole Q-table for NaNs)
 // should be gated on `if constexpr (rac::util::kAuditEnabled)` so the
@@ -42,38 +35,18 @@ inline constexpr bool kAuditEnabled = true;
 inline constexpr bool kAuditEnabled = false;
 #endif
 
-enum class ContractMode { kThrow, kAbort, kLog };
-
-/// Thrown on contract failure in ContractMode::kThrow.
+/// Thrown by every failed contract.
 class ContractViolation : public std::logic_error {
  public:
   explicit ContractViolation(const std::string& what)
       : std::logic_error(what) {}
 };
 
-/// Process-wide failure mode (atomic; safe to flip from tests).
-void set_contract_mode(ContractMode mode) noexcept;
-ContractMode contract_mode() noexcept;
-
-/// RAII helper for tests: swap the mode, restore on scope exit.
-class ScopedContractMode {
- public:
-  explicit ScopedContractMode(ContractMode mode) noexcept
-      : previous_(contract_mode()) {
-    set_contract_mode(mode);
-  }
-  ~ScopedContractMode() { set_contract_mode(previous_); }
-  ScopedContractMode(const ScopedContractMode&) = delete;
-  ScopedContractMode& operator=(const ScopedContractMode&) = delete;
-
- private:
-  ContractMode previous_;
-};
-
 namespace detail {
-/// Slow path, shared by every macro. Returns only in ContractMode::kLog.
-void contract_fail(const char* kind, const char* expr, const char* file,
-                   int line, const char* message);
+/// Slow path, shared by every macro.
+[[noreturn]] void contract_fail(const char* kind, const char* expr,
+                                const char* file, int line,
+                                const char* message);
 }  // namespace detail
 
 }  // namespace rac::util

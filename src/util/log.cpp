@@ -1,7 +1,5 @@
 #include "util/log.hpp"
 
-#include <atomic>
-#include <cstdio>
 #include <ctime>
 #include <iostream>
 #include <mutex>
@@ -9,23 +7,10 @@
 namespace rac::util {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
 // One mutex guards the sink pointer and the write itself: a sink swap
 // cannot race a log call, and concurrent log lines cannot interleave.
 std::mutex g_mutex;
 LogSink g_sink;  // empty = stderr
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
-}
 
 std::string utc_timestamp() {
   const std::time_t now = std::time(nullptr);
@@ -37,30 +22,27 @@ std::string utc_timestamp() {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level.store(level); }
-
-LogLevel log_level() noexcept { return g_level.load(); }
-
 void set_log_sink(LogSink sink) {
   std::lock_guard<std::mutex> lock(g_mutex);
   g_sink = std::move(sink);
 }
 
-void log(LogLevel level, const std::string& message) {
-  if (level < g_level.load() || level == LogLevel::kOff) return;
+namespace detail {
+
+void warn(const std::string& message) {
   std::string line = "[";
   line += utc_timestamp();
-  line += "] [";
-  line += level_name(level);
-  line += "] ";
+  line += "] [WARN] ";
   line += message;
 
   std::lock_guard<std::mutex> lock(g_mutex);
   if (g_sink) {
-    g_sink(level, line);
+    g_sink(line);
   } else {
     std::cerr << line << '\n';
   }
 }
+
+}  // namespace detail
 
 }  // namespace rac::util

@@ -1,8 +1,9 @@
-// Minimal leveled logger.
+// Warning logger.
 //
-// Libraries in this repo report through return values and exceptions; the
-// logger exists for the agents' trace output (reconfiguration decisions,
-// policy switches) which operators of the real RAC system would read.
+// Libraries in this repo report through return values, exceptions and the
+// obs metrics and decision trace; the logger carries only warnings an
+// operator must see on stderr although the run goes on -- today the one
+// `default_thread_count` prints for a malformed RAC_THREADS.
 #pragma once
 
 #include <functional>
@@ -11,27 +12,21 @@
 
 namespace rac::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Process-global minimum level; messages below it are dropped.
-void set_log_level(LogLevel level) noexcept;
-LogLevel log_level() noexcept;
-
-/// Receives each formatted line ("[<UTC timestamp>] [LEVEL] message", no
-/// trailing newline) that passes the level filter.
-using LogSink = std::function<void(LogLevel, const std::string&)>;
+/// Receives each formatted line ("[<UTC timestamp>] [WARN] message", no
+/// trailing newline).
+using LogSink = std::function<void(const std::string&)>;
 
 /// Replace the destination of log lines (default: stderr). Pass nullptr to
-/// restore the default. Tests install a capturing sink to assert on agent
-/// commentary without scraping stderr.
+/// restore the default. Tests install a capturing sink to assert on
+/// warnings without scraping stderr.
 void set_log_sink(LogSink sink);
 
-/// Emit one line as "[2009-06-22T12:00:00Z] [LEVEL] message". Thread-safe:
-/// formatting, the sink call, and the stderr write happen under one mutex,
-/// so concurrent agents cannot interleave lines.
-void log(LogLevel level, const std::string& message);
-
 namespace detail {
+/// Emit one line as "[2009-06-22T12:00:00Z] [WARN] message". Thread-safe:
+/// formatting, the sink call, and the stderr write happen under one mutex,
+/// so concurrent warnings cannot interleave.
+void warn(const std::string& message);
+
 template <typename... Args>
 std::string concat(Args&&... args) {
   std::ostringstream os;
@@ -41,27 +36,8 @@ std::string concat(Args&&... args) {
 }  // namespace detail
 
 template <typename... Args>
-void log_debug(Args&&... args) {
-  if (log_level() <= LogLevel::kDebug)
-    log(LogLevel::kDebug, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void log_info(Args&&... args) {
-  if (log_level() <= LogLevel::kInfo)
-    log(LogLevel::kInfo, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
 void log_warn(Args&&... args) {
-  if (log_level() <= LogLevel::kWarn)
-    log(LogLevel::kWarn, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void log_error(Args&&... args) {
-  if (log_level() <= LogLevel::kError)
-    log(LogLevel::kError, detail::concat(std::forward<Args>(args)...));
+  detail::warn(detail::concat(std::forward<Args>(args)...));
 }
 
 }  // namespace rac::util

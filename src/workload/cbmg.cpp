@@ -86,7 +86,6 @@ const TransitionMatrix& cbmg_matrix(MixType mix) {
   // not a mix to approximate: silently handing back the shopping matrix
   // here once masked exactly that.
   RAC_EXPECT(false, "cbmg_matrix: mix outside the MixType enum");
-  return shopping;  // unreachable under every contract mode that returns
 }
 
 const std::array<double, kNumInteractions>& entry_distribution(MixType mix) {
@@ -102,7 +101,6 @@ const std::array<double, kNumInteractions>& entry_distribution(MixType mix) {
     case MixType::kOrdering: return ordering;
   }
   RAC_EXPECT(false, "entry_distribution: mix outside the MixType enum");
-  return shopping;  // unreachable under every contract mode that returns
 }
 
 std::array<double, kNumInteractions> stationary_distribution(

@@ -477,7 +477,7 @@ TEST(GoldenFindings, PerLineAndDirectReadMessagesAreStable) {
        "path-traversing include; project includes are rooted at src/"},
       {"iostream",
        "direct console I/O in library code; report via return values, "
-       "exceptions, or util::log"},
+       "exceptions, or util::log_warn"},
       {"locale-io",
        "locale-sensitive numeric parsing (result depends on the process "
        "locale); use util/lineio parse_double/std::from_chars"},
@@ -499,8 +499,8 @@ TEST(GoldenFindings, PerLineAndDirectReadMessagesAreStable) {
        "suppression"},
       {"untracked-timer",
        "raw clock read in library code; time phases with obs::ProfileScope "
-       "or obs::ScopedTimer so the work shows up in bench reports, or "
-       "justify with a suppression"},
+       "(pass it a Histogram to also export a latency metric) so the work "
+       "shows up in bench reports, or justify with a suppression"},
       {"wall-clock",
        "wall-clock read in a reproducible subsystem; time must come from the "
        "simulation clock or the caller"},

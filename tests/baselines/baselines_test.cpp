@@ -93,12 +93,6 @@ TEST(TrialAndError, RestartsAfterContextChange) {
   EXPECT_GE(agent.restarts(), 1);
 }
 
-TEST(TrialAndError, RejectsBadOptions) {
-  TrialAndErrorOptions opt;
-  opt.values_per_parameter = 1;
-  EXPECT_THROW(TrialAndErrorAgent{opt}, std::invalid_argument);
-}
-
 TEST(HillClimb, WalksToNearLocalOptimum) {
   HillClimbAgent agent;
   AnalyticEnv env({MixType::kShopping, VmLevel::kLevel1}, env_options());
@@ -120,12 +114,6 @@ TEST(HillClimb, FineStepsBeatTheCoarseTrialAndError) {
   const auto sweep_trace = core::run_agent(env2, sweep, {}, 60);
   EXPECT_LE(hill_trace.mean_response_ms(45, 60),
             1.1 * sweep_trace.mean_response_ms(45, 60));
-}
-
-TEST(HillClimb, RejectsBadOptions) {
-  HillClimbOptions opt;
-  opt.probe_step = 0;
-  EXPECT_THROW(HillClimbAgent{opt}, std::invalid_argument);
 }
 
 }  // namespace

@@ -177,19 +177,16 @@ TEST(ConfigSpace, RejectsTooFewCoarseLevels) {
 // validate_catalog additionally runs at ConfigSpace construction under
 // RAC_AUDIT).
 TEST(ConfigSpace, ValidateSpecAcceptsTheRealCatalog) {
-  util::ScopedContractMode guard(util::ContractMode::kThrow);
   EXPECT_NO_THROW(validate_catalog());
 }
 
 TEST(ConfigSpace, ValidateSpecRejectsInvertedBounds) {
-  util::ScopedContractMode guard(util::ContractMode::kThrow);
   ParamSpec bad = spec(ParamId::kMaxClients);
   bad.min = bad.max + 1;
   EXPECT_THROW(validate_spec(bad), util::ContractViolation);
 }
 
 TEST(ConfigSpace, ValidateSpecRejectsBadStepAndDefault) {
-  util::ScopedContractMode guard(util::ContractMode::kThrow);
   ParamSpec bad = spec(ParamId::kMaxThreads);
   bad.fine_step = 0;
   EXPECT_THROW(validate_spec(bad), util::ContractViolation);

@@ -50,12 +50,5 @@ TEST(Search, FindsLargerMaxClientsThanDefault) {
   EXPECT_GT(result.best.value(ParamId::kMaxClients), 150);
 }
 
-TEST(Search, RejectsBadSampleCount) {
-  AnalyticEnv env({MixType::kShopping, VmLevel::kLevel1}, quiet_env());
-  SearchOptions opt;
-  opt.samples_per_eval = 0;
-  EXPECT_THROW(find_best_configuration(env, opt), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace rac::core

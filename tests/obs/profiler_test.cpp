@@ -7,15 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/rac_agent.hpp"
 #include "core/runner.hpp"
 #include "env/analytic_env.hpp"
-#include "obs/timer.hpp"
+#include "env/sim_env.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,7 +40,8 @@ void advance_us(std::uint64_t us) {
 }
 
 // Every test runs with profiling globally enabled unless it flips the
-// switch itself; restore both the switch and the fake clock on exit.
+// switch itself; restore the switch and the default profiler's clock on
+// exit (histogram scopes record into the default profiler).
 class ProfilerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -46,7 +50,10 @@ class ProfilerTest : public ::testing::Test {
     g_clock_reads.store(0);
     profiler_.set_clock(fake_clock);
   }
-  void TearDown() override { set_profiling(true); }
+  void TearDown() override {
+    set_profiling(true);
+    Profiler::default_profiler().set_clock(nullptr);
+  }
 
   Profiler profiler_;
 };
@@ -90,15 +97,23 @@ TEST_F(ProfilerTest, RepeatedScopesAccumulateCallsAndTime) {
 }
 
 TEST_F(ProfilerTest, DisabledProfilingTakesNoClockReadsAndTouchesNoTree) {
+  Registry registry;
+  Histogram& histogram =
+      registry.histogram("test.disabled_us", latency_us_bounds());
+  Profiler& global = Profiler::default_profiler();
+  global.set_clock(fake_clock);
   set_profiling(false);
   g_clock_reads.store(0);
   {
     ProfileScope outer("outer", &profiler_);
     ProfileScope inner("inner", &profiler_);
+    ProfileScope timed("test.disabled_timed", histogram);
     advance_us(5);
   }
   EXPECT_EQ(g_clock_reads.load(), 0u);
   EXPECT_TRUE(profiler_.snapshot().children.empty());
+  EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(global.snapshot().child("test.disabled_timed"), nullptr);
 
   // Re-enabling starts recording again in the same profiler.
   set_profiling(true);
@@ -246,6 +261,27 @@ TEST_F(ProfilerTest, ResetDropsRecordedTreesAndAbandonsOpenScopes) {
   EXPECT_NE(root.child("after"), nullptr);
 }
 
+// A histogram scope that read the clock at entry records its elapsed time
+// even when a reset() abandons its frame: only the tree update is skipped.
+TEST_F(ProfilerTest, HistogramScopeRecordsAcrossAReset) {
+  Registry registry;
+  Histogram& histogram =
+      registry.histogram("test.reset_us", latency_us_bounds());
+  Profiler& global = Profiler::default_profiler();
+  global.set_clock(fake_clock);
+  {
+    ProfileScope timed("test.timed", histogram);
+    advance_us(4);
+  }
+  auto open = std::make_unique<ProfileScope>("test.reset_timed", histogram);
+  advance_us(3);
+  global.reset();
+  open.reset();
+  EXPECT_EQ(histogram.count(), 2u);
+  EXPECT_DOUBLE_EQ(histogram.sum(), 7.0);
+  EXPECT_EQ(global.snapshot().child("test.reset_timed"), nullptr);
+}
+
 TEST_F(ProfilerTest, StructureSignatureIgnoresTimings) {
   Profiler other;
   other.set_clock(fake_clock);
@@ -316,6 +352,86 @@ TEST(ProfilerIntegration, DecisionTraceIdenticalWithProfilingOnAndOff) {
   set_profiling(true);
   ASSERT_EQ(traced_on.size(), 12u);
   EXPECT_EQ(traced_on, traced_off);
+}
+
+// Sum of `name`'s calls at every position in the tree.
+std::uint64_t phase_calls(const PhaseNode& node, std::string_view name) {
+  std::uint64_t calls = node.name == name ? node.calls : 0;
+  for (const auto& child : node.children) calls += phase_calls(child, name);
+  return calls;
+}
+
+// Each timed site is one ProfileScope feeding both the phase tree and the
+// site's histogram, so every histogram observation is one call of its
+// phase: offline policy training, a checkpointed online run on the
+// analytic model, and two intervals on the discrete-event simulator.
+TEST(ProfilerIntegration, EachSiteHistogramCountsItsPhaseCalls) {
+  set_profiling(true);
+  Profiler& profiler = Profiler::default_profiler();
+  profiler.reset();
+  Registry registry;
+  const auto ctx = env::table2_context(1);
+
+  env::AnalyticEnvOptions opt;
+  opt.seed = 11;
+  opt.registry = &registry;
+  core::PolicyInitOptions init;
+  init.coarse_levels = 3;
+  init.offline_td.max_sweeps = 40;
+  init.registry = &registry;
+  env::AnalyticEnv offline_env(ctx, opt);
+  core::InitialPolicyLibrary library;
+  library.add(core::learn_initial_policy(offline_env, init));
+
+  core::RacOptions rac_options;
+  rac_options.seed = 5;
+  rac_options.registry = &registry;
+  core::RacAgent agent(rac_options, library, 0);
+  env::AnalyticEnv env(ctx, opt);
+  core::RunOptions options;
+  options.registry = &registry;
+  options.checkpoint_every = 4;
+  options.checkpoint_path = ::testing::TempDir() + "rac_profiler_sites.ckpt";
+  core::run_agent(env, agent, {}, 12, options);
+  std::remove(options.checkpoint_path.c_str());
+
+  env::SimEnvOptions sim_options;
+  sim_options.warmup_s = 40.0;
+  sim_options.measure_s = 120.0;
+  sim_options.registry = &registry;
+  env::SimEnv sim(ctx, sim_options);
+  for (int i = 0; i < 2; ++i) {
+    sim.measure_interval(config::Configuration::defaults());
+  }
+
+  const PhaseNode root = profiler.snapshot();
+  const auto observations = [&](const char* histogram) {
+    return registry.histogram(histogram, latency_us_bounds()).count();
+  };
+  struct Site {
+    const char* histogram;
+    const char* phase;
+  };
+  for (const Site& site : {
+           Site{"core.runner.iteration_us", "runner.iteration"},
+           Site{"core.rac.select_us", "rac.select"},
+           Site{"core.rac.retrain_us", "rac.retrain"},
+           Site{"core.policy_init.train_us", "core.policy_init"},
+           Site{"rl.td.batch_train_us", "rl.batch_train"},
+           Site{"env.analytic.evaluate_us", "env.analytic.evaluate"},
+           Site{"env.sim.measure_us", "env.sim.measure"},
+           Site{"tiersim.interval_us", "tiersim.interval"},
+           Site{"core.checkpoint.write_us", "core.checkpoint.write"},
+       }) {
+    EXPECT_GT(observations(site.histogram), 0u) << site.histogram;
+    EXPECT_EQ(observations(site.histogram), phase_calls(root, site.phase))
+        << site.histogram << " vs " << site.phase;
+  }
+  EXPECT_EQ(observations("core.runner.iteration_us"), 12u);
+  EXPECT_EQ(observations("core.checkpoint.write_us"), 3u);
+  EXPECT_EQ(observations("core.policy_init.train_us"), 1u);
+  EXPECT_EQ(observations("env.sim.measure_us"), 2u);
+  EXPECT_EQ(observations("tiersim.interval_us"), 2u);
 }
 
 }  // namespace

@@ -72,12 +72,6 @@ TEST(MemorySink, CollectsAndClears) {
   EXPECT_EQ(sink.size(), 0u);
 }
 
-TEST(NullSink, SwallowsEverything) {
-  NullTraceSink sink;
-  sink.emit(sample_event());
-  sink.flush();  // must be harmless
-}
-
 TEST(JsonlSink, WritesOneLinePerEvent) {
   const std::string path = ::testing::TempDir() + "rac_trace_test.jsonl";
   {
@@ -113,6 +107,13 @@ TEST(TeeSink, FansOutToAllSinks) {
   TeeTraceSink tee({&a, &b});
   tee.emit(sample_event());
   tee.flush();
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(b.size(), 1u);
+
+  // An empty tee is the null sink: it drops every event harmlessly.
+  TeeTraceSink empty({});
+  empty.emit(sample_event());
+  empty.flush();
   EXPECT_EQ(a.size(), 1u);
   EXPECT_EQ(b.size(), 1u);
 }

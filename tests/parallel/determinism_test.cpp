@@ -18,7 +18,6 @@
 #include "core/runner.hpp"
 #include "env/analytic_env.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rac::core {
@@ -141,6 +140,12 @@ TEST(ParallelDeterminism, ProfilerTreeStructureIsThreadCountInvariant) {
     // Sanity: the signature actually contains the instrumented phases.
     EXPECT_NE(serial.find("core.build_library"), std::string::npos);
     EXPECT_NE(serial.find("policy_init.coarse_sample"), std::string::npos);
+    // The model evaluations nest under the sample that asked for them
+    // (the profiler still holds the last build's tree).
+    EXPECT_NE(profiler.snapshot().find(
+                  "core.build_library/core.policy_init/"
+                  "policy_init.coarse_sample/env.analytic.evaluate"),
+              nullptr);
   }
   profiler.reset();
 }

@@ -79,7 +79,6 @@ TEST(ExperienceStore, RejectsBadBlend) {
 // negative response would corrupt every future blend for that
 // configuration. The RAC_EXPECT precondition fires in every build.
 TEST(ExperienceStore, RejectsNonFiniteOrNegativeResponse) {
-  util::ScopedContractMode guard(util::ContractMode::kThrow);
   ExperienceStore store;
   EXPECT_THROW(
       store.record(Configuration{},

@@ -3,22 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
-
-#include "util/log.hpp"
 
 namespace rac::util {
 namespace {
 
 TEST(Contracts, PassingContractEvaluatesConditionOnceAndContinues) {
-  ScopedContractMode guard(ContractMode::kThrow);
   int evaluations = 0;
   RAC_EXPECT((++evaluations, true), "never fails");
   EXPECT_EQ(evaluations, 1);
 }
 
 TEST(Contracts, ThrowModeThrowsContractViolationWithContext) {
-  ScopedContractMode guard(ContractMode::kThrow);
   try {
     RAC_EXPECT(1 + 1 == 3, "arithmetic is broken");
     FAIL() << "contract did not fire";
@@ -32,7 +27,6 @@ TEST(Contracts, ThrowModeThrowsContractViolationWithContext) {
 }
 
 TEST(Contracts, EnsureAndInvariantCarryTheirKind) {
-  ScopedContractMode guard(ContractMode::kThrow);
   EXPECT_THROW(RAC_ENSURE(false, "post"), ContractViolation);
   EXPECT_THROW(RAC_INVARIANT(false, "inv"), ContractViolation);
   try {
@@ -43,55 +37,13 @@ TEST(Contracts, EnsureAndInvariantCarryTheirKind) {
   }
 }
 
-TEST(Contracts, LogModeLogsAndContinues) {
-  ScopedContractMode guard(ContractMode::kLog);
-  std::vector<std::string> lines;
-  set_log_sink([&](LogLevel, const std::string& line) {
-    lines.push_back(line);
-  });
-  int after = 0;
-  RAC_INVARIANT(false, "continuing anyway");
-  after = 1;  // reached only because kLog returns
-  set_log_sink(nullptr);
-  EXPECT_EQ(after, 1);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines.front().find("INVARIANT failed"), std::string::npos);
-  EXPECT_NE(lines.front().find("continuing anyway"), std::string::npos);
-}
-
-TEST(Contracts, ScopedModeRestoresPreviousMode) {
-  set_contract_mode(ContractMode::kThrow);
-  {
-    ScopedContractMode guard(ContractMode::kLog);
-    EXPECT_EQ(contract_mode(), ContractMode::kLog);
-    {
-      ScopedContractMode inner(ContractMode::kAbort);
-      EXPECT_EQ(contract_mode(), ContractMode::kAbort);
-    }
-    EXPECT_EQ(contract_mode(), ContractMode::kLog);
-  }
-  EXPECT_EQ(contract_mode(), ContractMode::kThrow);
-}
-
-TEST(ContractsDeathTest, AbortModeAborts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        set_contract_mode(ContractMode::kAbort);
-        RAC_EXPECT(false, "fatal in abort mode");
-      },
-      "EXPECT failed");
-}
-
 TEST(Contracts, AuditEvaluatesConditionOnlyInAuditBuilds) {
-  ScopedContractMode guard(ContractMode::kThrow);
   int evaluations = 0;
   RAC_AUDIT((++evaluations, true), "side effect probe");
   EXPECT_EQ(evaluations, kAuditEnabled ? 1 : 0);
 }
 
 TEST(Contracts, AuditFiresOnlyInAuditBuilds) {
-  ScopedContractMode guard(ContractMode::kThrow);
   if (kAuditEnabled) {
     EXPECT_THROW(RAC_AUDIT(false, "audit failure"), ContractViolation);
   } else {

@@ -9,87 +9,66 @@
 namespace rac::util {
 namespace {
 
-// Every test restores the global logger state it touches.
+// Every test restores the default stderr destination.
 class LogTest : public ::testing::Test {
  protected:
-  void SetUp() override { previous_level_ = log_level(); }
-  void TearDown() override {
-    set_log_sink(nullptr);
-    set_log_level(previous_level_);
-  }
-  LogLevel previous_level_;
+  void TearDown() override { set_log_sink(nullptr); }
 };
 
 TEST_F(LogTest, SinkReceivesFormattedLines) {
-  std::vector<std::pair<LogLevel, std::string>> captured;
-  set_log_sink([&](LogLevel level, const std::string& line) {
-    captured.emplace_back(level, line);
-  });
-  set_log_level(LogLevel::kInfo);
-  log_info("policy switch to context-", 2);
+  std::vector<std::string> captured;
+  set_log_sink([&](const std::string& line) { captured.push_back(line); });
+  log_warn("RAC_THREADS='", 0, "' is not a positive integer");
   ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0].first, LogLevel::kInfo);
-  EXPECT_NE(captured[0].second.find("[INFO] policy switch to context-2"),
-            std::string::npos);
+  EXPECT_NE(
+      captured[0].find("[WARN] RAC_THREADS='0' is not a positive integer"),
+      std::string::npos);
 }
 
 TEST_F(LogTest, LinesStartWithUtcTimestamp) {
   std::string captured;
-  set_log_sink([&](LogLevel, const std::string& line) { captured = line; });
-  set_log_level(LogLevel::kWarn);
+  set_log_sink([&](const std::string& line) { captured = line; });
   log_warn("SLA violation streak");
   const std::regex prefix(
       R"(^\[\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z\] \[WARN\] )");
   EXPECT_TRUE(std::regex_search(captured, prefix)) << captured;
 }
 
-TEST_F(LogTest, LevelFilterDropsBelowMinimum) {
-  int calls = 0;
-  set_log_sink([&](LogLevel, const std::string&) { ++calls; });
-  set_log_level(LogLevel::kWarn);
-  log_debug("dropped");
-  log_info("dropped");
-  log_warn("kept");
-  log_error("kept");
-  EXPECT_EQ(calls, 2);
-  set_log_level(LogLevel::kOff);
-  log_error("dropped");
-  EXPECT_EQ(calls, 2);
-}
-
 TEST_F(LogTest, NullSinkRestoresDefault) {
   int calls = 0;
-  set_log_sink([&](LogLevel, const std::string&) { ++calls; });
-  set_log_level(LogLevel::kError);
-  log_error("to sink");
+  set_log_sink([&](const std::string&) { ++calls; });
+  ::testing::internal::CaptureStderr();
+  log_warn("to sink");
   EXPECT_EQ(calls, 1);
   set_log_sink(nullptr);
   // Goes to stderr now; the captured count must not move.
-  set_log_level(LogLevel::kOff);  // silence stderr for the test run
-  log_error("to stderr");
+  log_warn("to stderr");
+  const std::string stderr_text = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(calls, 1);
+  EXPECT_EQ(stderr_text.find("to sink"), std::string::npos) << stderr_text;
+  EXPECT_NE(stderr_text.find("] [WARN] to stderr\n"), std::string::npos)
+      << stderr_text;
 }
 
 TEST_F(LogTest, ConcurrentLoggingDeliversEveryLineIntact) {
   std::vector<std::string> lines;
-  set_log_sink([&](LogLevel, const std::string& line) {
+  set_log_sink([&](const std::string& line) {
     lines.push_back(line);  // serialized by the logger's mutex
   });
-  set_log_level(LogLevel::kInfo);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([t] {
       for (int i = 0; i < kPerThread; ++i) {
-        log_info("thread-", t, " line-", i);
+        log_warn("thread-", t, " line-", i);
       }
     });
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(lines.size(), static_cast<std::size_t>(kThreads * kPerThread));
   for (const auto& line : lines) {
-    EXPECT_NE(line.find("] [INFO] thread-"), std::string::npos) << line;
+    EXPECT_NE(line.find("] [WARN] thread-"), std::string::npos) << line;
   }
 }
 

@@ -245,9 +245,7 @@ TEST(ThreadPool, DefaultThreadCountReadsEnvironment) {
 // (or hardware-wide) surprise.
 TEST(ThreadPool, DefaultThreadCountWarnsOnInvalidEnvironment) {
   std::vector<std::string> warnings;
-  set_log_sink([&](LogLevel level, const std::string& line) {
-    if (level == LogLevel::kWarn) warnings.push_back(line);
-  });
+  set_log_sink([&](const std::string& line) { warnings.push_back(line); });
   for (const char* bad : {"0", "-2", "lots", "4x"}) {
     ASSERT_EQ(setenv("RAC_THREADS", bad, 1), 0);
     EXPECT_GE(default_thread_count(), 1u) << "RAC_THREADS=" << bad;
@@ -260,9 +258,7 @@ TEST(ThreadPool, DefaultThreadCountWarnsOnInvalidEnvironment) {
   }
   // The unset case must stay quiet.
   warnings.clear();
-  set_log_sink([&](LogLevel level, const std::string& line) {
-    if (level == LogLevel::kWarn) warnings.push_back(line);
-  });
+  set_log_sink([&](const std::string& line) { warnings.push_back(line); });
   EXPECT_GE(default_thread_count(), 1u);
   set_log_sink(nullptr);
   EXPECT_TRUE(warnings.empty());

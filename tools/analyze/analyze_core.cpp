@@ -891,7 +891,7 @@ const std::vector<LineRule>& line_rules() {
        "RAC_EXPECT/RAC_ENSURE/RAC_INVARIANT from util/contracts.hpp"},
       {"iostream", std::regex(R"(\bstd\s*::\s*(cout|cerr|clog)\b)"),
        "direct console I/O in library code; report via return values, "
-       "exceptions, or util::log",
+       "exceptions, or util::log_warn",
        {"src/"}, {"src/util/log.cpp"}},
       {"include-hygiene", std::regex(R"(^\s*#\s*include\s*"[^"]*\.\./)"),
        "path-traversing include; project includes are rooted at src/",
@@ -918,8 +918,8 @@ const std::vector<LineRule>& line_rules() {
       {"untracked-timer",
        std::regex(R"(\b(steady_clock|high_resolution_clock)\s*::\s*now\s*\()"),
        "raw clock read in library code; time phases with obs::ProfileScope "
-       "or obs::ScopedTimer so the work shows up in bench reports, or "
-       "justify with a suppression",
+       "(pass it a Histogram to also export a latency metric) so the work "
+       "shows up in bench reports, or justify with a suppression",
        {"src/"}, {"src/obs/"}},
       {"hot-path-alloc",
        std::regex(
@@ -1025,7 +1025,7 @@ const std::vector<RuleInfo>& rules() {
       {"layer-cycle", "cycle in the observed module dependency graph"},
       {"default-registry", "default_registry() pinned outside src/obs/"},
       {"raw-assert", "assert() in library code; use contract macros"},
-      {"iostream", "std::cout/cerr/clog in library code; use util::log"},
+      {"iostream", "std::cout/cerr/clog in library code; use util::log_warn"},
       {"pragma-once", "headers must open with #pragma once"},
       {"include-hygiene", "no path-traversing quoted includes"},
       {"locale-io", "locale-sensitive numeric I/O; use util/lineio"},

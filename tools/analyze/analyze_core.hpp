@@ -57,16 +57,15 @@
 //                   the RAC_EXPECT/RAC_ENSURE/RAC_INVARIANT contract macros.
 //   iostream        std::cout / std::cerr / std::clog in src/ (except
 //                   src/util/log.cpp) -- libraries report via return
-//                   values, exceptions, and util::log. CLI binaries under
-//                   tools/, bench/, and examples/ own their stdout.
+//                   values, exceptions, and util::log_warn. CLI binaries
+//                   under tools/, bench/, and examples/ own their stdout.
 //   pragma-once     every header must open with #pragma once.
 //   include-hygiene quoted includes must not path-traverse ("../").
 //   locale-io       locale-sensitive numeric parsing (stod, strtod, atof,
 //                   setlocale) or printf/scanf float conversions; use
 //                   util/lineio.
 //   untracked-timer raw steady/high_resolution clock reads in src/ outside
-//                   src/obs/; time phases with obs::ProfileScope or
-//                   obs::ScopedTimer.
+//                   src/obs/; time phases with obs::ProfileScope.
 //   hot-path-alloc  operator new, make_unique/make_shared, or a node-based
 //                   container in src/{queueing,tiersim,rl} -- the inner
 //                   loops there are allocation-free by design.
