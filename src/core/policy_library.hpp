@@ -30,6 +30,8 @@ class InitialPolicyLibrary {
  public:
   InitialPolicyLibrary() = default;
 
+  /// Appends `policy` with its Q-table compacted to the written rows
+  /// (QTable::compacted; reads and saved bytes are unchanged).
   void add(InitialPolicy policy);
 
   std::size_t size() const noexcept {
@@ -37,6 +39,10 @@ class InitialPolicyLibrary {
   }
   bool empty() const noexcept { return size() == 0; }
   const InitialPolicy& at(std::size_t i) const;
+  /// at(i).table as a pointer that shares ownership of this library's
+  /// storage: an agent's overlay base. Holding it keeps that storage
+  /// alive, and a later add() to this library clones instead of moving it.
+  std::shared_ptr<const rl::QTable> shared_table(std::size_t i) const;
 
   /// True when both objects point at the same underlying storage (so one
   /// held no copy cost). An empty library shares with nothing.

@@ -118,7 +118,8 @@ class RacAgent : public ConfigAgent {
   void annotate(obs::TraceEvent& event) const override;
 
   /// Capture the complete mutable state (plus the hyperparameters, for
-  /// validation on restore) as a value: the Q-table is copied. A restored
+  /// validation on restore) as a value: the Q-table's own rows are copied
+  /// and its library base, which nothing writes, is shared. A restored
   /// agent continues the run bit-identically to one that never stopped.
   AgentSnapshot snapshot() const;
 
@@ -137,7 +138,8 @@ class RacAgent : public ConfigAgent {
   /// retraining publishes one shared COW library to every agent this way).
   /// The replacement must be shape-compatible: same size, same context per
   /// index -- only the trained content may differ. The live Q-table and
-  /// active-policy index are untouched; the new surfaces/tables take
+  /// active-policy index are untouched (the table keeps its base, and with
+  /// it the old library's storage, alive); the new surfaces/tables take
   /// effect at the next policy switch. Throws std::invalid_argument on a
   /// shape mismatch.
   void rebase_library(InitialPolicyLibrary library);
@@ -201,6 +203,9 @@ class RacAgent : public ConfigAgent {
 
   /// snapshot() minus the Q-table, which stays default-constructed.
   AgentSnapshot snapshot_except_table() const;
+  /// Re-seeds the Q-table from library policy `index`: the table becomes
+  /// an overlay over the library's shared table with no rows of its own,
+  /// a pointer swap rather than a copy.
   void load_policy(std::size_t index);
   double lookup_response(const config::Configuration& c) const;
   /// Reward of a measured/blended response under the active robustness

@@ -265,7 +265,8 @@ void FleetManager::cross_tenant_retrain() {
       }
       return policy.predict_reward(c);
     };
-    rl::QTable table = policy.table;
+    rl::QTable table;
+    table.rebase(library_.shared_table(i));
     util::Rng rng(util::derive_seed(
         opt_.seed,
         kRetrainSalt +

@@ -38,16 +38,23 @@ char* put(char* out, std::string_view text) {
 
 void save_qtable(std::ostream& os, const QTable& table) {
   const obs::ProfileScope profile("rl.qtable.save");
-  // Rows sit in first-touch order, a function of the mutation history;
-  // sorting them by key keeps the output a pure function of the table
-  // contents (diffable, byte-stable across runs).
-  std::vector<std::size_t> rows;
+  // The merged view's written rows come in first-touch order, a function
+  // of the mutation history; sorting them by key keeps the output a pure
+  // function of the table contents (diffable, byte-stable across runs, the
+  // same for an overlay and a full copy of what it reads).
+  struct Row {
+    const config::Configuration* state;
+    const QTable::ActionValues* values;
+  };
+  std::vector<Row> rows;
   rows.reserve(table.size());
-  for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    if (table.row_written(row)) rows.push_back(row);
-  }
-  std::sort(rows.begin(), rows.end(), [&table](std::size_t a, std::size_t b) {
-    return table.key_at(a).values() < table.key_at(b).values();
+  table.for_each_written(
+      [&rows](const config::Configuration& state,
+              const QTable::ActionValues& values) {
+        rows.push_back({&state, &values});
+      });
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a.state->values() < b.state->values();
   });
 
   // Rows are formatted straight from the table's storage into one buffer
@@ -69,13 +76,13 @@ void save_qtable(std::ostream& os, const QTable& table) {
   out = put(out, "\nstates ");
   out = util::put_i64(out, static_cast<std::int64_t>(rows.size()));
   *out++ = '\n';
-  for (const std::size_t row : rows) {
+  for (const Row& row : rows) {
     make_room(kMaxRowChars);
-    for (const int v : table.key_at(row).values()) {
+    for (const int v : row.state->values()) {
       out = util::put_i64(out, v);
       *out++ = ' ';
     }
-    for (const double q : table.values_at(row)) {
+    for (const double q : *row.values) {
       out = util::put_double(out, q);
       *out++ = ' ';
     }
