@@ -129,6 +129,7 @@ void fill_host_metadata(BenchReport& report) {
       gethostname(buf, sizeof(buf) - 1) == 0 ? buf : "unknown";
   report.nproc = std::thread::hardware_concurrency();
   report.build_type = RAC_BUILD_TYPE;
+  report.compiler = RAC_COMPILER_ID;
   // An instrumented binary is a different "host" for wall-clock purposes:
   // tagging the fingerprint makes the trajectory gate skip its wall gates
   // (digest and exit-code checks still run) instead of failing on

@@ -96,6 +96,14 @@ class ClosedNetwork {
   /// std::invalid_argument for a negative population or an empty network
   /// with zero think time. Population 0 is the defined empty system:
   /// zero throughput/response/queues, utilization 0 at every station.
+  ///
+  /// Precision: the empty-station marginal is 1 - sum(others), which
+  /// cancels once a station's rate keeps rising over hundreds of jobs.
+  /// The analytic twin's outer network (a think delay plus its subnet's
+  /// flow-equivalent station) is in that regime at 700-1050 clients in
+  /// Table-2 contexts 1, 2 and 6: R there is off by up to 92% against a
+  /// long-double birth-death solve, while every context at 400 clients or
+  /// fewer stays within 2.1e-15 (DESIGN.md §13, ROADMAP item 3).
   MvaResult solve(int population) const;
 
   /// Throughput X(n) for every population n = 1..max_population, from one

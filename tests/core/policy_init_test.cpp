@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "core/policy_library.hpp"
 #include "env/analytic_env.hpp"
 #include "env/sim_env.hpp"
 #include "rl/policy.hpp"
+#include "rl/serialization.hpp"
 
 namespace rac::core {
 namespace {
@@ -107,6 +109,36 @@ TEST(PolicyInit, RejectsAnEnvironmentThatCannotClone) {
 }
 
 // --- library ----------------------------------------------------------------
+
+// A table entering the library keeps only its written rows, and nothing
+// read from it or saved from it changes.
+TEST_F(PolicyInitTest, LibraryKeepsOnlyTheWrittenRowsOfATable) {
+  const rl::QTable& trained = policy_->table;
+  ASSERT_GT(trained.num_rows(), trained.size());  // warm rows present
+  InitialPolicyLibrary lib;
+  lib.add(*policy_);
+  const rl::QTable& kept = lib.at(0).table;
+  EXPECT_EQ(kept.num_rows(), kept.size());
+  EXPECT_EQ(kept.size(), trained.size());
+  EXPECT_EQ(kept.states(), trained.states());
+  EXPECT_TRUE(exactly_equal(lib.at(0), *policy_));
+  // Reads at every written state and at each of its neighbors, most of
+  // which were warm rows.
+  for (const Configuration& state : trained.states()) {
+    for (const config::Action a : config::ConfigSpace::all_actions()) {
+      const Configuration next = config::ConfigSpace::apply(state, a);
+      ASSERT_EQ(kept.contains(next), trained.contains(next));
+      ASSERT_EQ(kept.max_q(next), trained.max_q(next));
+      ASSERT_EQ(kept.best_action(next), trained.best_action(next));
+      ASSERT_EQ(kept.q(state, a), trained.q(state, a));
+    }
+  }
+  std::ostringstream before;
+  rl::save_qtable(before, trained);
+  std::ostringstream after;
+  rl::save_qtable(after, kept);
+  EXPECT_EQ(after.str(), before.str());
+}
 
 TEST(PolicyLibrary, FindsExactContext) {
   InitialPolicyLibrary lib;

@@ -4,6 +4,9 @@
 
 #include "core/runner.hpp"
 #include "env/analytic_env.hpp"
+#include "obs/metrics.hpp"
+#include "obs/process_stats.hpp"
+#include "util/rng.hpp"
 
 namespace rac::core {
 namespace {
@@ -155,6 +158,44 @@ TEST(RacAgent, NoInitAgentStartsWithEmptyTable) {
   RacAgent agent(opt, InitialPolicyLibrary{});
   EXPECT_TRUE(agent.qtable().empty());
   EXPECT_FALSE(agent.active_policy().has_value());
+}
+
+// Loading a policy must not copy its table: constructing an agent over a
+// library table of 10^5 written rows (the construction runs load_policy)
+// allocates kilobytes, where a copy of the table takes ~17 MB.
+TEST(RacAgent, LoadPolicySharesTheLibraryTableInsteadOfCopyingIt) {
+  if (!obs::alloc_hook_compiled()) {
+    GTEST_SKIP() << "allocation counting needs -DRAC_ALLOC_HOOK=ON";
+  }
+  InitialPolicy policy;
+  policy.context = {MixType::kShopping, VmLevel::kLevel1};
+  util::Rng rng(14);
+  while (policy.table.size() < 100000) {
+    policy.table.set_q(config::ConfigSpace::random_fine(rng),
+                       config::Action::keep(), rng.normal(0.0, 1.0));
+  }
+  InitialPolicyLibrary library;
+  library.add(std::move(policy));
+  obs::Registry registry;
+  RacOptions options;
+  options.registry = &registry;
+  {
+    // Register the agent's metrics and profile phases outside the window.
+    const RacAgent warmup(options, library, 0);
+  }
+
+  const obs::ProcessStats before = obs::process_stats();
+  obs::set_alloc_counting(true);
+  const RacAgent agent(options, library, 0);
+  obs::set_alloc_counting(false);
+  const obs::ProcessStats after = obs::process_stats();
+
+  EXPECT_LT(after.alloc_bytes - before.alloc_bytes, 64U * 1024U);
+  RecordProperty("allocated_bytes",
+                 std::to_string(after.alloc_bytes - before.alloc_bytes));
+  // The premise: the agent reads the whole library table.
+  EXPECT_EQ(agent.qtable().base().get(), &library.at(0).table);
+  EXPECT_EQ(agent.qtable().size(), library.at(0).table.size());
 }
 
 }  // namespace

@@ -131,6 +131,17 @@ TEST(BenchReportGitSha, DiscoversTheCheckoutHead) {
   })) << sha;
 }
 
+// The host fingerprint gates wall-clock comparisons; a report without its
+// compiler matches a baseline built by any other compiler.
+TEST(BenchReportHost, FillHostMetadataStampsTheCompiler) {
+  BenchReport report;
+  fill_host_metadata(report);
+  EXPECT_FALSE(report.compiler.empty());
+  EXPECT_NE(report.compiler, "unknown");
+  EXPECT_NE(to_json(report).find("\"compiler\":\"" + report.compiler + "\""),
+            std::string::npos);
+}
+
 TEST(BenchReportGitSha, UnknownForNonRepositoryDirectory) {
   EXPECT_EQ(discover_git_sha("/nonexistent/definitely/not/a/repo"),
             "unknown");

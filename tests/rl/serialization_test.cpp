@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <locale>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -416,8 +417,33 @@ TEST(SerializationOracle, WriterMatchesReferenceByteForByte) {
     large.ensure_row(config::ConfigSpace::random_fine(rng));
   }
   ASSERT_GT(reference_save_qtable(large).size(), 256u * 1024u);
+  // An overlay over the compacted trained table: copied rows (touched, not
+  // written), modified rows, new written and new warm rows, and base rows
+  // it never touched.
+  QTable overlay;
+  overlay.rebase(std::make_shared<const QTable>(trained.compacted()));
+  const std::vector<config::Configuration> base_states = trained.states();
+  for (std::size_t i = 0; i < base_states.size(); i += 3) {
+    const config::Action action(static_cast<int>(i % config::kNumActions));
+    if (i % 2 == 0) {
+      overlay.ensure_row(base_states[i]);
+    } else {
+      overlay.add_q(base_states[i], action, rng.normal(0.0, 1.0));
+    }
+  }
+  for (int i = 0; i < 50; ++i) {
+    const auto state = config::ConfigSpace::random_fine(rng);
+    if (i % 2 == 0) {
+      overlay.set_q(state, config::Action::keep(), rng.normal(0.0, 1.0));
+    } else {
+      overlay.ensure_row(state);
+    }
+  }
+  ASSERT_GT(overlay.size(), trained.size());
+  ASSERT_LT(overlay.num_rows(), overlay.size());
   const std::vector<const QTable*> tables = {
-      &empty, &empty_nonzero_default, &only_warm, &edges, &trained, &large};
+      &empty, &empty_nonzero_default, &only_warm, &edges,
+      &trained, &large, &overlay};
   for (std::size_t i = 0; i < tables.size(); ++i) {
     SCOPED_TRACE(i);
     const std::string expected = reference_save_qtable(*tables[i]);
