@@ -119,9 +119,10 @@ int main() {
   fleet_env.fixed_point_iterations = 3;
 
   // A deliberately compact library trained on the noiseless twin of the
-  // fleet environment: at 10k tenants every agent carries a private copy
-  // of its active Q-table, so the coarse grid and offline TD budget
-  // directly set the fleet's memory footprint.
+  // fleet environment. Every agent's Q-table is an overlay on its active
+  // library table, which each retrain generation holds once, but a fleet
+  // checkpoint writes every tenant's merged table: at 10k tenants the
+  // coarse grid and offline TD budget directly set the checkpoint size.
   core::PolicyInitOptions init;
   init.coarse_levels = 3;
   init.offline_td.trajectory_limit = 6;

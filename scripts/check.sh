@@ -20,9 +20,10 @@
 #               without the counting operator new.
 #   RAC_FAULT_SAN=1 fault-injection suites under ASan+UBSan
 #               (-DRAC_ASAN=ON -DRAC_UBSAN=ON); runs the tests labeled
-#               `fault` -- a cheap focused pass for the injection decorator
-#               and degradation paths when the full RAC_SAN sweep is too
-#               slow for the pipeline.
+#               `fault` -- a cheap focused pass for the injection decorator,
+#               the degradation paths and the seeded mutation fuzzer over
+#               the five on-disk loaders (LoaderFuzz.*) when the full
+#               RAC_SAN sweep is too slow for the pipeline.
 #   RAC_FLEET_SMOKE=1 fleet smoke: run the fleet-scale bench in quick
 #               mode (256 tenants through a mid-run context switch, serial
 #               vs 4-thread). The binary exits non-zero when the two runs'

@@ -43,15 +43,27 @@ const RacOptions& validated(const RacOptions& options) {
   return options;
 }
 
+AgentHyperparameters hyperparameters_of(const RacOptions& o) {
+  const RewardRobustness& r = o.robustness;
+  const SafeFallback& f = o.safe_fallback;
+  return {o.sla.reference_response_ms, o.online_epsilon, o.online_td,
+          o.violation.window, o.violation.threshold,
+          o.violation.consecutive_limit, o.violation.min_history,
+          o.online_learning, o.adaptive_policy_switching, r.clamp, r.floor,
+          r.median_of, r.freeze_detect_after, f.enabled, f.after_blowouts,
+          f.blowout_factor, o.seed, rl::ExperienceStore().blend()};
+}
+
 }  // namespace
 
 RacAgent::RacAgent(const RacOptions& options, InitialPolicyLibrary library,
                    std::optional<std::size_t> initial_policy)
     : opt_(validated(options)),
+      hyperparameters_(hyperparameters_of(options)),
       library_(std::move(library)),
       detector_(with_registry(options.violation, options.registry)),
-      online_policy_(options.online_epsilon),
-      rng_(options.seed) {
+      online_policy_(options.online_epsilon) {
+  state_.rng = util::Rng(options.seed);
   obs::Registry& reg = obs::registry_or_default(opt_.registry);
   decisions_ = &reg.counter("core.rac.decisions");
   explorations_ = &reg.counter("core.rac.explore_actions");
@@ -66,15 +78,12 @@ RacAgent::RacAgent(const RacOptions& options, InitialPolicyLibrary library,
   if (!library_.empty()) {
     load_policy(initial_policy.value_or(0));
   }
-  // The management loop starts from the running system's configuration,
-  // which is the Table-1 default.
-  current_ = config::Configuration::defaults();
 }
 
 void RacAgent::load_policy(std::size_t index) {
   const obs::ProfileScope profile("rac.load_policy");
-  qtable_.rebase(library_.shared_table(index));
-  active_policy_ = index;
+  state_.qtable.rebase(library_.shared_table(index));
+  state_.active_policy = index;
 }
 
 std::string RacAgent::name() const {
@@ -87,46 +96,52 @@ std::string RacAgent::name() const {
 
 config::Configuration RacAgent::decide() {
   decisions_->add(1);
-  last_safe_fallback_ = false;
-  if (first_decide_) {
+  state_.last_safe_fallback = false;
+  if (state_.first_decide) {
     // Measure the starting configuration before acting (the agent needs a
     // baseline observation).
-    first_decide_ = false;
-    last_selection_ = {config::Action::keep(), false,
-                       qtable_.q(current_, config::Action::keep())};
-    return current_;
+    state_.first_decide = false;
+    state_.last_selection = {
+        config::Action::keep(), false,
+        state_.qtable.q(state_.current, config::Action::keep())};
+    return state_.current;
   }
   if (opt_.safe_fallback.enabled &&
-      blowout_streak_ >= opt_.safe_fallback.after_blowouts) {
+      state_.blowout_streak >= opt_.safe_fallback.after_blowouts) {
     // The Q-table steered us into (or failed to escape) sustained SLA
     // blowouts; revert to the best configuration we have actually measured
     // instead of trusting possibly poisoned values. Defaults when nothing
     // was measured yet -- the known-safe Table-1 starting point.
-    current_ = experience_.best().value_or(config::Configuration::defaults());
-    last_selection_ = {config::Action::keep(), false,
-                       qtable_.q(current_, config::Action::keep())};
-    blowout_streak_ = 0;
-    last_safe_fallback_ = true;
-    ++safe_fallbacks_;
+    state_.current =
+        state_.experience.best().value_or(config::Configuration::defaults());
+    state_.last_selection = {
+        config::Action::keep(), false,
+        state_.qtable.q(state_.current, config::Action::keep())};
+    state_.blowout_streak = 0;
+    state_.last_safe_fallback = true;
+    ++state_.safe_fallbacks;
     safe_fallback_count_->add(1);
-    return current_;
+    return state_.current;
   }
   {
     const obs::ProfileScope profile("rac.select", *select_us_);
-    last_selection_ = online_policy_.select_detailed(qtable_, current_, rng_);
+    state_.last_selection = online_policy_.select_detailed(
+        state_.qtable, state_.current, state_.rng);
   }
-  if (last_selection_.explored) explorations_->add(1);
-  current_ = config::ConfigSpace::apply(current_, last_selection_.action);
-  return current_;
+  if (state_.last_selection.explored) explorations_->add(1);
+  state_.current =
+      config::ConfigSpace::apply(state_.current, state_.last_selection.action);
+  return state_.current;
 }
 
 double RacAgent::lookup_response(const config::Configuration& c) const {
-  if (const auto measured = experience_.response_ms(c)) return *measured;
-  if (active_policy_.has_value()) {
+  if (const auto measured = state_.experience.response_ms(c)) return *measured;
+  if (state_.active_policy.has_value()) {
     const double predicted =
-        library_.at(*active_policy_).predict_response_ms(c);
-    const double calibration =
-        calibration_log_.empty() ? 1.0 : std::exp(calibration_log_.value());
+        library_.at(*state_.active_policy).predict_response_ms(c);
+    const double calibration = state_.calibration_log.empty()
+                                   ? 1.0
+                                   : std::exp(state_.calibration_log.value());
     return predicted * calibration;
   }
   // No knowledge at all: assume SLA-level performance (neutral reward).
@@ -143,16 +158,16 @@ void RacAgent::retrain() {
   // diverge from the run it resumed. The store maintains that order
   // incrementally, so the sweep borrows its list instead of re-sorting.
   std::span<const config::Configuration> states =
-      experience_.sorted_configurations();
+      state_.experience.sorted_configurations();
   std::vector<config::Configuration> fallback;
   if (states.empty()) {
-    fallback.push_back(current_);
+    fallback.push_back(state_.current);
     states = fallback;
   }
   const rl::RewardFn reward = [this](const config::Configuration& c) {
     return reward_of(lookup_response(c));
   };
-  rl::batch_train(qtable_, states, reward, opt_.online_td, rng_,
+  rl::batch_train(state_.qtable, states, reward, opt_.online_td, state_.rng,
                   opt_.registry);
 }
 
@@ -163,8 +178,8 @@ double RacAgent::reward_of(double response_ms) const {
 
 void RacAgent::observe(const config::Configuration& applied,
                        const env::PerfSample& sample) {
-  current_ = applied;
-  last_policy_switched_ = false;
+  state_.current = applied;
+  state_.last_policy_switched = false;
 
   if (!std::isfinite(sample.response_ms) || sample.response_ms < 0.0) {
     // Monitoring garbage: hold the previous knowledge rather than feed it
@@ -178,15 +193,15 @@ void RacAgent::observe(const config::Configuration& applied,
   if (opt_.robustness.freeze_detect_after > 0) {
     // Bitwise comparison on purpose: a live (noisy) sensor essentially
     // never repeats a double exactly, a stuck one repeats it exactly.
-    if (freeze_has_last_ &&
-        sample.response_ms == freeze_last_raw_) {
-      ++freeze_repeats_;
+    if (state_.freeze_has_last &&
+        sample.response_ms == state_.freeze_last_raw) {
+      ++state_.freeze_repeats;
     } else {
-      freeze_repeats_ = 0;
+      state_.freeze_repeats = 0;
     }
-    freeze_has_last_ = true;
-    freeze_last_raw_ = sample.response_ms;
-    if (freeze_repeats_ >= opt_.robustness.freeze_detect_after) {
+    state_.freeze_has_last = true;
+    state_.freeze_last_raw = sample.response_ms;
+    if (state_.freeze_repeats >= opt_.robustness.freeze_detect_after) {
       // Stuck sensor: the reading repeats old state and carries no new
       // information -- ingesting it would teach the agent that nothing it
       // does changes anything.
@@ -200,13 +215,13 @@ void RacAgent::observe(const config::Configuration& applied,
   // detector always sees the raw sample.
   double effective = sample.response_ms;
   if (opt_.robustness.median_of > 1) {
-    recent_responses_.push_back(sample.response_ms);
-    while (recent_responses_.size() >
+    state_.recent_responses.push_back(sample.response_ms);
+    while (state_.recent_responses.size() >
            static_cast<std::size_t>(opt_.robustness.median_of)) {
-      recent_responses_.pop_front();
+      state_.recent_responses.pop_front();
     }
-    std::vector<double> sorted(recent_responses_.begin(),
-                               recent_responses_.end());
+    std::vector<double> sorted(state_.recent_responses.begin(),
+                               state_.recent_responses.end());
     std::sort(sorted.begin(), sorted.end());
     effective = sorted[sorted.size() / 2];
   }
@@ -214,19 +229,19 @@ void RacAgent::observe(const config::Configuration& applied,
   if (opt_.safe_fallback.enabled) {
     const double blowout =
         opt_.safe_fallback.blowout_factor * opt_.sla.reference_response_ms;
-    blowout_streak_ = effective > blowout ? blowout_streak_ + 1 : 0;
+    state_.blowout_streak = effective > blowout ? state_.blowout_streak + 1 : 0;
   }
 
-  last_reward_ = reward_of(effective);
-  experience_.record(applied, effective);
+  state_.last_reward = reward_of(effective);
+  state_.experience.record(applied, effective);
 
   // Update the surface calibration from this measurement (log-space ratio
   // so over- and under-prediction are symmetric).
-  if (active_policy_.has_value() && effective > 0.0) {
+  if (state_.active_policy.has_value() && effective > 0.0) {
     const double predicted =
-        library_.at(*active_policy_).predict_response_ms(applied);
+        library_.at(*state_.active_policy).predict_response_ms(applied);
     if (predicted > 0.0) {
-      calibration_log_.add(std::log(effective / predicted));
+      state_.calibration_log.add(std::log(effective / predicted));
     }
   }
 
@@ -235,9 +250,9 @@ void RacAgent::observe(const config::Configuration& applied,
     if (opt_.adaptive_policy_switching && !library_.empty()) {
       const auto match = library_.best_match(applied, effective);
       if (match.has_value()) {
-        if (match != active_policy_) {
-          ++policy_switches_;
-          last_policy_switched_ = true;
+        if (match != state_.active_policy) {
+          ++state_.policy_switches;
+          state_.last_policy_switched = true;
           policy_switch_count_->add(1);
         } else {
           // The detector fired but the best match is the policy already
@@ -253,14 +268,14 @@ void RacAgent::observe(const config::Configuration& applied,
     }
     // Stale measurements (and the old context's calibration) mislead
     // retraining after the environment changed.
-    experience_.clear();
-    experience_.record(applied, effective);
-    calibration_log_.reset();
-    if (active_policy_.has_value() && effective > 0.0) {
+    state_.experience.clear();
+    state_.experience.record(applied, effective);
+    state_.calibration_log.reset();
+    if (state_.active_policy.has_value() && effective > 0.0) {
       const double predicted =
-          library_.at(*active_policy_).predict_response_ms(applied);
+          library_.at(*state_.active_policy).predict_response_ms(applied);
       if (predicted > 0.0) {
-        calibration_log_.add(std::log(effective / predicted));
+        state_.calibration_log.add(std::log(effective / predicted));
       }
     }
   }
@@ -268,94 +283,28 @@ void RacAgent::observe(const config::Configuration& applied,
   if (opt_.online_learning) retrain();
 }
 
-AgentSnapshot RacAgent::snapshot() const {
-  AgentSnapshot s = snapshot_except_table();
-  s.qtable = qtable_;
-  return s;
-}
-
-AgentSnapshot RacAgent::snapshot_except_table() const {
-  AgentSnapshot s;
-  s.sla_reference_response_ms = opt_.sla.reference_response_ms;
-  s.online_epsilon = opt_.online_epsilon;
-  s.online_td = opt_.online_td;
-  s.violation_window = opt_.violation.window;
-  s.violation_threshold = opt_.violation.threshold;
-  s.violation_consecutive_limit = opt_.violation.consecutive_limit;
-  s.violation_min_history = opt_.violation.min_history;
-  s.online_learning = opt_.online_learning;
-  s.adaptive_policy_switching = opt_.adaptive_policy_switching;
-  s.robustness_clamp = opt_.robustness.clamp;
-  s.robustness_floor = opt_.robustness.floor;
-  s.robustness_median_of = opt_.robustness.median_of;
-  s.robustness_freeze_after = opt_.robustness.freeze_detect_after;
-  s.safe_fallback_enabled = opt_.safe_fallback.enabled;
-  s.safe_fallback_after = opt_.safe_fallback.after_blowouts;
-  s.safe_fallback_factor = opt_.safe_fallback.blowout_factor;
-  s.seed = opt_.seed;
-  s.library_size = library_.size();
-  s.experience_blend = experience_.blend();
-  s.has_active_policy = active_policy_.has_value();
-  if (s.has_active_policy) {
-    s.active_policy = *active_policy_;
-    s.active_policy_context =
-        env::context_token(library_.at(*active_policy_).context);
+AgentSnapshotHeader RacAgent::snapshot_header() const {
+  AgentSnapshotHeader h;
+  h.hyperparameters = hyperparameters_;
+  h.library_size = library_.size();
+  if (state_.active_policy.has_value()) {
+    h.active_policy_context =
+        env::context_token(library_.at(*state_.active_policy).context);
   }
-  const auto entries = experience_.entries();
-  s.experience.assign(entries.begin(), entries.end());
-  s.detector_history = detector_.history();
-  s.detector_consecutive = detector_.consecutive_violations();
-  s.detector_last_violation = detector_.last_was_violation();
-  s.rng = rng_.state();
-  s.current = current_;
-  s.first_decide = first_decide_;
-  s.policy_switches = policy_switches_;
-  s.last_action_id = last_selection_.action.id();
-  s.last_explored = last_selection_.explored;
-  s.last_q_value = last_selection_.q_value;
-  s.last_policy_switched = last_policy_switched_;
-  s.last_reward = last_reward_;
-  s.calibration_initialized = !calibration_log_.empty();
-  s.calibration_value = calibration_log_.value();
-  s.recent_responses.assign(recent_responses_.begin(),
-                            recent_responses_.end());
-  s.blowout_streak = blowout_streak_;
-  s.last_safe_fallback = last_safe_fallback_;
-  s.safe_fallbacks = safe_fallbacks_;
-  s.freeze_has_last = freeze_has_last_;
-  s.freeze_last_raw = freeze_last_raw_;
-  s.freeze_repeats = freeze_repeats_;
-  return s;
+  h.detector_history = detector_.history();
+  h.detector_consecutive = detector_.consecutive_violations();
+  h.detector_last_violation = detector_.last_was_violation();
+  return h;
 }
 
-void RacAgent::restore(const AgentSnapshot& s) {
+AgentSnapshot RacAgent::snapshot() const {
+  return {snapshot_header(), state_};
+}
+
+void RacAgent::check_restorable(const AgentSnapshot& s) const {
   // Hyperparameter drift would make the resumed run a silent hybrid of two
-  // configurations, so every constant must match exactly. (Bitwise double
-  // comparison is deliberate: the snapshot stores exact hex values.)
-  const bool hyperparams_match =
-      s.sla_reference_response_ms == opt_.sla.reference_response_ms &&
-      s.online_epsilon == opt_.online_epsilon &&
-      s.online_td.alpha == opt_.online_td.alpha &&
-      s.online_td.gamma == opt_.online_td.gamma &&
-      s.online_td.epsilon == opt_.online_td.epsilon &&
-      s.online_td.theta == opt_.online_td.theta &&
-      s.online_td.trajectory_limit == opt_.online_td.trajectory_limit &&
-      s.online_td.max_sweeps == opt_.online_td.max_sweeps &&
-      s.violation_window == opt_.violation.window &&
-      s.violation_threshold == opt_.violation.threshold &&
-      s.violation_consecutive_limit == opt_.violation.consecutive_limit &&
-      s.violation_min_history == opt_.violation.min_history &&
-      s.online_learning == opt_.online_learning &&
-      s.adaptive_policy_switching == opt_.adaptive_policy_switching &&
-      s.robustness_clamp == opt_.robustness.clamp &&
-      s.robustness_floor == opt_.robustness.floor &&
-      s.robustness_median_of == opt_.robustness.median_of &&
-      s.robustness_freeze_after == opt_.robustness.freeze_detect_after &&
-      s.safe_fallback_enabled == opt_.safe_fallback.enabled &&
-      s.safe_fallback_after == opt_.safe_fallback.after_blowouts &&
-      s.safe_fallback_factor == opt_.safe_fallback.blowout_factor &&
-      s.seed == opt_.seed && s.experience_blend == experience_.blend();
-  if (!hyperparams_match) {
+  // configurations, so every constant must match exactly.
+  if (!(s.hyperparameters == hyperparameters_)) {
     throw std::invalid_argument(
         "RacAgent::restore: snapshot hyperparameters differ from this "
         "agent's options");
@@ -365,55 +314,34 @@ void RacAgent::restore(const AgentSnapshot& s) {
         "RacAgent::restore: snapshot library size differs from this agent's "
         "library");
   }
-  if (s.has_active_policy) {
-    if (s.active_policy >= library_.size()) {
+  if (const auto index = s.state.active_policy) {
+    if (*index >= library_.size()) {
       throw std::invalid_argument(
           "RacAgent::restore: active policy index outside the library");
     }
     const std::string live_context =
-        env::context_token(library_.at(s.active_policy).context);
+        env::context_token(library_.at(*index).context);
     if (live_context != s.active_policy_context) {
       throw std::invalid_argument(
           "RacAgent::restore: active policy context mismatch (snapshot '" +
           s.active_policy_context + "' vs library '" + live_context + "')");
     }
   }
-  // Validating restores first (they throw) keeps the agent unchanged on
-  // failure paths that are reachable from on-disk data.
-  rl::ExperienceStore experience(experience_.blend());
-  experience.restore(s.experience);
-  util::Rng rng = rng_;
-  rng.restore(s.rng);
+}
+
+void RacAgent::restore(const AgentSnapshot& s) {
+  check_restorable(s);
+  // The detector validates before it changes anything, so a throw here
+  // still leaves the agent unchanged.
   detector_.restore(s.detector_history, s.detector_consecutive,
                     s.detector_last_violation);
-  experience_ = std::move(experience);
-  rng_ = rng;
-  qtable_ = s.qtable;
-  active_policy_ = s.has_active_policy
-                       ? std::optional<std::size_t>(s.active_policy)
-                       : std::nullopt;
-  current_ = s.current;
-  first_decide_ = s.first_decide;
-  policy_switches_ = s.policy_switches;
-  last_selection_ = {config::Action(s.last_action_id), s.last_explored,
-                     s.last_q_value};
-  last_policy_switched_ = s.last_policy_switched;
-  last_reward_ = s.last_reward;
-  calibration_log_.restore(s.calibration_value, s.calibration_initialized);
-  recent_responses_.assign(s.recent_responses.begin(),
-                           s.recent_responses.end());
-  blowout_streak_ = s.blowout_streak;
-  last_safe_fallback_ = s.last_safe_fallback;
-  safe_fallbacks_ = s.safe_fallbacks;
-  freeze_has_last_ = s.freeze_has_last;
-  freeze_last_raw_ = s.freeze_last_raw;
-  freeze_repeats_ = s.freeze_repeats;
+  state_ = s.state;
 }
 
 bool RacAgent::save_state(std::ostream& os) const {
-  // The live table goes straight to the writer: a checkpoint costs the
-  // rows it writes, not a copy of every row the table holds.
-  save_agent_snapshot(os, snapshot_except_table(), qtable_);
+  // The live record goes straight to the writer: a checkpoint costs the
+  // rows it writes, not a copy of the table or the experience store.
+  save_agent_snapshot(os, snapshot_header(), state_);
   return true;
 }
 
@@ -434,17 +362,18 @@ void RacAgent::rebase_library(InitialPolicyLibrary library) {
 }
 
 void RacAgent::annotate(obs::TraceEvent& event) const {
-  event.action = last_selection_.action.to_string();
-  event.explored = last_selection_.explored;
-  event.q_value = last_selection_.q_value;
-  event.reward = last_reward_;
+  event.action = state_.last_selection.action.to_string();
+  event.explored = state_.last_selection.explored;
+  event.q_value = state_.last_selection.q_value;
+  event.reward = state_.last_reward;
   event.sla_margin_ms = opt_.sla.reference_response_ms - event.response_ms;
-  event.active_policy =
-      active_policy_.has_value() ? static_cast<int>(*active_policy_) : -1;
-  event.policy_switched = last_policy_switched_;
+  event.active_policy = state_.active_policy.has_value()
+                            ? static_cast<int>(*state_.active_policy)
+                            : -1;
+  event.policy_switched = state_.last_policy_switched;
   event.violation = detector_.last_was_violation();
   event.consecutive_violations = detector_.consecutive_violations();
-  event.safe_fallback = last_safe_fallback_;
+  event.safe_fallback = state_.last_safe_fallback;
 }
 
 }  // namespace rac::core

@@ -19,10 +19,13 @@
 // Ablation switches reproduce the paper's study: online learning on/off
 // (Fig. 6), policy initialization on/off (Fig. 7), adaptive vs static
 // initial policy (Figs. 9, 10), online exploration rate (Fig. 8).
+//
+// Everything the agent learns and updates per interval lives in one
+// core::AgentState record (snapshot.hpp): snapshot() copies it,
+// save_state writes it and restore assigns it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "core/agent.hpp"
@@ -117,21 +120,25 @@ class RacAgent : public ConfigAgent {
   /// switch signals.
   void annotate(obs::TraceEvent& event) const override;
 
-  /// Capture the complete mutable state (plus the hyperparameters, for
-  /// validation on restore) as a value: the Q-table's own rows are copied
-  /// and its library base, which nothing writes, is shared. A restored
-  /// agent continues the run bit-identically to one that never stopped.
+  /// The complete mutable state as a value: a copy of the learner-state
+  /// record (its Q-table copies its own rows and shares its library base)
+  /// plus what restore checks. A restored agent continues the run
+  /// bit-identically to one that never stopped.
   AgentSnapshot snapshot() const;
 
-  /// Adopt a snapshot's state. Throws std::invalid_argument when the
-  /// snapshot's hyperparameters differ from this agent's options, when the
-  /// library sizes disagree, or when the snapshot's active policy does not
-  /// name the same context as the live library entry at that index.
+  /// Throws std::invalid_argument unless the snapshot's hyperparameters
+  /// and library size equal this agent's and its active policy names the
+  /// context of the live library entry at that index. A fleet checks every
+  /// tenant this way before it restores any.
+  void check_restorable(const AgentSnapshot& snapshot) const;
+
+  /// check_restorable, then adopt the detector window and the record.
+  /// Throws std::invalid_argument, leaving the agent unchanged, for a
+  /// mismatch or a detector window the detector rejects.
   void restore(const AgentSnapshot& snapshot);
 
-  /// ConfigAgent checkpoint hook: writes the bytes
-  /// save_agent_snapshot(os, snapshot()) would, serializing the live
-  /// Q-table instead of a copy. Always true.
+  /// ConfigAgent checkpoint hook: writes the bytes of
+  /// save_agent_snapshot(os, snapshot()) from the live record. Always true.
   bool save_state(std::ostream& os) const override;
 
   /// Swap in a refreshed copy of the policy library (fleet cross-tenant
@@ -146,47 +153,27 @@ class RacAgent : public ConfigAgent {
 
   // -- introspection (tests, harness commentary) ---------------------------
   const InitialPolicyLibrary& library() const noexcept { return library_; }
-  const rl::QTable& qtable() const noexcept { return qtable_; }
-  const config::Configuration& current() const noexcept { return current_; }
-  std::optional<std::size_t> active_policy() const noexcept {
-    return active_policy_;
+  const rl::QTable& qtable() const noexcept { return state_.qtable; }
+  const config::Configuration& current() const noexcept {
+    return state_.current;
   }
-  int policy_switches() const noexcept { return policy_switches_; }
-  const rl::ExperienceStore& experience() const noexcept { return experience_; }
-  int safe_fallbacks() const noexcept { return safe_fallbacks_; }
-  int blowout_streak() const noexcept { return blowout_streak_; }
+  std::optional<std::size_t> active_policy() const noexcept {
+    return state_.active_policy;
+  }
+  int policy_switches() const noexcept { return state_.policy_switches; }
+  const rl::ExperienceStore& experience() const noexcept {
+    return state_.experience;
+  }
+  int safe_fallbacks() const noexcept { return state_.safe_fallbacks; }
+  int blowout_streak() const noexcept { return state_.blowout_streak; }
 
  private:
   RacOptions opt_;
+  AgentHyperparameters hyperparameters_;  // opt_ as a snapshot records it
   InitialPolicyLibrary library_;
-  std::optional<std::size_t> active_policy_;
-  rl::QTable qtable_;
-  rl::ExperienceStore experience_;
   ViolationDetector detector_;
   rl::EpsilonGreedy online_policy_;
-  util::Rng rng_;
-  config::Configuration current_;  // state the system currently runs
-  bool first_decide_ = true;
-  int policy_switches_ = 0;
-  // Rolling record of the current interval's decision, reported through
-  // `annotate` once the measurement lands.
-  rl::Selection last_selection_{};
-  bool last_policy_switched_ = false;
-  double last_reward_ = 0.0;
-  // Robustness state (all inert at the default-off options).
-  std::deque<double> recent_responses_;  // raw samples for the median filter
-  int blowout_streak_ = 0;               // consecutive SLA blowouts seen
-  bool last_safe_fallback_ = false;      // last decide() was a fallback
-  int safe_fallbacks_ = 0;
-  bool freeze_has_last_ = false;         // freeze detector: previous raw
-  double freeze_last_raw_ = 0.0;         //   sample and how often it
-  int freeze_repeats_ = 0;               //   repeated bitwise
-  // Online calibration of the offline surface: the live environment's
-  // response-time *level* can differ from the offline traces' (stale
-  // staging data, or a pinned policy from a foreign context); a smoothed
-  // measured/predicted ratio rescales the surface so unvisited states
-  // track the live system's magnitude while keeping the learned shape.
-  util::Ewma calibration_log_{0.25};
+  AgentState state_;
   // Telemetry handles resolved against opt_.registry at construction
   // (registration is mutex-guarded, updates are relaxed atomics, so agents
   // owned by concurrent pool tasks are safe).
@@ -201,8 +188,8 @@ class RacAgent : public ConfigAgent {
   obs::Histogram* select_us_ = nullptr;
   obs::Histogram* retrain_us_ = nullptr;
 
-  /// snapshot() minus the Q-table, which stays default-constructed.
-  AgentSnapshot snapshot_except_table() const;
+  /// Everything a snapshot holds beside the learner state.
+  AgentSnapshotHeader snapshot_header() const;
   /// Re-seeds the Q-table from library policy `index`: the table becomes
   /// an overlay over the library's shared table with no rows of its own,
   /// a pointer swap rather than a copy.

@@ -5,14 +5,13 @@
 // refinement keeps improving the policy, so the learner state is persisted
 // periodically and a restarted agent resumes from the last checkpoint.
 //
-// `AgentSnapshot` captures the complete mutable state of a RacAgent -- the
-// Q-table, experience store, violation-detector window, RNG stream
-// position, and every piece of per-interval bookkeeping -- plus the
-// hyperparameters it was running with. Restoring validates that the live
-// agent was constructed with the same hyperparameters (resuming a stream
-// under different constants would silently produce a hybrid run) and then
-// adopts the state wholesale; a restored agent continues bit-identically
-// to one that never stopped.
+// `AgentState` is the learner state itself: the record a RacAgent owns and
+// updates every interval. `AgentSnapshot` carries one, plus what restore
+// checks against the live agent (its constants, library size and the
+// active policy's context token) and the violation detector's window.
+// RacAgent::snapshot() copies the record, save_state writes the live one,
+// and restore assigns it once the checks pass; a restored agent continues
+// bit-identically to one that never stopped.
 //
 // The serialization ("rac-agent-snapshot v2", and "rac-checkpoint v2" for
 // run checkpoints) is the same locale-immune, line-oriented token format
@@ -21,23 +20,30 @@
 // accepts only the version its writer emits.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "config/configuration.hpp"
 #include "rl/experience.hpp"
+#include "rl/policy.hpp"
 #include "rl/qtable.hpp"
 #include "rl/td_learner.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace rac::core {
 
-/// Complete serializable state of a RacAgent. Produced by
-/// RacAgent::snapshot(), consumed by RacAgent::restore().
-struct AgentSnapshot {
-  // -- hyperparameters (validated, not adopted, on restore) ---------------
+/// A RacAgent's constants as a snapshot records them: RacOptions without
+/// the registries, plus the experience store's blend. The agent computes
+/// its own once at construction, and restore refuses a snapshot whose
+/// constants differ, doubles compared with == (the file stores exact hex
+/// values).
+struct AgentHyperparameters {
   double sla_reference_response_ms = 1000.0;
   double online_epsilon = 0.05;
   rl::TdParams online_td{};
@@ -47,7 +53,6 @@ struct AgentSnapshot {
   std::uint64_t violation_min_history = 3;
   bool online_learning = true;
   bool adaptive_policy_switching = true;
-  // Robustness hyperparameters (all hardening off by default).
   bool robustness_clamp = false;
   double robustness_floor = -5.0;
   int robustness_median_of = 1;
@@ -56,55 +61,79 @@ struct AgentSnapshot {
   int safe_fallback_after = 3;
   double safe_fallback_factor = 2.0;
   std::uint64_t seed = 11;
-  std::uint64_t library_size = 0;
   double experience_blend = 0.6;
 
-  // -- mutable learner state ----------------------------------------------
-  bool has_active_policy = false;
-  std::uint64_t active_policy = 0;
-  /// Context token of the active policy ("shopping/Level-1"); restore
-  /// checks it against the live library so an index cannot silently point
-  /// at a different context after a library rebuild.
-  std::string active_policy_context;
+  bool operator==(const AgentHyperparameters&) const = default;
+};
+
+/// The learner state of a RacAgent: everything it changes while it runs,
+/// except the violation detector's window.
+struct AgentState {
+  std::optional<std::size_t> active_policy;
   rl::QTable qtable;
-  std::vector<rl::ExperienceEntry> experience;
-  std::vector<double> detector_history;
-  int detector_consecutive = 0;
-  bool detector_last_violation = false;
-  util::RngState rng;
+  rl::ExperienceStore experience;
+  util::Rng rng;
+  /// The configuration the system currently runs; the management loop
+  /// starts from the Table-1 default.
   config::Configuration current;
   bool first_decide = true;
   int policy_switches = 0;
-  int last_action_id = 0;
-  bool last_explored = false;
-  double last_q_value = 0.0;
+  // The current interval's decision, reported through annotate() once the
+  // measurement lands.
+  rl::Selection last_selection{};
   bool last_policy_switched = false;
   double last_reward = 0.0;
-  bool calibration_initialized = false;
-  double calibration_value = 0.0;
-  // Robustness state.
-  std::vector<double> recent_responses;  // median-filter window, oldest first
-  int blowout_streak = 0;
-  bool last_safe_fallback = false;
+  // Online calibration of the offline surface: the live environment's
+  // response-time *level* can differ from the offline traces' (stale
+  // staging data, or a pinned policy from a foreign context); a smoothed
+  // measured/predicted ratio rescales the surface so unvisited states
+  // track the live system's magnitude while keeping the learned shape.
+  util::Ewma calibration_log{0.25};
+  // Robustness state (all inert at the default-off options).
+  std::deque<double> recent_responses;  // raw samples for the median filter
+  int blowout_streak = 0;               // consecutive SLA blowouts seen
+  bool last_safe_fallback = false;      // last decide() was a fallback
   int safe_fallbacks = 0;
-  bool freeze_has_last = false;
-  double freeze_last_raw = 0.0;
-  int freeze_repeats = 0;
+  bool freeze_has_last = false;         // freeze detector: previous raw
+  double freeze_last_raw = 0.0;         //   sample and how often it
+  int freeze_repeats = 0;               //   repeated bitwise
 };
 
-/// Serialize a snapshot (versioned, ends with an "end" trailer). Throws
-/// std::ios_base::failure on stream errors.
-void save_agent_snapshot(std::ostream& os, const AgentSnapshot& snapshot);
+/// What a snapshot holds beside the learner state. Restore checks the
+/// constants, the library size and the active policy's context token (so
+/// an index cannot point at another context after a library rebuild), and
+/// adopts the detector's window, streak and flag: the detector stays a
+/// live member of the agent, because it owns registry handles.
+struct AgentSnapshotHeader {
+  AgentHyperparameters hyperparameters;
+  std::uint64_t library_size = 0;
+  std::string active_policy_context;  // "shopping/Level-1"; "" without one
+  std::vector<double> detector_history;
+  int detector_consecutive = 0;
+  bool detector_last_violation = false;
+};
 
-/// The same writer with `qtable` serialized in place of snapshot.qtable,
-/// which is ignored: RacAgent::save_state passes its live table instead of
-/// copying it into a snapshot.
-void save_agent_snapshot(std::ostream& os, const AgentSnapshot& snapshot,
-                         const rl::QTable& qtable);
+/// Complete serializable state of a RacAgent. Produced by
+/// RacAgent::snapshot(), consumed by RacAgent::restore().
+struct AgentSnapshot : AgentSnapshotHeader {
+  AgentState state;
+};
+
+/// Serialize a snapshot (versioned, ends with an "end" trailer); save_state
+/// hands the writer its live record. Throws std::ios_base::failure on
+/// stream errors.
+void save_agent_snapshot(std::ostream& os, const AgentSnapshotHeader& header,
+                         const AgentState& state);
+inline void save_agent_snapshot(std::ostream& os,
+                                const AgentSnapshot& snapshot) {
+  save_agent_snapshot(os, snapshot, snapshot.state);
+}
 
 /// Parse a snapshot produced by save_agent_snapshot. Throws
-/// std::runtime_error on malformed input, any version but v2 included.
-/// Leaves the stream positioned just past the snapshot's "end" trailer.
+/// std::runtime_error on malformed input (any version but v2 included) and
+/// on every value no agent could hold, so that restore's
+/// std::invalid_argument only ever means the wrong agent. Leaves the
+/// stream positioned just past the snapshot's "end" trailer.
 AgentSnapshot load_agent_snapshot(std::istream& is);
 
 /// A run checkpoint: how far the management loop got plus the agent's

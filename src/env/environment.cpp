@@ -4,8 +4,18 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "util/lineio.hpp"
 
 namespace rac::env {
+
+std::uint64_t TrafficCursor::read_position(std::istream& is,
+                                           std::string_view what) {
+  const std::int64_t position = util::read_i64(is, what);
+  if (position < 0) {
+    throw std::runtime_error(std::string(what) + ": negative traffic cursor");
+  }
+  return static_cast<std::uint64_t>(position);
+}
 
 TrafficCursor::TrafficCursor(obs::Registry* registry) {
   obs::Registry& reg = obs::registry_or_default(registry);

@@ -17,9 +17,11 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "config/configuration.hpp"
@@ -68,6 +70,10 @@ class TrafficCursor {
     return model_;
   }
   std::uint64_t position() const noexcept { return position_; }
+  /// Reads a persisted position. The model indexes intervals as
+  /// std::int64_t, so one past that range is malformed input: it throws
+  /// std::runtime_error naming `what`.
+  static std::uint64_t read_position(std::istream& is, std::string_view what);
   void seek(std::uint64_t position) noexcept { position_ = position; }
 
   /// This interval's target: the model's emission at the cursor under the

@@ -112,12 +112,9 @@ FleetManager::FleetManager(std::vector<TenantSpec> specs, FleetOptions options,
       if (tenant.spec.traffic != nullptr) {
         analytic->set_traffic_model(tenant.spec.traffic);
       }
-      if (tenant.spec.fault_profile.has_value() ||
-          !tenant.spec.fault_schedule.empty()) {
+      if (tenant.spec.fault_profile.has_value()) {
         fault::FaultyEnvOptions fault_options;
-        fault_options.schedule = tenant.spec.fault_schedule;
-        fault_options.profile =
-            tenant.spec.fault_profile.value_or(fault::FaultProfile{});
+        fault_options.profile = *tenant.spec.fault_profile;
         fault_options.seed = util::derive_seed(opt_.fault_seed, uid);
         fault_options.registry = registry;
         auto faulty = std::make_unique<fault::FaultyEnv>(

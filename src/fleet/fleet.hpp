@@ -56,11 +56,9 @@ namespace rac::fleet {
 struct TenantSpec {
   int id = 0;
   core::ContextSchedule schedule;
-  /// When set (or when `fault_schedule` is non-empty) the tenant's
-  /// environment is wrapped in a fault::FaultyEnv seeded from
-  /// (options.fault_seed, id).
+  /// When set, the tenant's environment is wrapped in a fault::FaultyEnv
+  /// seeded from (options.fault_seed, id).
   std::optional<fault::FaultProfile> fault_profile;
-  fault::FaultSchedule fault_schedule;
   /// Optional dynamic-traffic model installed on the tenant's environment
   /// (workload/dynamic.hpp). Immutable run input, like the schedule: a
   /// fleet checkpoint persists only the per-tenant cursor, and a restore
@@ -166,13 +164,13 @@ class FleetManager {
   /// v2"): progress, the shared library, and every tenant's environment
   /// noise stream, traffic cursor, fault position, and agent snapshot.
   /// See fleet_io.hpp for the file-level wrappers. restore_checkpoint
-  /// accepts only v2, parses the whole stream and validates it against
-  /// the live specs (tenant count, ids, fault topology, library shape)
-  /// before adopting anything, throwing std::runtime_error /
-  /// std::invalid_argument on mismatch; each tenant's snapshot is then
-  /// adopted validate-then-commit, so discard the fleet if a restore
-  /// throws (an exotic half-bad file can leave earlier tenants already
-  /// restored).
+  /// accepts only v2. It parses the whole stream into one record per
+  /// tenant and checks every record against the live fleet (tenant count,
+  /// ids, fault topology, library shape, and each agent snapshot with
+  /// RacAgent::check_restorable) before adopting anything. It throws
+  /// std::runtime_error on a malformed or mismatched file and
+  /// std::invalid_argument for a snapshot from a differently configured
+  /// agent; either way the fleet is left unchanged.
   void save_checkpoint(std::ostream& os) const;
   void restore_checkpoint(std::istream& is);
 

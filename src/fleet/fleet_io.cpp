@@ -13,6 +13,7 @@
 #include "core/library_io.hpp"
 #include "core/snapshot.hpp"
 #include "env/context.hpp"
+#include "env/environment.hpp"
 #include "util/lineio.hpp"
 #include "util/rng.hpp"
 
@@ -90,16 +91,19 @@ void FleetManager::restore_checkpoint(std::istream& is) {
         "fleet checkpoint: tenant count differs from the live fleet's");
   }
 
-  // Parse and cross-check every tenant block before adopting anything.
-  std::vector<util::RngState> rng_states;
-  std::vector<std::uint64_t> traffic_cursors;
-  std::vector<std::optional<fault::FaultyEnvState>> fault_states;
-  std::vector<core::AgentSnapshot> snapshots;
-  rng_states.reserve(tenants_.size());
-  traffic_cursors.reserve(tenants_.size());
-  fault_states.reserve(tenants_.size());
-  snapshots.reserve(tenants_.size());
-  for (const Tenant& tenant : tenants_) {
+  // Parse every tenant into one record and check it against its live
+  // tenant before adopting anything: a failed restore leaves the fleet as
+  // it was.
+  struct TenantRecord {
+    util::RngState env_rng;
+    std::uint64_t traffic = 0;
+    std::optional<fault::FaultyEnvState> fault;
+    core::AgentSnapshot agent;
+  };
+  std::vector<TenantRecord> records(tenants_.size());
+  for (std::size_t t = 0; t < tenants_.size(); ++t) {
+    const Tenant& tenant = tenants_[t];
+    TenantRecord& record = records[t];
     util::expect_token(is, "tenant", "fleet checkpoint");
     const int id = util::read_int(is, "tenant");
     if (id != tenant.spec.id) {
@@ -108,9 +112,9 @@ void FleetManager::restore_checkpoint(std::istream& is) {
                                " does not match the live fleet's " +
                                std::to_string(tenant.spec.id));
     }
-    rng_states.push_back(util::read_rng_state(is, "env_rng"));
+    record.env_rng = util::read_rng_state(is, "env_rng");
     util::expect_token(is, "traffic", "fleet checkpoint");
-    traffic_cursors.push_back(util::read_u64(is, "traffic"));
+    record.traffic = env::TrafficCursor::read_position(is, "traffic");
     util::expect_token(is, "fault", "fleet checkpoint");
     const bool has_fault = util::read_bool(is, "fault");
     if (has_fault != (tenant.faulty != nullptr)) {
@@ -119,28 +123,25 @@ void FleetManager::restore_checkpoint(std::istream& is) {
           "at tenant " +
           std::to_string(id));
     }
-    if (has_fault) {
-      fault_states.push_back(fault::load_faulty_env_state(is));
-    } else {
-      fault_states.push_back(std::nullopt);
-    }
+    if (has_fault) record.fault = fault::load_faulty_env_state(is);
     util::expect_token(is, "agent", "fleet checkpoint");
-    snapshots.push_back(core::load_agent_snapshot(is));
+    record.agent = core::load_agent_snapshot(is);
+    // The library's contexts were checked above, so the live library
+    // answers for the checkpoint's.
+    tenant.agent->check_restorable(record.agent);
   }
   util::expect_token(is, "end", "fleet checkpoint");
 
-  // Commit. Per-agent adoption is validate-then-commit inside restore();
-  // see the header note about discarding the fleet if this throws.
+  // Commit: every check has passed, so nothing below throws on content.
   library_ = std::move(library);
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     Tenant& tenant = tenants_[t];
+    const TenantRecord& record = records[t];
     tenant.agent->rebase_library(library_);
-    tenant.agent->restore(snapshots[t]);
-    tenant.analytic->restore_noise_state(rng_states[t]);
-    tenant.analytic->seek_traffic(traffic_cursors[t]);
-    if (fault_states[t].has_value()) {
-      tenant.faulty->restore(*fault_states[t]);
-    }
+    tenant.agent->restore(record.agent);
+    tenant.analytic->restore_noise_state(record.env_rng);
+    tenant.analytic->seek_traffic(record.traffic);
+    if (record.fault.has_value()) tenant.faulty->restore(*record.fault);
   }
   completed_ = completed;
   retrain_rounds_ = retrain_rounds;

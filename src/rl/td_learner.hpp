@@ -46,6 +46,8 @@ struct TdParams {
   double theta = 1e-3;   // convergence threshold on the max update
   int trajectory_limit = 10;  // LIMIT: steps per start state per sweep
   int max_sweeps = 200;       // hard bound on `repeat` iterations
+
+  bool operator==(const TdParams&) const = default;
 };
 
 struct TdResult {

@@ -5,6 +5,7 @@
 #include <numbers>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "util/contracts.hpp"
 #include "util/lineio.hpp"
@@ -134,8 +135,7 @@ RngState Rng::state() const noexcept {
 }
 
 void Rng::restore(const RngState& state) {
-  if (state.words[0] == 0 && state.words[1] == 0 && state.words[2] == 0 &&
-      state.words[3] == 0) {
+  if (state.words == decltype(state.words){}) {
     throw std::invalid_argument("Rng::restore: all-zero state");
   }
   s_ = state.words;
@@ -155,6 +155,9 @@ RngState read_rng_state(std::istream& is, std::string_view label) {
   expect_token(is, label, label);
   RngState state;
   for (std::uint64_t& word : state.words) word = read_u64(is, label);
+  if (state.words == decltype(state.words){}) {
+    throw std::runtime_error(std::string(label) + ": all-zero state");
+  }
   state.has_cached_normal = read_bool(is, label);
   state.cached_normal = read_double(is, label);
   return state;

@@ -38,7 +38,8 @@ struct RngState {
 /// The persisted form of an RngState, one token line in the util/lineio
 /// idiom: "<label> <word0> <word1> <word2> <word3> <cached flag>
 /// <cached normal>\n". read_rng_state expects `label` first and throws
-/// std::runtime_error naming it on malformed input.
+/// std::runtime_error naming it on malformed input, an all-zero word state
+/// (which Rng::restore rejects) included.
 void write_rng_state(std::ostream& os, std::string_view label,
                      const RngState& state);
 RngState read_rng_state(std::istream& is, std::string_view label);

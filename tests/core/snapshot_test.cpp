@@ -35,43 +35,61 @@ using workload::MixType;
 // A snapshot with every field set to a distinctive, non-default value.
 AgentSnapshot sample_snapshot() {
   AgentSnapshot s;
-  s.sla_reference_response_ms = 750.0;
-  s.online_epsilon = 0.07;
-  s.online_td = {0.2, 0.8, 0.15, 1e-4, 6, 25};
-  s.violation_window = 8;
-  s.violation_threshold = 0.4;
-  s.violation_consecutive_limit = 4;
-  s.violation_min_history = 2;
-  s.online_learning = false;
-  s.adaptive_policy_switching = false;
-  s.seed = 4242;
+  AgentHyperparameters& p = s.hyperparameters;
+  p.sla_reference_response_ms = 750.0;
+  p.online_epsilon = 0.07;
+  p.online_td = {0.2, 0.8, 0.15, 1e-4, 6, 25};
+  p.violation_window = 8;
+  p.violation_threshold = 0.4;
+  p.violation_consecutive_limit = 4;
+  p.violation_min_history = 2;
+  p.online_learning = false;
+  p.adaptive_policy_switching = false;
+  p.robustness_clamp = true;
+  p.robustness_floor = -3.5;
+  p.robustness_median_of = 3;
+  p.robustness_freeze_after = 2;
+  p.safe_fallback_enabled = true;
+  p.safe_fallback_after = 4;
+  p.safe_fallback_factor = 2.5;
+  p.seed = 4242;
+  p.experience_blend = 0.35;
   s.library_size = 3;
-  s.experience_blend = 0.35;
-  s.has_active_policy = true;
-  s.active_policy = 2;
   s.active_policy_context = "ordering/Level-3";
-  util::Rng rng(77);
-  Configuration visited;
-  visited.set(ParamId::kMaxClients, 250);
-  s.qtable.set_default_q(-0.25);
-  s.qtable.set_q(visited, config::Action(3), 1.0 / 3.0);
-  s.experience.push_back({Configuration{}, {123.456, 4}});
-  s.experience.push_back({visited, {88.25, 1}});
   s.detector_history = {100.0, 120.0, 95.5};
   s.detector_consecutive = 2;
   s.detector_last_violation = true;
+
+  AgentState& state = s.state;
+  state.active_policy = 2;
+  Configuration visited;
+  visited.set(ParamId::kMaxClients, 250);
+  Configuration neighbor = visited;
+  neighbor.set(ParamId::kKeepAliveTimeout, 9);
+  state.qtable.set_default_q(-0.25);
+  state.qtable.set_q(visited, config::Action(3), 1.0 / 3.0);
+  state.qtable.set_q(neighbor, config::Action(0), -2.75);
+  state.qtable.set_q(neighbor, config::Action(16), 0.5);
+  state.experience = rl::ExperienceStore(0.35);
+  state.experience.restore({{Configuration{}, {123.456, 4}},
+                            {visited, {88.25, 1}}});
+  util::Rng rng(77);
   rng.normal();  // populate the Box-Muller cache
-  s.rng = rng.state();
-  s.current = visited;
-  s.first_decide = false;
-  s.policy_switches = 5;
-  s.last_action_id = 7;
-  s.last_explored = true;
-  s.last_q_value = -1.5;
-  s.last_policy_switched = true;
-  s.last_reward = 0.625;
-  s.calibration_initialized = true;
-  s.calibration_value = 0.125;
+  state.rng = rng;
+  state.current = visited;
+  state.first_decide = false;
+  state.policy_switches = 5;
+  state.last_selection = {config::Action(7), true, -1.5};
+  state.last_policy_switched = true;
+  state.last_reward = 0.625;
+  state.calibration_log.add(0.125);
+  state.recent_responses = {310.5, 2400.25};
+  state.blowout_streak = 2;
+  state.last_safe_fallback = true;
+  state.safe_fallbacks = 3;
+  state.freeze_has_last = true;
+  state.freeze_last_raw = 2400.25;
+  state.freeze_repeats = 1;
   return s;
 }
 
@@ -81,57 +99,72 @@ std::string serialized(const AgentSnapshot& s) {
   return os.str();
 }
 
+// Replaces the first occurrence of `from` in `text`, which must hold it.
+std::string patched(std::string text, const std::string& from,
+                    const std::string& to) {
+  const std::size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  return text;
+}
+
 TEST(AgentSnapshotIo, RoundTripPreservesEveryField) {
   const AgentSnapshot s = sample_snapshot();
-  std::istringstream is(serialized(s));
+  const std::string bytes = serialized(s);
+  std::istringstream is(bytes);
   const AgentSnapshot r = load_agent_snapshot(is);
 
-  EXPECT_EQ(r.sla_reference_response_ms, s.sla_reference_response_ms);
-  EXPECT_EQ(r.online_epsilon, s.online_epsilon);
-  EXPECT_EQ(r.online_td.alpha, s.online_td.alpha);
-  EXPECT_EQ(r.online_td.gamma, s.online_td.gamma);
-  EXPECT_EQ(r.online_td.epsilon, s.online_td.epsilon);
-  EXPECT_EQ(r.online_td.theta, s.online_td.theta);
-  EXPECT_EQ(r.online_td.trajectory_limit, s.online_td.trajectory_limit);
-  EXPECT_EQ(r.online_td.max_sweeps, s.online_td.max_sweeps);
-  EXPECT_EQ(r.violation_window, s.violation_window);
-  EXPECT_EQ(r.violation_threshold, s.violation_threshold);
-  EXPECT_EQ(r.violation_consecutive_limit, s.violation_consecutive_limit);
-  EXPECT_EQ(r.violation_min_history, s.violation_min_history);
-  EXPECT_EQ(r.online_learning, s.online_learning);
-  EXPECT_EQ(r.adaptive_policy_switching, s.adaptive_policy_switching);
-  EXPECT_EQ(r.seed, s.seed);
+  EXPECT_EQ(r.hyperparameters, s.hyperparameters);
   EXPECT_EQ(r.library_size, s.library_size);
-  EXPECT_EQ(r.experience_blend, s.experience_blend);
-  EXPECT_EQ(r.has_active_policy, s.has_active_policy);
-  EXPECT_EQ(r.active_policy, s.active_policy);
   EXPECT_EQ(r.active_policy_context, s.active_policy_context);
-  EXPECT_EQ(r.qtable.size(), s.qtable.size());
-  EXPECT_EQ(r.qtable.default_q(), s.qtable.default_q());
-  ASSERT_EQ(r.experience.size(), s.experience.size());
-  for (std::size_t i = 0; i < s.experience.size(); ++i) {
-    EXPECT_EQ(r.experience[i].configuration, s.experience[i].configuration);
-    EXPECT_EQ(r.experience[i].observation.response_ms,
-              s.experience[i].observation.response_ms);
-    EXPECT_EQ(r.experience[i].observation.count,
-              s.experience[i].observation.count);
-  }
   EXPECT_EQ(r.detector_history, s.detector_history);
   EXPECT_EQ(r.detector_consecutive, s.detector_consecutive);
   EXPECT_EQ(r.detector_last_violation, s.detector_last_violation);
-  EXPECT_EQ(r.rng.words, s.rng.words);
-  EXPECT_EQ(r.rng.has_cached_normal, s.rng.has_cached_normal);
-  EXPECT_EQ(r.rng.cached_normal, s.rng.cached_normal);
-  EXPECT_EQ(r.current, s.current);
-  EXPECT_EQ(r.first_decide, s.first_decide);
-  EXPECT_EQ(r.policy_switches, s.policy_switches);
-  EXPECT_EQ(r.last_action_id, s.last_action_id);
-  EXPECT_EQ(r.last_explored, s.last_explored);
-  EXPECT_EQ(r.last_q_value, s.last_q_value);
-  EXPECT_EQ(r.last_policy_switched, s.last_policy_switched);
-  EXPECT_EQ(r.last_reward, s.last_reward);
-  EXPECT_EQ(r.calibration_initialized, s.calibration_initialized);
-  EXPECT_EQ(r.calibration_value, s.calibration_value);
+
+  const AgentState& a = s.state;
+  const AgentState& b = r.state;
+  EXPECT_EQ(b.active_policy, a.active_policy);
+  EXPECT_EQ(b.qtable.size(), a.qtable.size());
+  EXPECT_EQ(b.qtable.default_q(), a.qtable.default_q());
+  for (const Configuration& state : a.qtable.states()) {
+    EXPECT_TRUE(b.qtable.contains(state));
+    for (const config::Action action : config::ConfigSpace::all_actions()) {
+      EXPECT_EQ(b.qtable.q(state, action), a.qtable.q(state, action));
+    }
+  }
+  EXPECT_EQ(b.experience.blend(), a.experience.blend());
+  ASSERT_EQ(b.experience.size(), a.experience.size());
+  for (std::size_t i = 0; i < a.experience.size(); ++i) {
+    const rl::ExperienceEntry& x = a.experience.entries()[i];
+    const rl::ExperienceEntry& y = b.experience.entries()[i];
+    EXPECT_EQ(y.configuration, x.configuration);
+    EXPECT_EQ(y.observation.response_ms, x.observation.response_ms);
+    EXPECT_EQ(y.observation.count, x.observation.count);
+  }
+  EXPECT_EQ(b.rng.state().words, a.rng.state().words);
+  EXPECT_EQ(b.rng.state().has_cached_normal, a.rng.state().has_cached_normal);
+  EXPECT_EQ(b.rng.state().cached_normal, a.rng.state().cached_normal);
+  EXPECT_EQ(b.current, a.current);
+  EXPECT_EQ(b.first_decide, a.first_decide);
+  EXPECT_EQ(b.policy_switches, a.policy_switches);
+  EXPECT_EQ(b.last_selection.action, a.last_selection.action);
+  EXPECT_EQ(b.last_selection.explored, a.last_selection.explored);
+  EXPECT_EQ(b.last_selection.q_value, a.last_selection.q_value);
+  EXPECT_EQ(b.last_policy_switched, a.last_policy_switched);
+  EXPECT_EQ(b.last_reward, a.last_reward);
+  EXPECT_EQ(b.calibration_log.empty(), a.calibration_log.empty());
+  EXPECT_EQ(b.calibration_log.value(), a.calibration_log.value());
+  EXPECT_EQ(b.calibration_log.alpha(), a.calibration_log.alpha());
+  EXPECT_EQ(b.recent_responses, a.recent_responses);
+  EXPECT_EQ(b.blowout_streak, a.blowout_streak);
+  EXPECT_EQ(b.last_safe_fallback, a.last_safe_fallback);
+  EXPECT_EQ(b.safe_fallbacks, a.safe_fallbacks);
+  EXPECT_EQ(b.freeze_has_last, a.freeze_has_last);
+  EXPECT_EQ(b.freeze_last_raw, a.freeze_last_raw);
+  EXPECT_EQ(b.freeze_repeats, a.freeze_repeats);
+
+  // Writing what was read reproduces the bytes.
+  EXPECT_EQ(serialized(r), bytes);
 }
 
 TEST(AgentSnapshotIo, NoActivePolicyRoundTrips) {
@@ -139,9 +172,9 @@ TEST(AgentSnapshotIo, NoActivePolicyRoundTrips) {
   s.library_size = 0;
   std::istringstream is(serialized(s));
   const AgentSnapshot r = load_agent_snapshot(is);
-  EXPECT_FALSE(r.has_active_policy);
+  EXPECT_FALSE(r.state.active_policy.has_value());
   EXPECT_TRUE(r.active_policy_context.empty());
-  EXPECT_TRUE(r.experience.empty());
+  EXPECT_TRUE(r.state.experience.empty());
   EXPECT_TRUE(r.detector_history.empty());
 }
 
@@ -222,22 +255,76 @@ TEST(AgentSnapshotIo, RejectsCorruptFlagsAndRanges) {
 // std::length_error).
 TEST(AgentSnapshotIo, HugeEntryCountsAreMalformedInputNotAllocations) {
   const std::string text = serialized(sample_snapshot());
-  const auto patched = [&text](const std::string& from, const std::string& to) {
-    const std::size_t pos = text.find(from);
-    EXPECT_NE(pos, std::string::npos) << from;
-    std::string out = text;
-    if (pos != std::string::npos) out.replace(pos, from.size(), to);
-    return out;
-  };
   for (const std::string count : {"1000000000000", "18446744073709551615"}) {
     SCOPED_TRACE(count);
-    std::istringstream experience(
-        patched("\nexperience 2\n", "\nexperience " + count + "\n"));
+    std::istringstream experience(patched(text, "\nexperience 2\n",
+                                          "\nexperience " + count + "\n"));
     EXPECT_THROW(load_agent_snapshot(experience), std::runtime_error);
     std::istringstream detector(
-        patched("\ndetector 2 1 3 ", "\ndetector 2 1 " + count + " "));
+        patched(text, "\ndetector 2 1 3 ", "\ndetector 2 1 " + count + " "));
     EXPECT_THROW(load_agent_snapshot(detector), std::runtime_error);
   }
+}
+
+// observe() puts only finite, non-negative samples into the median
+// window. A window holding anything else used to load, restore, and then
+// throw from ExperienceStore::record in the middle of the next interval.
+TEST(AgentSnapshotIo, RejectsAMedianWindowNoAgentCouldHold) {
+  const std::string text = serialized(sample_snapshot());
+  const std::string window = "recent 2 " + util::format_double(310.5) + " " +
+                             util::format_double(2400.25) + "\n";
+  ASSERT_NE(text.find(window), std::string::npos);
+  for (const std::string bad :
+       {"recent 2 nan -5\n", "recent 1 nan\n", "recent 1 inf\n",
+        "recent 1 -5\n", "recent 4 1 2 3 4\n"}) {
+    SCOPED_TRACE(bad);
+    std::istringstream is(patched(text, window, bad));
+    EXPECT_THROW(load_agent_snapshot(is), std::runtime_error);
+  }
+}
+
+// Every value no agent could hold is malformed input, reported as
+// std::runtime_error by the reader, never as a restore-time
+// std::invalid_argument (which means "the wrong agent").
+TEST(AgentSnapshotIo, RejectsValuesNoAgentCouldHold) {
+  const AgentSnapshot s = sample_snapshot();
+  const std::string text = serialized(s);
+  const auto rejects = [](const std::string& bad) {
+    std::istringstream is(bad);
+    EXPECT_THROW(load_agent_snapshot(is), std::runtime_error);
+  };
+  // An all-zero RNG, the one state xoshiro cannot leave.
+  const std::size_t rng_at = text.find("\nrng ") + 1;
+  rejects(patched(text, text.substr(rng_at, text.find('\n', rng_at) - rng_at),
+                  "rng 0 0 0 0 0 0"));
+  // A non-finite calibration average.
+  rejects(patched(text, "calibration 1 " + util::format_double(0.125),
+                  "calibration 1 inf"));
+  // The detector streak at its limit (reaching it resets the detector), a
+  // violation flag without a streak, a window past n, a dropped sample.
+  rejects(patched(text, "\ndetector 2 1 ", "\ndetector 4 1 "));
+  rejects(patched(text, "\ndetector 2 1 ", "\ndetector 0 1 "));
+  rejects(patched(text, "\ndetector 2 1 3 ",
+                  "\ndetector 2 1 9 1 1 1 1 1 1 1 1 "));
+  rejects(patched(text, "\ndetector 2 1 3 ", "\ndetector 2 1 3 nan "));
+  // A never-counted or a duplicate experience entry.
+  rejects(patched(text, " " + util::format_double(123.456) + " 4\n",
+                  " " + util::format_double(123.456) + " 0\n"));
+  const auto row = [](const Configuration& c) {
+    std::ostringstream os;
+    config::write_configuration(os, c);
+    return "\n" + os.str() + " " + util::format_double(88.25);
+  };
+  rejects(patched(text, row(s.state.current), row(Configuration{})));
+  // A negative counter, a frozen sample the agent would have dropped, and
+  // a context token without an active policy.
+  rejects(patched(text, "policy_switches 5", "policy_switches -5"));
+  rejects(patched(text, "freeze 1 ", "freeze 1 -"));
+  rejects(patched(text, "active_policy 2 ordering/Level-3",
+                  "active_policy -1 ordering/Level-3"));
+  // The same file with its values intact loads.
+  std::istringstream is(text);
+  EXPECT_NO_THROW(load_agent_snapshot(is));
 }
 
 // --- checkpoint files -------------------------------------------------------
@@ -307,6 +394,27 @@ TEST(CheckpointIo, AgentStateLongerThanTheFileIsRejected) {
                                   "agent_state " + count + "\nopaque\nend\n");
     EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
   }
+  std::remove(path.c_str());
+}
+
+// The traffic model indexes intervals as std::int64_t. A cursor past that
+// range used to load, seek, and then throw a contract violation from the
+// model at the next measurement of a resumed run.
+TEST(CheckpointIo, RejectsATrafficCursorPastTheModelsRange) {
+  const std::string path = ::testing::TempDir() + "/rac_checkpoint_cur.rac";
+  for (const std::string cursor :
+       {"9223372036854775808", "18446744073709551615", "-1"}) {
+    SCOPED_TRACE(cursor);
+    util::atomic_write_file(path, "rac-checkpoint v2\ncompleted 1\ntraffic " +
+                                      cursor +
+                                      "\nagent_state 6\nopaque\nend\n");
+    EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
+  }
+  util::atomic_write_file(path, "rac-checkpoint v2\ncompleted 1\ntraffic "
+                                "9223372036854775807\nagent_state 6\nopaque"
+                                "\nend\n");
+  EXPECT_EQ(load_checkpoint_file(path).traffic_interval,
+            9223372036854775807u);
   std::remove(path.c_str());
 }
 
@@ -413,7 +521,7 @@ TEST(RacAgentCheckpoint, SaveStateHeapScalesWithWrittenStatesNotTableRows) {
   library.add(std::move(policy));
   RacAgent agent(RacOptions{}, std::move(library), 0);
   AgentSnapshot snapshot = agent.snapshot();
-  snapshot.qtable = table;
+  snapshot.state.qtable = table;
   agent.restore(snapshot);
   ASSERT_GE(agent.qtable().num_rows(), 99000u);
   ASSERT_GE(agent.qtable().size(), 900u);
@@ -447,14 +555,62 @@ InitialPolicyLibrary synthetic_library(const SystemContext& context) {
   return library;
 }
 
+// The agent computes its hyperparameters once, field by field from its
+// options; each must land in its own field.
+TEST(RacAgentRestore, SnapshotRecordsEveryOption) {
+  RacOptions o;
+  o.sla.reference_response_ms = 750.0;
+  o.online_epsilon = 0.07;
+  o.online_td = {0.2, 0.8, 0.15, 1e-4, 6, 25};
+  o.violation = {8, 0.4, 4, 2, nullptr};
+  o.online_learning = false;
+  o.adaptive_policy_switching = false;
+  o.robustness = {true, -3.5, 3, 2};
+  o.safe_fallback = {true, 4, 2.5};
+  o.seed = 4242;
+  const AgentHyperparameters p = RacAgent(o, {}).snapshot().hyperparameters;
+  EXPECT_EQ(p.sla_reference_response_ms, 750.0);
+  EXPECT_EQ(p.online_epsilon, 0.07);
+  EXPECT_EQ(p.online_td, o.online_td);
+  EXPECT_EQ(p.violation_window, 8u);
+  EXPECT_EQ(p.violation_threshold, 0.4);
+  EXPECT_EQ(p.violation_consecutive_limit, 4);
+  EXPECT_EQ(p.violation_min_history, 2u);
+  EXPECT_FALSE(p.online_learning);
+  EXPECT_FALSE(p.adaptive_policy_switching);
+  EXPECT_TRUE(p.robustness_clamp);
+  EXPECT_EQ(p.robustness_floor, -3.5);
+  EXPECT_EQ(p.robustness_median_of, 3);
+  EXPECT_EQ(p.robustness_freeze_after, 2);
+  EXPECT_TRUE(p.safe_fallback_enabled);
+  EXPECT_EQ(p.safe_fallback_after, 4);
+  EXPECT_EQ(p.safe_fallback_factor, 2.5);
+  EXPECT_EQ(p.seed, 4242u);
+  EXPECT_EQ(p.experience_blend, rl::ExperienceStore().blend());
+}
+
+std::string saved_state(const RacAgent& agent) {
+  std::ostringstream os;
+  agent.save_state(os);
+  return os.str();
+}
+
+// A well-formed snapshot of a differently configured agent is the wrong
+// agent, not a bad file: restore throws std::invalid_argument and leaves
+// the agent as it was.
 TEST(RacAgentRestore, RejectsHyperparameterDrift) {
   const RacOptions options;
   RacAgent donor(options, {});
-  const AgentSnapshot snapshot = donor.snapshot();
+  donor.observe(donor.decide(), {420.0, 10.0});
+  std::istringstream is(saved_state(donor));
+  const AgentSnapshot snapshot = load_agent_snapshot(is);
   RacOptions drifted = options;
   drifted.online_epsilon = 0.2;
   RacAgent agent(drifted, {});
+  const std::string before = saved_state(agent);
+  EXPECT_THROW(agent.check_restorable(snapshot), std::invalid_argument);
   EXPECT_THROW(agent.restore(snapshot), std::invalid_argument);
+  EXPECT_EQ(saved_state(agent), before);
   // The same snapshot restores fine under matching options.
   RacAgent twin(options, {});
   EXPECT_NO_THROW(twin.restore(snapshot));
@@ -474,7 +630,7 @@ TEST(RacAgentRestore, RejectsActivePolicyContextMismatch) {
   RacAgent donor(options, synthetic_library(
                               {MixType::kShopping, VmLevel::kLevel1}));
   const AgentSnapshot snapshot = donor.snapshot();
-  ASSERT_TRUE(snapshot.has_active_policy);
+  ASSERT_TRUE(snapshot.state.active_policy.has_value());
   EXPECT_EQ(snapshot.active_policy_context, "shopping/Level-1");
 
   // Same library size, different context at the active index: the index
@@ -487,14 +643,14 @@ TEST(RacAgentRestore, RejectsActivePolicyContextMismatch) {
 TEST(RacAgentRestore, FailedRestoreLeavesAgentUsable) {
   const RacOptions options;
   RacAgent agent(options, {});
-  const AgentSnapshot before = agent.snapshot();
-  AgentSnapshot corrupt = before;
+  agent.observe(agent.decide(), {420.0, 10.0});
+  const std::string before = saved_state(agent);
+  AgentSnapshot corrupt = agent.snapshot();
   corrupt.detector_consecutive = 999;  // detector restore throws
+  corrupt.state.first_decide = true;
   EXPECT_THROW(agent.restore(corrupt), std::invalid_argument);
-  // State is untouched: a fresh snapshot still matches the original.
-  const AgentSnapshot after = agent.snapshot();
-  EXPECT_EQ(after.rng.words, before.rng.words);
-  EXPECT_EQ(after.first_decide, before.first_decide);
+  // State is untouched: the agent still writes the same bytes.
+  EXPECT_EQ(saved_state(agent), before);
 }
 
 }  // namespace

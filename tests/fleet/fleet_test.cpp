@@ -28,6 +28,7 @@
 #include "fleet/fleet_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/lineio.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/dynamic.hpp"
 
@@ -310,6 +311,60 @@ TEST(Fleet, RestoreRejectsMismatchedFleets) {
                  std::runtime_error);
     std::remove(path.c_str());
   }
+}
+
+// Replaces the last line of `text` that starts with `prefix`.
+std::string with_last_line(const std::string& text, const std::string& prefix,
+                           const std::string& line) {
+  const std::size_t at = text.rfind("\n" + prefix) + 1;
+  EXPECT_NE(at, 0u) << prefix;
+  return text.substr(0, at) + line + text.substr(text.find('\n', at));
+}
+
+// A restore checks every tenant before it adopts anything: a checkpoint
+// whose last tenant is bad, in its file bytes or in its agent's
+// configuration, leaves the fleet exactly as it was.
+TEST(Fleet, FailedRestoreAdoptsNothing) {
+  obs::Registry registry;
+  util::ThreadPool pool(1);
+  FleetManager donor(make_specs(4), make_options(&pool, nullptr, &registry),
+                     shared_library());
+  donor.run(8);  // past a retrain round: the library differs too
+  const std::string bytes = checkpoint_bytes(donor);
+
+  FleetManager fleet(make_specs(4), make_options(&pool, nullptr, &registry),
+                     shared_library());
+  fleet.run(3);
+  const std::string before = checkpoint_bytes(fleet);
+  ASSERT_NE(before, bytes);
+
+  // An all-zero noise stream is a bad file.
+  {
+    std::istringstream is(
+        with_last_line(bytes, "env_rng ", "env_rng 0 0 0 0 0 0"));
+    EXPECT_THROW(fleet.restore_checkpoint(is), std::runtime_error);
+    EXPECT_TRUE(checkpoint_bytes(fleet) == before);
+  }
+  // A well-formed snapshot of a differently configured agent is the wrong
+  // agent.
+  {
+    std::istringstream is(with_last_line(
+        bytes, "online_epsilon ",
+        "online_epsilon " + util::format_double(0.5)));
+    EXPECT_THROW(fleet.restore_checkpoint(is), std::invalid_argument);
+    EXPECT_TRUE(checkpoint_bytes(fleet) == before);
+  }
+  // A traffic cursor past the model's std::int64_t intervals.
+  {
+    std::istringstream is(
+        with_last_line(bytes, "traffic ", "traffic 9223372036854775808"));
+    EXPECT_THROW(fleet.restore_checkpoint(is), std::runtime_error);
+    EXPECT_TRUE(checkpoint_bytes(fleet) == before);
+  }
+  // The intact checkpoint restores.
+  std::istringstream is(bytes);
+  fleet.restore_checkpoint(is);
+  EXPECT_TRUE(checkpoint_bytes(fleet) == bytes);
 }
 
 TEST(Fleet, LibraryIsSharedCopyOnWriteAcrossTenants) {

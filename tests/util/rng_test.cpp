@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -157,6 +158,11 @@ TEST(RngState, RejectsAllZeroWords) {
   Rng rng(1);
   RngState dead;  // words all zero: the one state xoshiro cannot leave
   EXPECT_THROW(rng.restore(dead), std::invalid_argument);
+  // Read from a file, the same words are malformed input.
+  std::istringstream line("rng 0 0 0 0 0 0\n");
+  EXPECT_THROW(read_rng_state(line, "rng"), std::runtime_error);
+  std::istringstream live("rng 0 0 0 1 0 0\n");
+  EXPECT_EQ(read_rng_state(live, "rng").words[3], 1u);
 }
 
 TEST(Rng, GeometricMeanIsOneOverP) {
