@@ -10,6 +10,7 @@
 #include "env/context.hpp"
 #include "tiersim/web_system.hpp"
 #include "util/table.hpp"
+#include "workload/dynamic.hpp"
 #include "workload/tpcw.hpp"
 
 int main() {
@@ -62,7 +63,7 @@ int main() {
   for (workload::MixType mix : workload::kAllMixes) {
     for (env::VmLevel level : env::kAllLevels) {
       tiersim::SimSetup setup;
-      setup.mix = mix;
+      setup.traffic = workload::one_hot_target(mix);
       setup.web_vm = env::web_vm_spec();
       setup.app_vm = env::vm_spec(level);
       setup.num_clients = 250;

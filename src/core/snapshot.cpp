@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -217,9 +218,13 @@ AgentSnapshot load_agent_snapshot(std::istream& is) try {
   state.freeze_has_last = util::read_bool(is, kWhat);
   state.freeze_last_raw = read_sample(is);
   state.freeze_repeats = util::read_int(is, kWhat);
-  if (state.policy_switches < 0 || state.blowout_streak < 0 ||
-      state.safe_fallbacks < 0 || state.freeze_repeats < 0) {
-    malformed("negative counter");
+  // The agent counts each of these up, so their type's maximum is as
+  // malformed as a negative value.
+  for (const int counter : {state.policy_switches, state.blowout_streak,
+                            state.safe_fallbacks, state.freeze_repeats}) {
+    if (counter < 0 || counter == std::numeric_limits<int>::max()) {
+      malformed("counter outside [0, INT_MAX)");
+    }
   }
   state.rng.restore(util::read_rng_state(is, "rng"));
   util::expect_token(is, "detector", kWhat);

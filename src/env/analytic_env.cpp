@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
 #include "config/params.hpp"
 #include "obs/metrics.hpp"
@@ -66,7 +67,7 @@ double swap_factor(const tiersim::SystemParams& P, double used_mb,
 /// slot with its one-step neighbours, the operating points an agent near
 /// its optimum alternates between.
 std::size_t memo_index(const SystemContext& context, const Configuration& cfg,
-                       const std::optional<workload::TrafficTarget>& target,
+                       const workload::TrafficTarget& target,
                        std::size_t slots) {
   constexpr std::array<std::uint64_t, config::kNumParams> kStride = {
       1, 5, 9, 13, 3, 7, 11, 15};
@@ -74,14 +75,11 @@ std::size_t memo_index(const SystemContext& context, const Configuration& cfg,
       static_cast<std::uint64_t>(context.mix) * 8 +
           static_cast<std::uint64_t>(context.level),
       0);
-  if (target.has_value()) {
-    h = util::derive_seed(h, std::bit_cast<std::uint64_t>(
-                                 target->concurrency_scale));
-    h = util::derive_seed(h,
-                          std::bit_cast<std::uint64_t>(target->think_scale));
-    for (const double w : target->mix_weights) {
-      h = util::derive_seed(h, std::bit_cast<std::uint64_t>(w));
-    }
+  h = util::derive_seed(h,
+                        std::bit_cast<std::uint64_t>(target.concurrency_scale));
+  h = util::derive_seed(h, std::bit_cast<std::uint64_t>(target.think_scale));
+  for (const double w : target.mix_weights) {
+    h = util::derive_seed(h, std::bit_cast<std::uint64_t>(w));
   }
   for (std::size_t i = 0; i < config::kNumParams; ++i) {
     const config::ParamSpec& spec = config::catalog()[i];
@@ -99,6 +97,9 @@ AnalyticEnv::AnalyticEnv(const SystemContext& context,
       opt_(options),
       rng_(options.seed),
       traffic_(options.registry) {
+  if (opt_.num_clients < 1) {
+    throw std::invalid_argument("AnalyticEnv: need at least one client");
+  }
   obs::Registry& reg = obs::registry_or_default(opt_.registry);
   measurements_ = &reg.counter("env.analytic.measurements");
   measure_hits_ = &reg.counter("env.analytic.measure_hits");
@@ -132,18 +133,16 @@ std::unique_ptr<Environment> AnalyticEnv::clone_with_seed(
 
 Measurement AnalyticEnv::measure_interval(const Configuration& configuration) {
   measurements_->add(1);
-  const std::optional<workload::TrafficTarget> target = traffic_.next(ctx_.mix);
+  const workload::TrafficTarget target = traffic_.next(ctx_.mix);
   MemoSlot& slot = memo_[memo_index(ctx_, configuration, target, kMemoSlots)];
   const bool hit = slot.filled && slot.context == ctx_ &&
                    slot.configuration == configuration &&
-                   slot.target.has_value() == target.has_value() &&
-                   (!target || workload::same_target(*slot.target, *target));
+                   workload::same_target(slot.target, target);
   if (hit) {
     measure_hits_->add(1);
   } else {
-    const PerfSample sample = evaluate_target(
-        configuration, target.has_value() ? &*target : nullptr, nullptr);
-    slot = MemoSlot{true, ctx_, configuration, target, sample};
+    slot = MemoSlot{true, ctx_, configuration, target,
+                    evaluate_under(configuration, target)};
   }
   Measurement measurement;
   measurement.sample = slot.sample;
@@ -158,42 +157,26 @@ Measurement AnalyticEnv::measure_interval(const Configuration& configuration) {
 
 PerfSample AnalyticEnv::evaluate(const Configuration& cfg,
                                  ModelDiagnostics* diagnostics) const {
-  return evaluate_target(cfg, nullptr, diagnostics);
+  return evaluate_under(cfg, workload::one_hot_target(ctx_.mix), diagnostics);
 }
 
 PerfSample AnalyticEnv::evaluate_under(const Configuration& cfg,
                                        const workload::TrafficTarget& target,
                                        ModelDiagnostics* diagnostics) const {
-  return evaluate_target(cfg, &target, diagnostics);
-}
-
-PerfSample AnalyticEnv::evaluate_target(
-    const Configuration& cfg, const workload::TrafficTarget* target,
-    ModelDiagnostics* diagnostics) const {
   evaluations_->add(1);
   const obs::ProfileScope evaluate_profile("env.analytic.evaluate",
                                           *evaluate_us_);
   const tiersim::SystemParams& P = kSystem;
-  // With a traffic target: the blended workload at the scaled population.
-  // A one-hot blend with unit scales reproduces the plain path bitwise
-  // (0 * x accumulates as +0.0 and the division is by exactly 1.0), so a
-  // model-free environment's digests are untouched by this layer.
+  // The blended workload at the scaled population. A static mix's one-hot
+  // target reproduces the single-mix statistics bitwise
+  // (TrafficBlend.OneHotBlendReproducesThePlainMixBitwise).
   const workload::MixStats stats =
-      target != nullptr ? workload::blend_mix_stats(target->mix_weights)
-                        : workload::mix_stats(ctx_.mix);
+      workload::blend_mix_stats(target.mix_weights);
   const workload::BrowserProfile profile =
-      target != nullptr
-          ? workload::blend_browser_profile(target->mix_weights,
-                                            target->think_scale)
-          : workload::browser_profile(ctx_.mix);
+      workload::blend_browser_profile(target.mix_weights, target.think_scale);
   const tiersim::VmSpec web_vm = web_vm_spec();
   const tiersim::VmSpec app_vm = vm_spec(ctx_.level);
-  const int N =
-      target != nullptr
-          ? std::max(1, static_cast<int>(std::lround(
-                            static_cast<double>(opt_.num_clients) *
-                            target->concurrency_scale)))
-          : opt_.num_clients;
+  const int N = workload::scaled_population(opt_.num_clients, target);
   const double Z = profile.effective_think_mean_s();
   const double L = profile.session_length_mean;
 

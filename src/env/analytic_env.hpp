@@ -25,18 +25,20 @@
 // (parked connections, pool sizes, live sessions, writer concurrency) with
 // the MVA solution. Measurement noise is multiplicative lognormal.
 //
-// For fixed options the model is a pure function of (context,
-// configuration, traffic target), and an agent near its optimum keeps
-// measuring the same few operating points, so measure_interval answers a
-// repeated one from a small memo of noiseless samples instead of solving
-// the fixed point again. Noise is drawn on every measurement either way.
+// The workload enters the model only as a traffic target: the blended mix
+// statistics and browser profile, the scaled population and the think
+// modulation. A static mix is its one-hot target. For fixed options the
+// model is a pure function of (VM level, configuration, target), and an
+// agent near its optimum keeps measuring the same few operating points, so
+// measure_interval answers a repeated one from a small memo of noiseless
+// samples instead of solving the fixed point again. Noise is drawn on every
+// measurement either way.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "env/environment.hpp"
 #include "queueing/mva.hpp"
@@ -80,13 +82,15 @@ struct ModelDiagnostics {
 
 class AnalyticEnv : public Environment {
  public:
+  /// Throws std::invalid_argument for fewer than one client.
   explicit AnalyticEnv(const SystemContext& context,
                        const AnalyticEnvOptions& options = {});
 
-  /// Consumes the interval's traffic target (the model's emission at the
-  /// cursor) and advances the cursor. The noiseless sample comes from the
-  /// memo when this environment already evaluated the same (context,
-  /// configuration, target); the noise draws do not depend on it.
+  /// Consumes the interval's traffic target (TrafficCursor::next: the
+  /// model's emission, or the context's one-hot target without a model).
+  /// The noiseless sample comes from the memo when this environment
+  /// already evaluated the same (context, configuration, target); the
+  /// noise draws do not depend on it.
   Measurement measure_interval(
       const config::Configuration& configuration) override;
   void set_context(const SystemContext& context) override { ctx_ = context; }
@@ -99,17 +103,14 @@ class AnalyticEnv : public Environment {
   std::unique_ptr<Environment> clone_with_seed(
       std::uint64_t seed) const override;
 
-  /// Deterministic model evaluation (no measurement noise, no traffic
-  /// target -- the scheduled context's static mix at the configured
-  /// population).
+  /// Deterministic model evaluation (no measurement noise) under the
+  /// scheduled context's static mix: evaluate_under its one-hot target.
   PerfSample evaluate(const config::Configuration& configuration,
                       ModelDiagnostics* diagnostics = nullptr) const;
 
-  /// Deterministic model evaluation under a traffic target: the blended
-  /// mix statistics and browser profile, the scaled population, and the
-  /// think modulation. A one-hot target with unit scales is bitwise
-  /// identical to evaluate(). The tests use this as the noiseless oracle
-  /// of measurements under a traffic model.
+  /// The model: deterministic evaluation under a traffic target at the
+  /// context's VM level. The tests use this as the noiseless oracle of
+  /// measurements under a traffic model.
   PerfSample evaluate_under(const config::Configuration& configuration,
                             const workload::TrafficTarget& target,
                             ModelDiagnostics* diagnostics = nullptr) const;
@@ -142,23 +143,20 @@ class AnalyticEnv : public Environment {
 
   // Direct-mapped memo of measure_interval's noiseless samples, keyed by
   // everything the model reads that can change: the context, the eight
-  // configuration values and the interval's target (bitwise) or its
-  // absence. Sixteen slots keep 98-99.6% of the hits an unbounded memo
-  // finds on the benchmark's onboard and fleet-256 workloads (DESIGN.md
-  // §13). Never persisted: a restored run re-evaluates to the same bits.
+  // configuration values and the interval's target (bitwise). Sixteen
+  // slots keep 98-99.6% of the hits an unbounded memo finds on the
+  // benchmark's onboard and fleet-256 workloads (DESIGN.md §13). Never
+  // persisted: a restored run re-evaluates to the same bits.
   struct MemoSlot {
     bool filled = false;
     SystemContext context;
     config::Configuration configuration;
-    std::optional<workload::TrafficTarget> target;
+    workload::TrafficTarget target;
     PerfSample sample;
   };
   static constexpr std::size_t kMemoSlots = 16;
   std::array<MemoSlot, kMemoSlots> memo_{};
 
-  PerfSample evaluate_target(const config::Configuration& configuration,
-                             const workload::TrafficTarget* target,
-                             ModelDiagnostics* diagnostics) const;
   // Persistent MVA networks for the fixed-point loop: stations are added
   // once and each iteration swaps in fresh rate tables via
   // set_station_rates, reusing the networks' internal table storage

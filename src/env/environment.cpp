@@ -1,6 +1,7 @@
 // The traffic cursor and the Environment base's traffic helpers.
 #include "env/environment.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -11,8 +12,9 @@ namespace rac::env {
 std::uint64_t TrafficCursor::read_position(std::istream& is,
                                            std::string_view what) {
   const std::int64_t position = util::read_i64(is, what);
-  if (position < 0) {
-    throw std::runtime_error(std::string(what) + ": negative traffic cursor");
+  if (position < 0 || position == std::numeric_limits<std::int64_t>::max()) {
+    throw std::runtime_error(std::string(what) +
+                             ": traffic cursor outside [0, INT64_MAX)");
   }
   return static_cast<std::uint64_t>(position);
 }
@@ -24,11 +26,10 @@ TrafficCursor::TrafficCursor(obs::Registry* registry) {
   think_scale_ = &reg.gauge("core.traffic.think_scale");
 }
 
-std::optional<workload::TrafficTarget> TrafficCursor::next(
-    workload::MixType mix) {
-  if (model_ == nullptr) return std::nullopt;
+workload::TrafficTarget TrafficCursor::next(workload::MixType mix) {
+  if (model_ == nullptr) return workload::one_hot_target(mix);
   const std::int64_t interval = static_cast<std::int64_t>(position_++);
-  if (model_->empty()) return std::nullopt;
+  if (model_->empty()) return workload::one_hot_target(mix);
   const workload::TrafficTarget target = model_->target_at(interval, mix);
   intervals_->add(1);
   concurrency_scale_->set(target.concurrency_scale);

@@ -12,14 +12,15 @@
 //     substrate.
 //
 // Load reaches an environment through its context and its traffic model
-// only. measure() and the traffic methods are non-virtual conveniences
-// over measure_interval() and traffic_cursor().
+// only, and reaches a measurement one way: as the interval's
+// workload::TrafficTarget from TrafficCursor::next. A static mix is its
+// one-hot target. measure() and the traffic methods are non-virtual
+// conveniences over measure_interval() and traffic_cursor().
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -69,17 +70,21 @@ class TrafficCursor {
   const std::shared_ptr<const workload::TrafficModel>& model() const noexcept {
     return model_;
   }
+  /// True when a non-empty model drives the targets.
+  bool active() const noexcept { return model_ != nullptr && !model_->empty(); }
   std::uint64_t position() const noexcept { return position_; }
   /// Reads a persisted position. The model indexes intervals as
-  /// std::int64_t, so one past that range is malformed input: it throws
+  /// std::int64_t and the next interval advances the cursor, so a position
+  /// outside [0, INT64_MAX) is malformed input: it throws
   /// std::runtime_error naming `what`.
   static std::uint64_t read_position(std::istream& is, std::string_view what);
   void seek(std::uint64_t position) noexcept { position_ = position; }
 
   /// This interval's target: the model's emission at the cursor under the
-  /// scheduled `mix` (nullopt with no or an empty model). Any installed
-  /// model advances the cursor.
-  std::optional<workload::TrafficTarget> next(workload::MixType mix);
+  /// scheduled `mix`, or one_hot_target(mix) with no or an empty model.
+  /// Any installed model advances the cursor; only a non-empty one counts
+  /// in core.traffic.*.
+  workload::TrafficTarget next(workload::MixType mix);
 
  private:
   std::shared_ptr<const workload::TrafficModel> model_;
@@ -94,8 +99,8 @@ class Environment {
   virtual ~Environment() = default;
 
   /// Apply `configuration` and measure one interval under the current
-  /// context and, when a traffic model is installed, the model's target at
-  /// the cursor.
+  /// context and, for an environment with a traffic cursor, the target
+  /// its next() resolves.
   virtual Measurement measure_interval(
       const config::Configuration& configuration) = 0;
 

@@ -6,12 +6,10 @@
 // swaps the traffic mix (the latter restarts the browser population, as a
 // traffic change at a load balancer would).
 //
-// With a traffic model installed (workload/dynamic.hpp), each interval
-// resolves the interval's TrafficTarget and rebuilds the simulator when
-// the target changes -- a population change at the load balancer, just
-// like a mix switch. An unchanged target (including the one-hot identity
-// an empty model emits) keeps the live system, so static traffic is
-// bitwise the legacy behaviour.
+// Every interval resolves its TrafficTarget (the traffic model's, or the
+// scheduled mix's one-hot target without one) and rebuilds the simulator
+// when the target changes -- a population change at the load balancer,
+// just like a mix switch. An unchanged target keeps the live system.
 //
 // The live system cannot be copied, so clone_with_seed returns nullptr and
 // offline policy initialization rejects a SimEnv.
@@ -19,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "env/environment.hpp"
 #include "tiersim/web_system.hpp"
@@ -38,10 +35,16 @@ struct SimEnvOptions {
 
 class SimEnv : public Environment {
  public:
+  /// Throws std::invalid_argument for fewer than one client.
   explicit SimEnv(const SystemContext& context, const SimEnvOptions& options = {});
 
   Measurement measure_interval(
       const config::Configuration& configuration) override;
+  /// A level change resizes the live app VM. A mix change rebuilds the
+  /// simulator at once with the current configuration; without a non-empty
+  /// traffic model the rebuild runs the new mix's one-hot target, with one
+  /// it keeps the applied target, and the next interval's target decides
+  /// whether to rebuild again.
   void set_context(const SystemContext& context) override;
   SystemContext context() const override { return ctx_; }
   TrafficCursor* traffic_cursor() override { return &traffic_; }
@@ -60,9 +63,9 @@ class SimEnv : public Environment {
   TrafficCursor traffic_;
   obs::Counter* measurements_ = nullptr;
   obs::Histogram* measure_us_ = nullptr;
-  /// Target the live system_ was built under (nullopt: static legacy
-  /// population). Measuring rebuilds when the interval's target differs.
-  std::optional<workload::TrafficTarget> applied_target_;
+  /// Target the live system_ was built under. Measuring rebuilds when the
+  /// interval's target differs.
+  workload::TrafficTarget applied_target_;
 
   void rebuild(const config::Configuration& configuration);
 };

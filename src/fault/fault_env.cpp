@@ -1,6 +1,7 @@
 #include "fault/fault_env.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -227,8 +228,10 @@ FaultyEnvState load_faulty_env_state(std::istream& is) {
   FaultyEnvState state;
   util::expect_token(is, "interval", kWhat);
   state.interval = util::read_int(is, "interval");
-  if (state.interval < 0) {
-    throw std::runtime_error("faulty-env state: negative interval");
+  // The next measurement advances the interval, so INT_MAX is malformed.
+  if (state.interval < 0 ||
+      state.interval == std::numeric_limits<int>::max()) {
+    throw std::runtime_error("faulty-env state: interval outside [0, INT_MAX)");
   }
   util::expect_token(is, "has_last_reported", kWhat);
   state.has_last_reported = util::read_bool(is, "has_last_reported");

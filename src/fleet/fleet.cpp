@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -154,6 +155,10 @@ void FleetManager::run(int iterations) {
   if (iterations < 0) {
     throw std::invalid_argument("FleetManager::run: negative iterations");
   }
+  if (iterations > std::numeric_limits<int>::max() - completed_) {
+    throw std::invalid_argument(
+        "FleetManager::run: iterations would carry completed() past INT_MAX");
+  }
   const int target = completed_ + iterations;
   while (completed_ < target) {
     // Segment up to the next absolute retraining boundary: run(a); run(b)
@@ -161,9 +166,10 @@ void FleetManager::run(int iterations) {
     // cannot perturb retraining.
     int next = target;
     if (opt_.retrain_every > 0) {
-      const int boundary =
-          (completed_ / opt_.retrain_every + 1) * opt_.retrain_every;
-      next = std::min(next, boundary);
+      // In 64 bits: near INT_MAX the next boundary lies past it.
+      const long long boundary =
+          (completed_ / opt_.retrain_every + 1LL) * opt_.retrain_every;
+      next = static_cast<int>(std::min<long long>(next, boundary));
     }
     run_segment(completed_, next);
     completed_ = next;

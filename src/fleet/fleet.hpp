@@ -132,7 +132,9 @@ class FleetManager {
 
   /// Advance every tenant by `iterations` intervals (absolute iteration
   /// numbers continue across calls), retraining at every multiple of
-  /// retrain_every crossed. Bit-identical at any pool size.
+  /// retrain_every crossed. Bit-identical at any pool size. Throws
+  /// std::invalid_argument, before any tenant moves, for a negative count
+  /// or one that would carry completed() past INT_MAX.
   void run(int iterations);
 
   int completed() const noexcept { return completed_; }

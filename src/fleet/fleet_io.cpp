@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -68,8 +69,13 @@ void FleetManager::restore_checkpoint(std::istream& is) {
   const int completed = util::read_int(is, "completed");
   util::expect_token(is, "retrain_rounds", "fleet checkpoint");
   const int retrain_rounds = util::read_int(is, "retrain_rounds");
-  if (completed < 0 || retrain_rounds < 0) {
-    throw std::runtime_error("fleet checkpoint: negative progress counter");
+  // Both count up as the fleet runs, so their type's maximum is as
+  // malformed as a negative value.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  if (completed < 0 || completed == kMax || retrain_rounds < 0 ||
+      retrain_rounds == kMax) {
+    throw std::runtime_error(
+        "fleet checkpoint: progress counter outside [0, INT_MAX)");
   }
   util::expect_token(is, "library", "fleet checkpoint");
   core::InitialPolicyLibrary library = core::load_library(is);

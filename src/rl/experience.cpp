@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -130,20 +131,15 @@ void ExperienceStore::clear() {
   sorted_.clear();
 }
 
-std::vector<config::Configuration> ExperienceStore::configurations() const {
-  std::vector<config::Configuration> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.configuration);
-  return out;
-}
-
 void ExperienceStore::restore(std::vector<ExperienceEntry> entries) {
   std::vector<config::Configuration> sorted;
   sorted.reserve(entries.size());
   for (const auto& entry : entries) {
-    if (entry.observation.count == 0) {
+    if (entry.observation.count == 0 ||
+        entry.observation.count == std::numeric_limits<std::uint64_t>::max()) {
       throw std::invalid_argument(
-          "ExperienceStore::restore: entry with zero observation count");
+          "ExperienceStore::restore: observation count outside "
+          "[1, UINT64_MAX)");
     }
     if (!std::isfinite(entry.observation.response_ms) ||
         entry.observation.response_ms < 0.0) {

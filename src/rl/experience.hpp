@@ -6,13 +6,13 @@
 // blend repeat observations with an EWMA so stale measurements fade.
 //
 // Entries are kept in insertion order (first observation wins the slot) so
-// that `configurations()`/`entries()` is a deterministic function of the
-// recording history. Retraining iterates that list, so a checkpoint-restored
-// store must replay it in the same order to continue bit-identically --
-// hash-map iteration order would not survive a round trip. Lookups go
-// through a flat open-addressing probe table (hash(config) -> entry index),
-// and a canonically sorted copy of the configurations is maintained on
-// insert so the per-retrain sort is amortized away.
+// that `entries()` is a deterministic function of the recording history.
+// Retraining iterates that list, so a checkpoint-restored store must
+// replay it in the same order to continue bit-identically -- hash-map
+// iteration order would not survive a round trip. Lookups go through a
+// flat open-addressing probe table (hash(config) -> entry index), and a
+// canonically sorted copy of the configurations is maintained on insert
+// so the per-retrain sort is amortized away.
 #pragma once
 
 #include <cstddef>
@@ -57,12 +57,9 @@ class ExperienceStore {
 
   double blend() const noexcept { return blend_; }
 
-  /// Visited configurations in first-observation order.
-  std::vector<config::Configuration> configurations() const;
-
   /// Visited configurations in canonical order (ascending parameter
   /// values), maintained incrementally on insert. Identical to sorting
-  /// `configurations()` with values() < values(); the retrain sweep
+  /// the entries' configurations with values() < values(); the retrain sweep
   /// iterates this directly. Invalidated by record/restore/clear.
   std::span<const config::Configuration> sorted_configurations() const noexcept {
     return sorted_;
@@ -72,8 +69,9 @@ class ExperienceStore {
   std::span<const ExperienceEntry> entries() const noexcept { return entries_; }
 
   /// Resume from serialized entries, preserving their order. Throws
-  /// std::invalid_argument on duplicate configurations, zero counts, or
-  /// non-finite/negative response times.
+  /// std::invalid_argument on duplicate configurations, a count of zero or
+  /// of UINT64_MAX (the next record would wrap it), or non-finite/negative
+  /// response times.
   void restore(std::vector<ExperienceEntry> entries);
 
  private:

@@ -18,22 +18,6 @@ using config::ParamId;
 
 constexpr double kMsPerSecond = 1000.0;
 
-/// The setup's mix blend with the all-zero default resolved to one-hot on
-/// the base mix (so downstream code always blends, and the one-hot blend
-/// is bitwise the single-mix computation).
-std::array<double, workload::kNumMixes> resolve_weights(
-    const SimSetup& setup) {
-  double total = 0.0;
-  for (const double w : setup.mix_weights) {
-    RAC_EXPECT(w >= 0.0, "SimSetup: negative mix weight");
-    total += w;
-  }
-  if (total <= 0.0) {
-    return workload::one_hot_target(setup.mix).mix_weights;
-  }
-  return setup.mix_weights;
-}
-
 /// Largest-remainder apportionment of `n` browsers to the mixes:
 /// deterministic (ties break toward the lower enum index), exact for
 /// one-hot weights, and off by at most one browser per mix otherwise.
@@ -66,9 +50,7 @@ std::array<int, workload::kNumMixes> apportion_browsers(
 struct ThreeTierSystem::Impl {
   // ---- immutable setup ----------------------------------------------------
   SystemParams P;
-  workload::MixType mix;
-  std::array<double, workload::kNumMixes> mix_weights{};
-  double think_scale = 1.0;
+  workload::TrafficTarget traffic;
   VmSpec web_vm;
   VmSpec app_vm;
   int num_clients;
@@ -173,12 +155,11 @@ struct ThreeTierSystem::Impl {
 
   Impl(const SystemParams& params, const SimSetup& setup)
       : P(params),
-        mix(setup.mix),
-        mix_weights(resolve_weights(setup)),
-        think_scale(setup.think_scale),
+        traffic(setup.traffic),
         web_vm(setup.web_vm),
         app_vm(setup.app_vm),
-        num_clients(setup.num_clients),
+        num_clients(workload::scaled_population(setup.num_clients,
+                                                setup.traffic)),
         registry(setup.registry),
         cfg(setup.configuration),
         rng(setup.seed),
@@ -192,23 +173,24 @@ struct ThreeTierSystem::Impl {
     if (setup.num_clients < 1) {
       throw std::invalid_argument("ThreeTierSystem: need at least one client");
     }
-    RAC_EXPECT(setup.think_scale > 0.0, "SimSetup: think_scale must be > 0");
+    RAC_EXPECT(traffic.think_scale > 0.0, "SimSetup: think_scale must be > 0");
     web_total = std::min(P.initial_workers, cfg.value(ParamId::kMaxClients));
     app_total = std::min(P.initial_threads, cfg.value(ParamId::kMaxThreads));
+    // Blending checks the weights (non-negative, positive mass) before
+    // they apportion the browsers.
+    db_working_set_mb = working_set_mb();
 
     // Browsers are built in enum-order blocks per mix quota; under a
-    // one-hot blend every browser gets `mix` with the same split sequence
-    // as the single-mix population, so the legacy stream is reproduced
-    // bitwise.
-    const auto counts = apportion_browsers(num_clients, mix_weights);
+    // one-hot target every browser gets that mix with the same split
+    // sequence as a single-mix population.
+    const auto counts = apportion_browsers(num_clients, traffic.mix_weights);
     browsers.reserve(static_cast<std::size_t>(num_clients));
     for (std::size_t m = 0; m < counts.size(); ++m) {
       for (int i = 0; i < counts[m]; ++i) {
         browsers.emplace_back(workload::SessionGenerator(
-            workload::kAllMixes[m], rng.split(), true, think_scale));
+            workload::kAllMixes[m], rng.split(), traffic.think_scale));
       }
     }
-    db_working_set_mb = working_set_mb();
     update_memory_model();
     for (int i = 0; i < num_clients; ++i) schedule_browser(i);
     schedule_maintenance();
@@ -217,7 +199,7 @@ struct ThreeTierSystem::Impl {
   // ---- workload-derived quantities ------------------------------------------
 
   double working_set_mb() const {
-    const auto stats = workload::blend_mix_stats(mix_weights);
+    const auto stats = workload::blend_mix_stats(traffic.mix_weights);
     const double scaled_db = stats.db_demand_ms * P.demand_scale_db;
     return P.db_working_set_mb * scaled_db / P.db_ws_reference_ms;
   }

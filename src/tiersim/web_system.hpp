@@ -25,7 +25,6 @@
 // demand (cache misses). Write transactions add lock contention.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -36,8 +35,8 @@
 #include "tiersim/system_params.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "workload/dynamic.hpp"
 #include "workload/session.hpp"
-#include "workload/tpcw.hpp"
 
 namespace rac::obs {
 class Registry;
@@ -47,21 +46,21 @@ namespace rac::tiersim {
 
 struct SimSetup {
   config::Configuration configuration;
-  workload::MixType mix = workload::MixType::kShopping;
+  /// The load the browsers offer. The simulator runs
+  /// workload::scaled_population(num_clients, traffic) browsers, each
+  /// with its think and pause means multiplied by traffic.think_scale
+  /// (> 0), apportioned to the mixes of traffic.mix_weights by
+  /// largest-remainder quotas in enum order: deterministic, and a one-hot
+  /// target reproduces the single-mix population bitwise.
+  workload::TrafficTarget traffic =
+      workload::one_hot_target(workload::MixType::kShopping);
   VmSpec web_vm{2, 2048.0};
   VmSpec app_vm{4, 4096.0};
+  /// Base browser population (>= 1).
   int num_clients = 400;
   std::uint64_t seed = 1;
   /// Metrics destination; nullptr means the process-wide default registry.
   obs::Registry* registry = nullptr;
-  /// Optional dynamic-traffic blend (weights over workload::kAllMixes in
-  /// enum order). All-zero (the default) means every browser runs `mix`;
-  /// otherwise browsers are apportioned to mixes by largest-remainder
-  /// quotas in enum order -- deterministic, and a one-hot vector
-  /// reproduces the single-mix population bitwise.
-  std::array<double, 3> mix_weights{};
-  /// Multiplier on every browser's think and pause means (> 0).
-  double think_scale = 1.0;
 };
 
 /// Aggregate measurement over one observation window.

@@ -44,12 +44,9 @@ TrafficTarget one_hot_target(MixType mix) {
   return target;
 }
 
-MixType dominant_mix(const TrafficTarget& target) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < kNumMixes; ++i) {
-    if (target.mix_weights[i] > target.mix_weights[best]) best = i;
-  }
-  return kAllMixes[best];
+int scaled_population(int base, const TrafficTarget& target) {
+  const double scaled = static_cast<double>(base) * target.concurrency_scale;
+  return std::max(1, static_cast<int>(std::lround(scaled)));
 }
 
 bool same_target(const TrafficTarget& a, const TrafficTarget& b) {

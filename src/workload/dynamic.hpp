@@ -48,16 +48,19 @@ struct TrafficTarget {
   double think_scale = 1.0;
 };
 
-/// The degenerate target: all weight on `mix`, unit scales. Blending with
-/// a one-hot weight vector reproduces the plain mix bitwise (0.0 * x
-/// contributes +0.0 for the non-negative blended fields), which is what
-/// lets the traffic-aware measurement path coexist with golden digests
-/// recorded before this layer existed.
+/// The static mix as a target: all weight on `mix`, unit scales. It is the
+/// target of every interval without a traffic model, so the environments
+/// have one load path. Blending a one-hot weight vector reproduces the
+/// plain mix_stats / browser_profile bitwise in every field (0.0 * x
+/// contributes +0.0 for the non-negative blended fields, and the divisions
+/// are by exactly 1.0), which keeps every digest recorded before traffic
+/// models existed.
 TrafficTarget one_hot_target(MixType mix);
 
-/// The mix carrying the largest weight (lowest enum index on ties): the
-/// nominal mix SimEnv gives a simulator rebuilt under a blended target.
-MixType dominant_mix(const TrafficTarget& target);
+/// The browser population of an environment configured for `base` clients
+/// under `target`: base * concurrency_scale rounded to nearest, at least
+/// one. A unit scale returns `base` for any base >= 1.
+int scaled_population(int base, const TrafficTarget& target);
 
 /// Bitwise equality (doubles compared by representation, so a copied
 /// target always matches and -0.0 != +0.0): the environments use this to

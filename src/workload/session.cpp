@@ -8,10 +8,9 @@
 
 namespace rac::workload {
 
-SessionGenerator::SessionGenerator(MixType mix, util::Rng rng, bool use_cbmg,
+SessionGenerator::SessionGenerator(MixType mix, util::Rng rng,
                                    double think_scale)
-    : mix_(mix), rng_(rng), profile_(browser_profile(mix)),
-      use_cbmg_(use_cbmg) {
+    : mix_(mix), rng_(rng), profile_(browser_profile(mix)) {
   RAC_EXPECT(think_scale > 0.0,
              "SessionGenerator: non-positive think_scale");
   profile_.think_time_mean_s *= think_scale;
@@ -37,11 +36,6 @@ int SessionGenerator::draw_session_length() {
 }
 
 Interaction SessionGenerator::draw_interaction() {
-  if (!use_cbmg_) {
-    // Independent mode: every draw follows the spec mix frequencies.
-    const auto freq = mix_frequencies(mix_);
-    return static_cast<Interaction>(rng_.categorical(freq));
-  }
   if (!in_session_) {
     // Session entry: the chain's own stationary distribution, so entries
     // and in-session navigation follow one consistent chain (see the

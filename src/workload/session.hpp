@@ -1,10 +1,11 @@
 // Emulated-browser session generation.
 //
-// Each TPC-W emulated browser alternates: pick an interaction from the mix
-// distribution, wait an exponential think time, repeat; after a geometric
-// number of interactions the session ends and the browser idles for the
-// inter-session gap before starting a fresh session (new session state,
-// new TCP connection). The discrete-event simulator consumes this stream.
+// Each TPC-W emulated browser alternates: pick the next interaction by
+// walking the mix's CBMG, wait an exponential think time, repeat; after a
+// geometric number of interactions the session ends and the browser idles
+// for the inter-session gap before starting a fresh session (new session
+// state, new TCP connection). The discrete-event simulator consumes this
+// stream.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +26,9 @@ struct BrowserStep {
 
 /// Complete serializable state of a SessionGenerator: the RNG stream
 /// position plus the in-session walk position. Restoring it into a
-/// generator constructed with the same (mix, use_cbmg, think_scale)
-/// continues the step stream bit-identically; the dynamic-traffic golden
-/// tests rest on that.
+/// generator constructed with the same (mix, think_scale) continues the
+/// step stream bit-identically; the dynamic-traffic golden tests rest on
+/// that.
 struct SessionState {
   util::RngState rng;
   int remaining_in_session = 0;
@@ -43,9 +44,7 @@ struct SessionState {
 /// each session starts from the chain's stationary page distribution
 /// (entry_distribution) and walks the transition matrix, so forced pairs
 /// (Search Request -> Search Results, Buy Request -> Buy Confirm, ...)
-/// appear in order. Pass `use_cbmg = false` for independent draws from
-/// the spec mix frequencies (useful for isolating navigation effects in
-/// experiments).
+/// appear in order.
 ///
 /// `think_scale` multiplies the profile's think and pause means (the
 /// dynamic-traffic layer's heavy-tailed think modulation); session length
@@ -54,8 +53,7 @@ struct SessionState {
 class SessionGenerator {
  public:
   /// Throws ContractViolation (RAC_EXPECT) for a non-positive think_scale.
-  SessionGenerator(MixType mix, util::Rng rng, bool use_cbmg = true,
-                   double think_scale = 1.0);
+  SessionGenerator(MixType mix, util::Rng rng, double think_scale = 1.0);
 
   MixType mix() const noexcept { return mix_; }
 
@@ -78,7 +76,6 @@ class SessionGenerator {
   MixType mix_;
   util::Rng rng_;
   BrowserProfile profile_;
-  bool use_cbmg_;
   int remaining_in_session_ = 0;
   Interaction last_ = Interaction::kHome;
   bool in_session_ = false;

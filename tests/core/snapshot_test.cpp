@@ -322,6 +322,16 @@ TEST(AgentSnapshotIo, RejectsValuesNoAgentCouldHold) {
   rejects(patched(text, "freeze 1 ", "freeze 1 -"));
   rejects(patched(text, "active_policy 2 ordering/Level-3",
                   "active_policy -1 ordering/Level-3"));
+  // A counter the agent counts up, at its type's maximum: the next
+  // increment would overflow it.
+  rejects(patched(text, "policy_switches 5", "policy_switches 2147483647"));
+  rejects(patched(text, "\nfallback 2 1 3\n", "\nfallback 2 1 2147483647\n"));
+  rejects(patched(text, "\nfallback 2 1 3\n", "\nfallback 2147483647 1 3\n"));
+  const std::string freeze = "freeze 1 " + util::format_double(2400.25);
+  rejects(patched(text, freeze + " 1\n", freeze + " 2147483647\n"));
+  rejects(patched(text, " " + util::format_double(123.456) + " 4\n",
+                  " " + util::format_double(123.456) +
+                      " 18446744073709551615\n"));
   // The same file with its values intact loads.
   std::istringstream is(text);
   EXPECT_NO_THROW(load_agent_snapshot(is));
@@ -411,10 +421,22 @@ TEST(CheckpointIo, RejectsATrafficCursorPastTheModelsRange) {
     EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
   }
   util::atomic_write_file(path, "rac-checkpoint v2\ncompleted 1\ntraffic "
-                                "9223372036854775807\nagent_state 6\nopaque"
+                                "9223372036854775806\nagent_state 6\nopaque"
                                 "\nend\n");
   EXPECT_EQ(load_checkpoint_file(path).traffic_interval,
-            9223372036854775807u);
+            9223372036854775806u);
+  std::remove(path.c_str());
+}
+
+// The range's last value is malformed too: a resumed run's first interval
+// advances the cursor to 2^63, and its second used to throw a contract
+// violation from the model ("negative interval").
+TEST(CheckpointIo, RejectsATrafficCursorAtItsTypesMaximum) {
+  const std::string path = ::testing::TempDir() + "/rac_checkpoint_max.rac";
+  util::atomic_write_file(path, "rac-checkpoint v2\ncompleted 1\ntraffic "
+                                "9223372036854775807\nagent_state 6\nopaque"
+                                "\nend\n");
+  EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -210,5 +210,19 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// The traffic target scales the configured population and rounds to at
+// least one browser, so a zero-client environment would silently run one.
+// Both environments reject it when they are built.
+TEST(EnvConstruction, FewerThanOneClientIsRejected) {
+  for (const int clients : {0, -1}) {
+    AnalyticEnvOptions analytic_opt;
+    analytic_opt.num_clients = clients;
+    EXPECT_THROW(AnalyticEnv(kScheduled, analytic_opt), std::invalid_argument);
+    SimEnvOptions sim_opt;
+    sim_opt.num_clients = clients;
+    EXPECT_THROW(SimEnv(kScheduled, sim_opt), std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace rac::env

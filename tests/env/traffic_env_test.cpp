@@ -63,21 +63,6 @@ TEST(AnalyticTraffic, NoModelAndEmptyModelMeasureBitwiseIdentically) {
   EXPECT_EQ(modeled.traffic_interval(), 20u);  // cursor still advances
 }
 
-TEST(AnalyticTraffic, OneHotEvaluateUnderMatchesEvaluateBitwise) {
-  for (const MixType mix : workload::kAllMixes) {
-    AnalyticEnv env({mix, VmLevel::kLevel2}, noiseless());
-    const Configuration c;
-    ModelDiagnostics plain_diag;
-    ModelDiagnostics under_diag;
-    const auto plain = env.evaluate(c, &plain_diag);
-    const auto under =
-        env.evaluate_under(c, workload::one_hot_target(mix), &under_diag);
-    EXPECT_EQ(bits(plain.response_ms), bits(under.response_ms));
-    EXPECT_EQ(bits(plain.throughput_rps), bits(under.throughput_rps));
-    EXPECT_EQ(bits(plain_diag.db_buffer_mb), bits(under_diag.db_buffer_mb));
-  }
-}
-
 TEST(AnalyticTraffic, ConcurrencyScaleShiftsTheOperatingPoint) {
   AnalyticEnv env({MixType::kShopping, VmLevel::kLevel1}, noiseless());
   const Configuration c;
@@ -158,16 +143,68 @@ SimEnvOptions quick_sim() {
 }
 
 TEST(SimTraffic, NoModelAndEmptyModelMeasureBitwiseIdentically) {
+  // Across a mix switch (set_context rebuilds the population) and a level
+  // switch (it resizes the app VM in place), both between intervals.
   const SystemContext ctx{MixType::kShopping, VmLevel::kLevel1};
   SimEnv plain(ctx, quick_sim());
   SimEnv modeled(ctx, quick_sim());
   modeled.set_traffic_model(std::make_shared<TrafficModel>());
   const Configuration c;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 7; ++i) {
+    if (i == 2 || i == 4) {
+      const SystemContext next =
+          i == 2 ? SystemContext{MixType::kOrdering, VmLevel::kLevel1}
+                 : SystemContext{MixType::kOrdering, VmLevel::kLevel3};
+      plain.set_context(next);
+      modeled.set_context(next);
+    }
     const auto a = plain.measure(c);
     const auto b = modeled.measure(c);
-    EXPECT_EQ(bits(a.response_ms), bits(b.response_ms));
-    EXPECT_EQ(bits(a.throughput_rps), bits(b.throughput_rps));
+    EXPECT_EQ(bits(a.response_ms), bits(b.response_ms)) << "interval " << i;
+    EXPECT_EQ(bits(a.throughput_rps), bits(b.throughput_rps))
+        << "interval " << i;
+  }
+}
+
+TEST(SimTraffic, ModelledMixSwitchKeepsTheAppliedTargetsPopulation) {
+  // Under a non-empty model a mix switch rebuilds the simulator with the
+  // target already applied. Here the model pins the blend to shopping and
+  // holds a constant 1.5x crowd from interval 1 on, so the interval after
+  // the switch resolves the same target and measures the population that
+  // set_context built. Re-basing it on the new mix would draw one more
+  // rebuild seed and move these bits, which were recorded before the load
+  // path became one TrafficTarget.
+  auto model = std::make_shared<TrafficModel>();
+  model->add_flash_crowd({7, 1.0, 1, 4, 1, 1.5})
+      .add_mix_drift({MixType::kShopping, MixType::kOrdering, 1000, 10});
+  SimEnv env({MixType::kShopping, VmLevel::kLevel1}, quick_sim());
+  env.set_traffic_model(model);
+  Configuration b;
+  b.set(config::ParamId::kMaxClients, 100);
+  std::vector<PerfSample> samples;
+  for (int i = 0; i < 6; ++i) {
+    if (i == 3) env.set_context({MixType::kOrdering, VmLevel::kLevel1});
+    if (i == 5) env.set_context({MixType::kOrdering, VmLevel::kLevel2});
+    samples.push_back(env.measure(i % 2 == 0 ? Configuration{} : b));
+  }
+  const std::array<std::uint64_t, 6> response = {
+      4650007411007035753ULL,
+      4651270630029641152ULL,
+      4634663563363187763ULL,
+      4651232745549964167ULL,
+      4633819600032313708ULL,
+      4634585701821335639ULL};
+  const std::array<std::uint64_t, 6> throughput = {
+      4620749512677471027ULL,
+      4622635395021432422ULL,
+      4620890250165826355ULL,
+      4622438362537734963ULL,
+      4620242857719391846ULL,
+      4619679907765970534ULL};
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(bits(samples[i].response_ms), response[i]) << "interval " << i;
+    EXPECT_EQ(bits(samples[i].throughput_rps), throughput[i])
+        << "interval " << i;
   }
 }
 

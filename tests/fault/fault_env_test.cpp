@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "config/configuration.hpp"
@@ -342,6 +345,24 @@ TEST(FaultyEnv, StateRestoreContinuesBitIdentically) {
   FaultyEnvState bad;
   bad.interval = -1;
   EXPECT_THROW(resumed.restore(bad), std::invalid_argument);
+}
+
+// The next measurement increments the interval. A saved INT_MAX used to
+// load, and one interval later the writer saved "interval -2147483648",
+// which this same reader rejects.
+TEST(FaultyEnv, StateReaderRejectsAnIntervalAtIntMax) {
+  const auto round_trip = [](int interval) {
+    FaultyEnvState state;
+    state.interval = interval;
+    std::ostringstream os;
+    save_faulty_env_state(os, state);
+    std::istringstream is(os.str());
+    return load_faulty_env_state(is).interval;
+  };
+  EXPECT_EQ(round_trip(std::numeric_limits<int>::max() - 1),
+            std::numeric_limits<int>::max() - 1);
+  EXPECT_THROW(round_trip(std::numeric_limits<int>::max()),
+               std::runtime_error);
 }
 
 TEST(FaultyEnv, CountersAreRoutedToTheGivenRegistry) {

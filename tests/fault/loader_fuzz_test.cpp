@@ -86,13 +86,16 @@ Tokens tokens_of(const std::string& text) {
   return tokens;
 }
 
-// Counts, indices and values a reader must not take at face value.
-constexpr std::array<const char*, 14> kHostileNumbers = {
-    "18446744073709551615", "9223372036854775808", "1000000000000",
-    "2147483648",           "-2147483649",         "-1",
-    "0",                    "nan",                 "inf",
-    "-inf",                 "1.fffffffffffffp+1023", "-0",
-    "1e308",                "4.9e-324"};
+// Counts, indices and values a reader must not take at face value: one
+// past a type's range, and a type's maximum, which a counter the run
+// increments would overflow.
+constexpr std::array<const char*, 16> kHostileNumbers = {
+    "18446744073709551615", "9223372036854775808", "9223372036854775807",
+    "1000000000000",        "2147483648",          "2147483647",
+    "-2147483649",          "-1",                  "0",
+    "nan",                  "inf",                 "-inf",
+    "1.fffffffffffffp+1023", "-0",                 "1e308",
+    "4.9e-324"};
 
 template <typename Items>
 const auto& any_of(const Items& items, util::Rng& rng) {

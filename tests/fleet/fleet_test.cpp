@@ -367,6 +367,42 @@ TEST(Fleet, FailedRestoreAdoptsNothing) {
   EXPECT_TRUE(checkpoint_bytes(fleet) == bytes);
 }
 
+// completed() and retrain_rounds() count up as the fleet runs. At their
+// type's maximum a checkpoint used to restore, and run(2) then computed
+// completed() + 2 in int: it advanced no tenant and left completed() at
+// INT_MAX. The reader rejects both at INT_MAX, and run() rejects a count
+// that would carry completed() past it before any tenant moves.
+TEST(Fleet, ProgressCountersStopShortOfIntMax) {
+  obs::Registry registry;
+  util::ThreadPool pool(1);
+  FleetManager donor(make_specs(4), make_options(&pool, nullptr, &registry),
+                     shared_library());
+  donor.run(8);
+  const std::string bytes = checkpoint_bytes(donor);
+
+  FleetManager fleet(make_specs(4), make_options(&pool, nullptr, &registry),
+                     shared_library());
+  for (const std::string line :
+       {"completed 2147483647", "retrain_rounds 2147483647"}) {
+    SCOPED_TRACE(line);
+    std::istringstream is(
+        with_last_line(bytes, line.substr(0, line.find(' ') + 1), line));
+    EXPECT_THROW(fleet.restore_checkpoint(is), std::runtime_error);
+  }
+
+  std::istringstream is(
+      with_last_line(bytes, "completed ", "completed 2147483646"));
+  fleet.restore_checkpoint(is);
+  ASSERT_EQ(fleet.completed(), 2147483646);
+  const std::string restored = checkpoint_bytes(fleet);
+  EXPECT_THROW(fleet.run(2), std::invalid_argument);
+  EXPECT_TRUE(checkpoint_bytes(fleet) == restored);
+  // One interval still runs from there; its retrain boundary lies past
+  // INT_MAX.
+  fleet.run(1);
+  EXPECT_EQ(fleet.completed(), 2147483647);
+}
+
 TEST(Fleet, LibraryIsSharedCopyOnWriteAcrossTenants) {
   obs::Registry registry;
   util::ThreadPool pool(2);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -59,7 +60,7 @@ TEST(ExperienceStore, DistinctConfigurationsTrackedSeparately) {
   store.record(b, 900.0);
   EXPECT_DOUBLE_EQ(*store.response_ms(a), 100.0);
   EXPECT_DOUBLE_EQ(*store.response_ms(b), 900.0);
-  EXPECT_EQ(store.configurations().size(), 2u);
+  EXPECT_EQ(store.entries().size(), 2u);
 }
 
 TEST(ExperienceStore, ClearForgetsEverything) {
@@ -104,12 +105,11 @@ TEST(ExperienceStore, EntriesKeepFirstObservationOrder) {
   store.record(c, 3.0);
   store.record(b, 5.0);  // repeat must not move b to the back
 
-  const auto configs = store.configurations();
-  ASSERT_EQ(configs.size(), 3u);
-  EXPECT_EQ(configs[0], b);
-  EXPECT_EQ(configs[1], a);
-  EXPECT_EQ(configs[2], c);
   const auto entries = store.entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].configuration, b);
+  EXPECT_EQ(entries[1].configuration, a);
+  EXPECT_EQ(entries[2].configuration, c);
   EXPECT_EQ(entries[0].observation.count, 2u);
   EXPECT_DOUBLE_EQ(entries[0].observation.response_ms, 3.0);
 }
@@ -161,7 +161,11 @@ TEST(ExperienceStore, RestoreRoundTripsEntriesAndBlending) {
   ExperienceStore resumed(0.5);
   resumed.restore({original.entries().begin(), original.entries().end()});
   EXPECT_EQ(resumed.size(), original.size());
-  EXPECT_EQ(resumed.configurations(), original.configurations());
+  ASSERT_EQ(resumed.entries().size(), original.entries().size());
+  for (std::size_t i = 0; i < original.entries().size(); ++i) {
+    EXPECT_EQ(resumed.entries()[i].configuration,
+              original.entries()[i].configuration);
+  }
   EXPECT_DOUBLE_EQ(*resumed.response_ms(a), *original.response_ms(a));
   // Later blends continue identically (count and value both restored).
   original.record(a, 400.0);
@@ -175,9 +179,12 @@ TEST(ExperienceStore, RestoreRejectsCorruptEntries) {
   ExperienceEntry good{a, {100.0, 1}};
   // Duplicate configuration.
   EXPECT_THROW(store.restore({good, good}), std::invalid_argument);
-  // Zero observation count.
+  // Zero observation count, and one the next record would wrap to zero.
   ExperienceEntry zero_count{a, {100.0, 0}};
   EXPECT_THROW(store.restore({zero_count}), std::invalid_argument);
+  ExperienceEntry max_count{
+      a, {100.0, std::numeric_limits<std::uint64_t>::max()}};
+  EXPECT_THROW(store.restore({max_count}), std::invalid_argument);
   // Non-finite / negative blended response.
   ExperienceEntry nan_entry{
       a, {std::numeric_limits<double>::quiet_NaN(), 1}};
@@ -192,15 +199,18 @@ TEST(ExperienceStore, RestoreRejectsCorruptEntries) {
 
 TEST(ExperienceStore, SortedConfigurationsMatchSortedCopy) {
   // The canonical list is maintained incrementally on insert; it must be
-  // exactly what sorting configurations() by values() would produce, both
-  // after organic recording and after a restore round trip.
+  // exactly what sorting the entries' configurations by values() would
+  // produce, both after organic recording and after a restore round trip.
   ExperienceStore store;
   util::Rng rng(11);
   for (int i = 0; i < 200; ++i) {
     store.record(config::ConfigSpace::random_fine(rng),
                  rng.uniform(10.0, 500.0));
   }
-  auto expected = store.configurations();
+  std::vector<config::Configuration> expected;
+  for (const auto& entry : store.entries()) {
+    expected.push_back(entry.configuration);
+  }
   std::sort(expected.begin(), expected.end(),
             [](const config::Configuration& a, const config::Configuration& b) {
               return a.values() < b.values();

@@ -43,7 +43,8 @@ TEST(ThreeTierSystem, ThroughputTracksOfferedLoad) {
   auto setup = small_setup(3);
   ThreeTierSystem sys(params, setup);
   const auto m = sys.run(60.0, 200.0);
-  const auto profile = workload::browser_profile(setup.mix);
+  const auto profile = workload::blend_browser_profile(
+      setup.traffic.mix_weights, setup.traffic.think_scale);
   const double cycle =
       profile.effective_think_mean_s() *
           profile.session_length_mean / (profile.session_length_mean - 1.0) +

@@ -146,24 +146,5 @@ TEST(Cbmg, SessionEntriesFollowTheEntryDistribution) {
   }
 }
 
-TEST(Cbmg, IndependentModeIgnoresHistory) {
-  SessionGenerator gen(MixType::kOrdering, util::Rng(6), /*use_cbmg=*/false);
-  int buy_requests = 0;
-  int followed_by_confirm = 0;
-  Interaction prev = Interaction::kHome;
-  for (int i = 0; i < 200000; ++i) {
-    const auto step = gen.next();
-    if (i > 0 && prev == Interaction::kBuyRequest) {
-      ++buy_requests;
-      if (step.interaction == Interaction::kBuyConfirm) ++followed_by_confirm;
-    }
-    prev = step.interaction;
-  }
-  ASSERT_GT(buy_requests, 100);
-  const auto freq = mix_frequencies(MixType::kOrdering);
-  EXPECT_NEAR(static_cast<double>(followed_by_confirm) / buy_requests,
-              freq[static_cast<std::size_t>(Interaction::kBuyConfirm)], 0.03);
-}
-
 }  // namespace
 }  // namespace rac::workload

@@ -37,16 +37,19 @@ TEST(TrafficTarget, OneHotIsUnitScalesWithAllWeightOnTheMix) {
     for (std::size_t j = 0; j < kNumMixes; ++j) {
       EXPECT_EQ(t.mix_weights[j], j == m ? 1.0 : 0.0);
     }
-    EXPECT_EQ(dominant_mix(t), kAllMixes[m]);
   }
 }
 
-TEST(TrafficTarget, DominantMixBreaksTiesTowardTheLowerIndex) {
-  TrafficTarget t;
-  t.mix_weights = {0.5, 0.5, 0.0};
-  EXPECT_EQ(dominant_mix(t), kAllMixes[0]);
-  t.mix_weights = {0.2, 0.4, 0.4};
-  EXPECT_EQ(dominant_mix(t), kAllMixes[1]);
+TEST(TrafficTarget, ScaledPopulationRoundsToNearestAndKeepsOneBrowser) {
+  TrafficTarget t = one_hot_target(MixType::kShopping);
+  EXPECT_EQ(scaled_population(400, t), 400);
+  EXPECT_EQ(scaled_population(1, t), 1);
+  t.concurrency_scale = 1.25;  // 3.75
+  EXPECT_EQ(scaled_population(3, t), 4);
+  t.concurrency_scale = 0.5;  // 2.5 rounds away from zero
+  EXPECT_EQ(scaled_population(5, t), 3);
+  t.concurrency_scale = 1e-3;  // 0.4
+  EXPECT_EQ(scaled_population(400, t), 1);
 }
 
 TEST(TrafficTarget, SameTargetComparesBitwise) {
@@ -57,6 +60,9 @@ TEST(TrafficTarget, SameTargetComparesBitwise) {
   EXPECT_FALSE(same_target(a, b));
 }
 
+// The identity the one load path rests on: a static mix reaches both
+// environments as its one-hot target, so every field either model reads
+// must equal the plain mix's bit for bit.
 TEST(TrafficBlend, OneHotBlendReproducesThePlainMixBitwise) {
   for (std::size_t m = 0; m < kNumMixes; ++m) {
     const MixType mix = kAllMixes[m];
@@ -69,11 +75,16 @@ TEST(TrafficBlend, OneHotBlendReproducesThePlainMixBitwise) {
     EXPECT_EQ(bits(plain.write_fraction), bits(blended.write_fraction));
     EXPECT_EQ(bits(plain.session_fraction), bits(blended.session_fraction));
     EXPECT_EQ(bits(plain.order_fraction), bits(blended.order_fraction));
+    EXPECT_EQ(bits(plain.think_time_mean_s), bits(blended.think_time_mean_s));
+    EXPECT_EQ(bits(plain.session_length_mean),
+              bits(blended.session_length_mean));
 
     const BrowserProfile pp = browser_profile(mix);
     const BrowserProfile bp = blend_browser_profile(t.mix_weights, 1.0);
     EXPECT_EQ(bits(pp.think_time_mean_s), bits(bp.think_time_mean_s));
     EXPECT_EQ(bits(pp.session_length_mean), bits(bp.session_length_mean));
+    EXPECT_EQ(bits(pp.inter_session_gap_s), bits(bp.inter_session_gap_s));
+    EXPECT_EQ(bits(pp.pause_prob), bits(bp.pause_prob));
     EXPECT_EQ(bits(pp.pause_mean_s), bits(bp.pause_mean_s));
   }
 }
@@ -336,11 +347,11 @@ TEST(TrafficModel, TargetStreamIsBitwiseIdenticalAcrossThreadCounts) {
 // ---- session-generator streams under the layer ----------------------------
 
 TEST(SessionGenerator, StateRoundTripContinuesTheStreamBitwise) {
-  SessionGenerator gen(MixType::kShopping, util::Rng(11), true, 1.25);
+  SessionGenerator gen(MixType::kShopping, util::Rng(11), 1.25);
   for (int i = 0; i < 137; ++i) gen.next();
   const SessionState mid = gen.state();
 
-  SessionGenerator resumed(MixType::kShopping, util::Rng(999), true, 1.25);
+  SessionGenerator resumed(MixType::kShopping, util::Rng(999), 1.25);
   resumed.restore(mid);
   for (int i = 0; i < 500; ++i) {
     const BrowserStep a = gen.next();

@@ -83,7 +83,7 @@ TEST(SessionGenerator, CountsSteps) {
 
 TEST(SessionGenerator, UnitThinkScaleReproducesTheUnscaledStreamBitwise) {
   SessionGenerator plain(MixType::kShopping, util::Rng(21));
-  SessionGenerator scaled(MixType::kShopping, util::Rng(21), true, 1.0);
+  SessionGenerator scaled(MixType::kShopping, util::Rng(21), 1.0);
   for (int i = 0; i < 2000; ++i) {
     const auto a = plain.next();
     const auto b = scaled.next();
@@ -94,7 +94,7 @@ TEST(SessionGenerator, UnitThinkScaleReproducesTheUnscaledStreamBitwise) {
 }
 
 TEST(SessionGenerator, ThinkScaleStretchesInSessionThinkTimes) {
-  SessionGenerator gen(MixType::kShopping, util::Rng(22), true, 3.0);
+  SessionGenerator gen(MixType::kShopping, util::Rng(22), 3.0);
   double total = 0.0;
   int count = 0;
   for (int i = 0; i < 100000; ++i) {
@@ -112,7 +112,7 @@ TEST(SessionGenerator, ThinkScaleStretchesInSessionThinkTimes) {
 }
 
 TEST(SessionGenerator, RejectsNonPositiveThinkScale) {
-  EXPECT_THROW(SessionGenerator(MixType::kShopping, util::Rng(1), true, 0.0),
+  EXPECT_THROW(SessionGenerator(MixType::kShopping, util::Rng(1), 0.0),
                util::ContractViolation);
 }
 
