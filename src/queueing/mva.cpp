@@ -36,6 +36,35 @@ std::uint64_t recursion_steps(int population, std::size_t num_stations) {
   return n * (n + 1) * static_cast<std::uint64_t>(num_stations);
 }
 
+#if defined(__SSE2__)
+/// Sets the SSE flush-to-zero and denormals-are-zero bits (MXCSR | 0x8040)
+/// for its scope and restores the calling thread's saved MXCSR on every
+/// exit, exceptions included. At hundreds of jobs a station's marginal
+/// tail decays below DBL_MIN, and every subnormal operand or result of the
+/// recursion costs a microcode assist. Flushing is not bit-exact by
+/// construction: a tail value flushed to zero would show only if later
+/// populations' updates grew it back to within 2^-53 of its station's
+/// tail sum. On the twin's networks they do not; DESIGN.md §13 has the
+/// evidence, and Mva.UnderflowingTailsMatchAnUnflushedTranscription checks
+/// it. Pool threads run the twin and, while they wait on a region, other
+/// tasks. That is safe because this scope contains no wait, so no other
+/// task ever runs under the flushed mode.
+class FlushSubnormals {
+ public:
+  FlushSubnormals() noexcept : saved_(_mm_getcsr()) {
+    _mm_setcsr(saved_ | kFlushToZero | kDenormalsAreZero);
+  }
+  ~FlushSubnormals() { _mm_setcsr(saved_); }
+  FlushSubnormals(const FlushSubnormals&) = delete;
+  FlushSubnormals& operator=(const FlushSubnormals&) = delete;
+
+ private:
+  static constexpr unsigned kFlushToZero = 0x8000;
+  static constexpr unsigned kDenormalsAreZero = 0x0040;
+  unsigned saved_;
+};
+#endif
+
 }  // namespace
 
 Station make_queueing_station(std::string name, double service_rate,
@@ -92,6 +121,9 @@ void ClosedNetwork::set_station_rates(std::size_t index,
 
 ClosedNetwork::Totals ClosedNetwork::recurse(
     int population, std::vector<double>* curve) const {
+#if defined(__SSE2__)
+  const FlushSubnormals flush;
+#endif
   const std::size_t num_s = stations_.size();
   const std::size_t pop = static_cast<std::size_t>(population);
 

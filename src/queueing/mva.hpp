@@ -14,6 +14,12 @@
 // per-station working arrays (pre-extended rate tables and marginals) are
 // scratch owned by the network and reused across its solves instead of
 // being reallocated per solve.
+//
+// In x86 builds the recursion runs with subnormals flushed to zero (SSE
+// FTZ and DAZ): at hundreds of jobs the marginal tails underflow, and each
+// subnormal would cost a microcode assist. A scoped guard restores the
+// calling thread's MXCSR on every exit, so callers keep their FP mode. On
+// the twin's networks the flush moves no result bit (DESIGN.md §13).
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -46,7 +47,18 @@ TrafficTarget one_hot_target(MixType mix) {
 
 int scaled_population(int base, const TrafficTarget& target) {
   const double scaled = static_cast<double>(base) * target.concurrency_scale;
-  return std::max(1, static_cast<int>(std::lround(scaled)));
+  // Round-half-away of anything at or above INT_MAX + 0.5 leaves int; a
+  // cast would wrap it to an arbitrary, possibly negative, population. A
+  // finite negative product is clamped to 0 first, so it keeps lround in
+  // range and still yields one browser.
+  constexpr double kFirstUnrepresentable =
+      static_cast<double>(std::numeric_limits<int>::max()) + 0.5;
+  if (!std::isfinite(scaled) || scaled >= kFirstUnrepresentable) {
+    throw std::invalid_argument(
+        "scaled_population: base * concurrency_scale is not finite or "
+        "exceeds INT_MAX");
+  }
+  return std::max(1, static_cast<int>(std::lround(std::max(scaled, 0.0))));
 }
 
 bool same_target(const TrafficTarget& a, const TrafficTarget& b) {

@@ -59,7 +59,9 @@ TrafficTarget one_hot_target(MixType mix);
 
 /// The browser population of an environment configured for `base` clients
 /// under `target`: base * concurrency_scale rounded to nearest, at least
-/// one. A unit scale returns `base` for any base >= 1.
+/// one. A unit scale returns `base` for any base >= 1. Throws
+/// std::invalid_argument when the product is not finite or rounds above
+/// INT_MAX.
 int scaled_population(int base, const TrafficTarget& target);
 
 /// Bitwise equality (doubles compared by representation, so a copied

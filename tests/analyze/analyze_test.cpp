@@ -291,7 +291,7 @@ TEST(AnalyzeRuleTable, IdsAreUniqueAndFindingsReferToThem) {
   std::set<std::string_view> ids;
   for (const auto& rule : rac::analyze::rules()) ids.insert(rule.id);
   EXPECT_EQ(ids.size(), rac::analyze::rules().size());
-  EXPECT_EQ(ids.size(), 22u);
+  EXPECT_EQ(ids.size(), 23u);
   for (const std::string fixture :
        {"unordered_iter_bad.cpp", "retrain_order_bad.cpp",
         "parallel_capture_bad.cpp"}) {

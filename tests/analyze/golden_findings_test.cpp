@@ -242,6 +242,38 @@ const std::vector<Case>& cases() {
        {fx("src/core/fixture.cpp", "float_eq.cpp")},
        nullptr,
        "2:float-eq 4:float-eq"},
+      {"fpenv@core",
+       {fx("src/core/fixture.cpp", "fp_env.cpp")},
+       nullptr,
+       "10:fp-env 11:fp-env 12:fp-env 7:fp-env 8:fp-env 9:fp-env"},
+      {"fpenv@util",
+       {fx("src/util/fixture.cpp", "fp_env.cpp")},
+       nullptr,
+       "10:fp-env 11:fp-env 12:fp-env 7:fp-env 8:fp-env 9:fp-env"},
+      {"fpenv@queueing",
+       {fx("src/queueing/fixture.cpp", "fp_env.cpp")},
+       nullptr,
+       "10:fp-env 11:fp-env 12:fp-env 7:fp-env 8:fp-env 9:fp-env"},
+      {"fpenv@mvafast",
+       {fx("src/queueing/mva_fast.cpp", "fp_env.cpp")},
+       nullptr,
+       "10:fp-env 11:fp-env 12:fp-env 7:fp-env 8:fp-env 9:fp-env"},
+      {"fpenv@mva",
+       {fx("src/queueing/mva.cpp", "fp_env.cpp")},
+       nullptr,
+       ""},
+      {"fpenv@tests",
+       {fx("tests/queueing/fixture.cpp", "fp_env.cpp")},
+       nullptr,
+       ""},
+      {"fpenv@bench",
+       {fx("bench/fixture.cpp", "fp_env.cpp")},
+       nullptr,
+       ""},
+      {"fpenv@toolsbench",
+       {fx("tools/bench/fixture.cpp", "fp_env.cpp")},
+       nullptr,
+       ""},
       {"suppressed@util",
        {fx("src/util/fixture.cpp", "suppressed.cpp")},
        nullptr,
@@ -469,6 +501,10 @@ TEST(GoldenFindings, PerLineAndDirectReadMessagesAreStable) {
       {"float-eq",
        "exact floating-point comparison against a literal; compare with a "
        "tolerance or justify with a suppression"},
+      {"fp-env",
+       "floating-point environment write in library code; pool threads "
+       "must all compute in one FP mode, so only the MVA recursion's "
+       "scoped guard in src/queueing/mva.cpp sets it"},
       {"hot-path-alloc",
        "per-element heap allocation in a hot-path subsystem (operator new, "
        "make_unique/make_shared, or a node-based container); use flat/arena "

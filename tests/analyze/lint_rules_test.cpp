@@ -216,6 +216,27 @@ TEST(LintRules, FloatEqFiresOnBothOperandOrders) {
   EXPECT_EQ(count_rule(findings, "float-eq"), 2);
 }
 
+TEST(LintRules, FpEnvFiresOnEveryWriterInSrc) {
+  for (const std::string path :
+       {"src/core/fixture.cpp", "src/util/fixture.cpp",
+        "src/queueing/fixture.cpp", "src/queueing/mva_fast.cpp"}) {
+    const auto findings = analyze_fixture("fp_env.cpp", path);
+    // _mm_setcsr, both _MM_SET_*_MODE macros, fesetenv, feupdateenv,
+    // fesetround; the readers, look-alikes, comment and string do not.
+    EXPECT_EQ(count_rule(findings, "fp-env"), 6) << path;
+    EXPECT_EQ(findings.size(), 6u) << path << "\n" << render(findings);
+  }
+}
+
+TEST(LintRules, FpEnvExemptOnlyInTheMvaRecursionAndOutsideSrc) {
+  for (const std::string path :
+       {"src/queueing/mva.cpp", "tests/queueing/fixture.cpp",
+        "bench/fixture.cpp", "tools/bench/fixture.cpp"}) {
+    EXPECT_EQ(count_rule(analyze_fixture("fp_env.cpp", path), "fp-env"), 0)
+        << path;
+  }
+}
+
 TEST(LintSuppressions, SameLineAllowSilencesOnlyTheNamedRule) {
   const auto findings =
       analyze_fixture("suppressed.cpp", "src/util/fixture.cpp");
@@ -324,7 +345,7 @@ TEST(LintRuleTable, IdsAreUniqueAndFindingsReferToThem) {
   for (const char* id :
        {"rand", "wall-clock", "default-registry", "raw-assert", "iostream",
         "pragma-once", "include-hygiene", "locale-io", "untracked-timer",
-        "hot-path-alloc", "float-eq", "unchecked-measure"}) {
+        "hot-path-alloc", "float-eq", "unchecked-measure", "fp-env"}) {
     EXPECT_TRUE(ids.count(id)) << id;
   }
   for (const std::string fixture :
@@ -332,7 +353,7 @@ TEST(LintRuleTable, IdsAreUniqueAndFindingsReferToThem) {
         "raw_assert.cpp", "iostream.cpp", "include_hygiene.cpp",
         "float_eq.cpp", "locale_io.cpp", "suppressed.cpp",
         "unchecked_measure.cpp", "untracked_timer.cpp",
-        "hot_path_alloc.cpp"}) {
+        "hot_path_alloc.cpp", "fp_env.cpp"}) {
     for (const auto& f : analyze_fixture(fixture, "src/core/fixture.cpp")) {
       EXPECT_TRUE(ids.count(f.rule)) << fixture << " -> " << f.rule;
     }

@@ -5,10 +5,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
+
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rac::queueing {
 namespace {
@@ -444,6 +450,183 @@ TEST(Mva, MatchesBirthDeathClosedForm) {
     }
   }
 }
+
+// ---- subnormal tails ---------------------------------------------------------
+
+/// The recursion as plain scalar code, run in the calling thread's FP mode
+/// (a test thread's default: subnormals kept). Per station: ascending
+/// residence sums over j / mu(j) * m[j-1], descending tv / mu(j) * m[j-1]
+/// marginal updates, then P(0) = max(0, 1 - tail).
+struct Transcription {
+  std::vector<double> curve;      // X(n) for n = 1..N
+  double response = 0.0;          // R(N)
+  std::vector<double> residence;  // per station, at N
+  std::vector<double> empty;      // P(0 jobs) per station, at N
+  long subnormal_updates = 0;     // marginal updates that came out subnormal
+};
+
+Transcription transcribe(double think, const std::vector<Station>& stations,
+                         int population) {
+  const std::size_t num_s = stations.size();
+  const auto rate = [&](std::size_t s, int j) {
+    const std::vector<double>& r = stations[s].rates;
+    return r[std::min(static_cast<std::size_t>(j), r.size()) - 1];
+  };
+  std::vector<std::vector<double>> m(
+      num_s, std::vector<double>(static_cast<std::size_t>(population) + 1));
+  for (auto& marginal : m) marginal[0] = 1.0;
+  Transcription out;
+  out.residence.assign(num_s, 0.0);
+  for (int n = 1; n <= population; ++n) {
+    out.response = 0.0;
+    for (std::size_t s = 0; s < num_s; ++s) {
+      double r = 0.0;
+      for (int j = 1; j <= n; ++j) {
+        const auto u = static_cast<std::size_t>(j);
+        r += static_cast<double>(j) / rate(s, j) * m[s][u - 1];
+      }
+      out.residence[s] = stations[s].visit_ratio * r;
+      out.response += out.residence[s];
+    }
+    const double x = static_cast<double>(n) / (think + out.response);
+    for (std::size_t s = 0; s < num_s; ++s) {
+      const double tv = x * stations[s].visit_ratio;
+      double tail = 0.0;
+      for (int j = n; j >= 1; --j) {
+        const auto u = static_cast<std::size_t>(j);
+        const double p = tv / rate(s, j) * m[s][u - 1];
+        if (std::fpclassify(p) == FP_SUBNORMAL) ++out.subnormal_updates;
+        m[s][u] = p;
+        tail += p;
+      }
+      m[s][0] = std::max(0.0, 1.0 - tail);
+    }
+    out.curve.push_back(x);
+  }
+  for (const auto& marginal : m) out.empty.push_back(marginal[0]);
+  return out;
+}
+
+#if defined(__SSE2__)
+// MXCSR's flush-to-zero and denormals-are-zero bits.
+constexpr unsigned kFlushBits = 0x8040u;
+#endif
+
+/// Subnet-shaped, think time 0: a two-vCPU web tier whose per-job demand
+/// inflates with concurrency, in front of a four-vCPU tier admitting 150.
+std::vector<Station> underflowing_subnet(int population) {
+  std::vector<double> web;
+  for (int j = 1; j <= population; ++j) {
+    web.push_back(std::min(j, 2) / (0.0005 * (1.0 + 0.002 * j)));
+  }
+  std::vector<double> app;
+  for (int j = 1; j <= 150; ++j) {
+    app.push_back(std::min(j, 4) / (0.02 * (1.0 + 0.003 * j)));
+  }
+  return {Station{"web", 1.0, web}, Station{"app", 1.0, app}};
+}
+
+TEST(Mva, UnderflowingTailsMatchAnUnflushedTranscription) {
+#if defined(__SSE2__)
+  // The transcription's reference bits need the default mode.
+  ASSERT_EQ(_mm_getcsr() & kFlushBits, 0u);
+#endif
+  constexpr int kN = 1050;
+  struct Case {
+    const char* name;
+    double think;
+    std::vector<Station> stations;
+  };
+  // Two stations take the paired SSE2 path, one the scalar path; all
+  // drive marginal tails far below DBL_MIN. (The rise-fall table of
+  // Mva.MatchesBirthDeathClosedForm never underflows.) A reciprocal
+  // hoisted out of the scalar path's division leaves the 8-server case's
+  // results unchanged, so the rising station pins that division too.
+  std::vector<double> rising;
+  for (int j = 1; j <= kN; ++j) rising.push_back(3.0 + 0.37 * j);
+  const std::vector<Case> cases = {
+      {"subnet Z=0", 0.0, underflowing_subnet(kN)},
+      {"8-vCPU Z=7", 7.0, {make_multiserver_station("vm", 8, 250.0, kN)}},
+      {"rising Z=7", 7.0, {Station{"vm", 1.0, rising}}},
+  };
+  for (const Case& c : cases) {
+    const Transcription want = transcribe(c.think, c.stations, kN);
+    EXPECT_GT(want.subnormal_updates, 1000) << c.name;
+
+    ClosedNetwork net(c.think);
+    for (const Station& s : c.stations) net.add_station(s);
+    const std::vector<double> curve = net.throughput_curve(kN);
+    ASSERT_EQ(curve.size(), want.curve.size()) << c.name;
+    for (std::size_t i = 0; i < curve.size(); ++i) {
+      ASSERT_EQ(curve[i], want.curve[i]) << c.name << " X(" << i + 1 << ")";
+    }
+    const MvaResult got = net.solve(kN);
+    EXPECT_EQ(got.throughput, want.curve.back()) << c.name;
+    EXPECT_EQ(got.response_time, want.response) << c.name;
+    for (std::size_t s = 0; s < c.stations.size(); ++s) {
+      const StationResult& sr = got.stations[s];
+      EXPECT_EQ(sr.residence_time, want.residence[s]) << c.name << " " << s;
+      EXPECT_EQ(sr.queue_length, want.curve.back() * want.residence[s])
+          << c.name << " " << s;
+      EXPECT_EQ(sr.utilization, 1.0 - want.empty[s]) << c.name << " " << s;
+    }
+  }
+}
+
+#if defined(__SSE2__)
+// Everything in MXCSR but its six sticky exception flags: the flags record
+// what arithmetic raised (solve's own arithmetic outside the recursion can
+// raise "inexact" on a fresh thread), the rest is how the thread computes.
+constexpr unsigned kModeBits = ~0x3Fu;
+
+/// Subnormals still arise and still read as themselves: FTZ would flush
+/// the quotient, DAZ would read it back as zero.
+bool subnormals_survive() {
+  volatile double smallest = std::numeric_limits<double>::min();
+  volatile double quarter = smallest / 4;
+  volatile double half = quarter * 2;
+  return std::fpclassify(quarter) == FP_SUBNORMAL &&
+         std::fpclassify(half) == FP_SUBNORMAL;
+}
+
+/// Solve and take a throughput curve on a network whose tails underflow,
+/// and report whether the calling thread's FP mode came back as it was.
+bool solves_keep_the_fp_mode() {
+  ClosedNetwork net(7.0);
+  net.add_station(make_multiserver_station("vm", 8, 250.0, 1050));
+  const unsigned before = _mm_getcsr() & kModeBits;
+  (void)net.solve(1050);
+  const bool after_solve = (_mm_getcsr() & kModeBits) == before;
+  (void)net.throughput_curve(1050);
+  const bool after_curve = (_mm_getcsr() & kModeBits) == before;
+  return after_solve && after_curve && subnormals_survive();
+}
+
+TEST(Mva, SolvesLeaveTheCallersFpModeAsTheyFoundIt) {
+  ASSERT_TRUE(subnormals_survive());
+  EXPECT_TRUE(solves_keep_the_fp_mode());
+
+  // The guard restores the saved register rather than clearing its bits:
+  // a caller that runs flushed stays flushed.
+  const unsigned entry = _mm_getcsr();
+  _mm_setcsr(entry | kFlushBits);
+  ClosedNetwork net(0.0);
+  for (const Station& s : underflowing_subnet(400)) net.add_station(s);
+  (void)net.solve(400);
+  const unsigned flushed = _mm_getcsr();
+  _mm_setcsr(entry);
+  EXPECT_EQ(flushed & kModeBits, (entry | kFlushBits) & kModeBits);
+
+  // Pool threads run the twin and, while they wait, other tasks.
+  util::ThreadPool pool(2);
+  const std::vector<int> kept = pool.parallel_map(
+      4, [](std::size_t) { return solves_keep_the_fp_mode() ? 1 : 0; });
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i], 1) << "task " << i;
+  }
+  EXPECT_TRUE(solves_keep_the_fp_mode());
+}
+#endif
 
 }  // namespace
 }  // namespace rac::queueing

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -50,6 +51,39 @@ TEST(TrafficTarget, ScaledPopulationRoundsToNearestAndKeepsOneBrowser) {
   EXPECT_EQ(scaled_population(5, t), 3);
   t.concurrency_scale = 1e-3;  // 0.4
   EXPECT_EQ(scaled_population(400, t), 1);
+}
+
+TEST(TrafficTarget, ScaledPopulationRejectsWhatIntCannotHold) {
+  TrafficTarget t = one_hot_target(MixType::kShopping);
+  t.concurrency_scale = 2147483647.0;
+  EXPECT_EQ(scaled_population(1, t), 2147483647);
+  t.concurrency_scale = 2147483647.4;
+  EXPECT_EQ(scaled_population(1, t), 2147483647);
+  // Would round to 2^31; a cast used to wrap it to INT_MIN, then 1.
+  t.concurrency_scale = 2147483647.5;
+  EXPECT_THROW(scaled_population(1, t), std::invalid_argument);
+  // 3e9 used to wrap negative and come back as one browser.
+  t.concurrency_scale = 7.5e6;
+  EXPECT_THROW(scaled_population(400, t), std::invalid_argument);
+  for (const double scale : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    t.concurrency_scale = scale;
+    EXPECT_THROW(scaled_population(400, t), std::invalid_argument) << scale;
+  }
+  // A finite negative product still keeps one browser.
+  t.concurrency_scale = -1e300;
+  EXPECT_EQ(scaled_population(400, t), 1);
+}
+
+TEST(TrafficTarget, FlashCrowdBeyondIntMaxIsRejectedNotTruncated) {
+  // A crowd at every interval peaking at 1e12x: 400 clients read
+  // 1,105,788,928 browsers (4e14 truncated to int) before the check.
+  TrafficModel model;
+  model.add_flash_crowd({7, 1.0, 1, 4, 1, 1e12});
+  const TrafficTarget peak = model.target_at(3, MixType::kShopping);
+  ASSERT_GT(peak.concurrency_scale, 1e11);
+  EXPECT_THROW(scaled_population(400, peak), std::invalid_argument);
 }
 
 TEST(TrafficTarget, SameTargetComparesBitwise) {

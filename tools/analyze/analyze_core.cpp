@@ -934,6 +934,16 @@ const std::vector<LineRule>& line_rules() {
                   R"(\s*(==|!=))"),
        "exact floating-point comparison against a literal; compare with a "
        "tolerance or justify with a suppression"},
+      // Bitwise determinism at any RAC_THREADS needs every pool thread to
+      // compute in one FP mode; the MVA recursion's scoped flush guard is
+      // the one writer, and it restores the caller's mode on exit.
+      {"fp-env",
+       std::regex(
+           R"(\b(_mm_setcsr|_MM_SET_FLUSH_ZERO_MODE|_MM_SET_DENORMALS_ZERO_MODE|fesetenv|feupdateenv|fesetround)\b)"),
+       "floating-point environment write in library code; pool threads "
+       "must all compute in one FP mode, so only the MVA recursion's "
+       "scoped guard in src/queueing/mva.cpp sets it",
+       {"src/"}, {"src/queueing/mva.cpp"}},
   };
   return rules;
 }
@@ -1036,6 +1046,8 @@ const std::vector<RuleInfo>& rules() {
       {"float-eq", "exact float comparison against a literal"},
       {"unchecked-measure",
        "raw measure() in src/core/; use measure_interval or suppress"},
+      {"fp-env",
+       "FP-environment writes in src/ outside the MVA recursion's guard"},
       {"unused-suppression",
        "allow() comment that suppresses no findings; remove it"},
   };

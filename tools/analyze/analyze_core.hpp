@@ -73,6 +73,11 @@
 //   unchecked-measure
 //                   raw measure() in src/core/; use measure_interval() and
 //                   check its `lost` flag.
+//   fp-env          _mm_setcsr, _MM_SET_{FLUSH_ZERO,DENORMALS_ZERO}_MODE,
+//                   fesetenv, feupdateenv or fesetround in src/ outside
+//                   src/queueing/mva.cpp -- every pool thread computes in
+//                   one FP mode; the MVA recursion's scoped flush guard is
+//                   the only writer.
 //
 // Findings on a line carrying `// rac-analyze: allow(<rule>[, <rule>...])`
 // are suppressed for the named rules only; suppressions are expected to
