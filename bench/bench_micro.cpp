@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the building blocks whose cost
 // bounds the management loop: MVA solves, the analytic environment
-// evaluation, DES simulation throughput, Q-table operations, batch TD
-// retraining (of an empty table and of a pre-trained library table), one
+// evaluation, DES simulation throughput, Q-table operations, one policy
+// prediction, batch TD retraining (of an empty table, and of a pre-trained
+// library table under a closed-form and a fitted policy's reward), one
 // agent checkpoint (serialize, then write the file), and the regression
 // fit. Also carries the ablation benches
 // for the design decisions called out in DESIGN.md section 5 (two model
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "config/space.hpp"
 #include "harness.hpp"
@@ -161,11 +163,12 @@ const rl::QTable& pretrained_library() {
   return library;
 }
 
-void BM_BatchRetrainPretrained(benchmark::State& state) {
+// Retrains of the library table above from state.range(0) experienced
+// states under `reward`.
+void retrain_pretrained(benchmark::State& state, const rl::RewardFn& reward) {
   util::Rng rng(2);
   const auto states_list =
       experienced_states(static_cast<int>(state.range(0)), rng);
-  const rl::RewardFn reward = library_reward;
   const rl::TdParams params = retrain_params();
   // One untimed retrain first, as the agent's table has had by any later
   // interval: each timed copy already holds most rows its walk creates,
@@ -182,7 +185,59 @@ void BM_BatchRetrainPretrained(benchmark::State& state) {
         rl::batch_train(table, states_list, reward, params, rng));
   }
 }
+
+void BM_BatchRetrainPretrained(benchmark::State& state) {
+  retrain_pretrained(state, library_reward);
+}
 BENCHMARK(BM_BatchRetrainPretrained)
+    ->Arg(30)
+    ->Arg(90)
+    ->Unit(benchmark::kMillisecond);
+
+// A policy fitted by Algorithm 2 on the noiseless twin (context 1 at the
+// default 4 coarse levels: a degree-3 surface). Only its surface is read
+// here, so its offline TD runs one sweep.
+const core::InitialPolicy& fitted_policy() {
+  static const core::InitialPolicy policy = [] {
+    env::AnalyticEnvOptions opt;
+    opt.noise_sigma = 0.0;
+    env::AnalyticEnv env({workload::MixType::kShopping, env::VmLevel::kLevel1},
+                         opt);
+    core::PolicyInitOptions init;
+    init.offline_td.max_sweeps = 1;
+    return core::learn_initial_policy(env, init);
+  }();
+  return policy;
+}
+
+// One policy prediction: the agent's retrain rewards every state it has
+// not measured from one (Algorithm 2's regression surface).
+void BM_PredictResponse(benchmark::State& state) {
+  const core::InitialPolicy& policy = fitted_policy();
+  util::Rng rng(6);
+  std::vector<config::Configuration> configs;
+  for (int i = 0; i < 256; ++i) {
+    configs.push_back(config::ConfigSpace::random_fine(rng));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        policy.predict_response_ms(configs[i++ % configs.size()]));
+  }
+}
+BENCHMARK(BM_PredictResponse);
+
+// BM_BatchRetrainPretrained with the agent's reward shape: every state is
+// rewarded from a fitted policy's prediction, as RacAgent::retrain rewards
+// the states it has not measured. The closed-form rewards above cannot
+// show what a prediction costs.
+void BM_BatchRetrainPolicyReward(benchmark::State& state) {
+  const core::InitialPolicy& policy = fitted_policy();
+  retrain_pretrained(state, [&policy](const config::Configuration& c) {
+    return policy.predict_reward(c);
+  });
+}
+BENCHMARK(BM_BatchRetrainPolicyReward)
     ->Arg(30)
     ->Arg(90)
     ->Unit(benchmark::kMillisecond);

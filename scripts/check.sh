@@ -14,10 +14,12 @@
 #   RAC_ALLOC_HOOK=1 allocation counting (-DRAC_ALLOC_HOOK=ON); builds and
 #               runs rl_tests and core_tests, whose heap-budget tests (the
 #               TD learner's per-retrain scratch bound, the agent's
-#               per-checkpoint bound, and
+#               per-checkpoint bound,
 #               RacAgent.LoadPolicySharesTheLibraryTableInsteadOfCopyingIt,
-#               the agent's policy-load bound) GTEST_SKIP in every build
-#               without the counting operator new.
+#               the agent's policy-load bound, and
+#               TabulatedSurface.PredictionAllocatesNothing, a policy
+#               prediction's zero-allocation bound) GTEST_SKIP in every
+#               build without the counting operator new.
 #   RAC_FAULT_SAN=1 fault-injection suites under ASan+UBSan
 #               (-DRAC_ASAN=ON -DRAC_UBSAN=ON); runs the tests labeled
 #               `fault` -- a cheap focused pass for the injection decorator,

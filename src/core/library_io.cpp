@@ -1,7 +1,9 @@
 #include "core/library_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -38,40 +40,57 @@ void save_surface(std::ostream& os, const util::QuadraticSurface& surface) {
   os << "\n";
 }
 
-util::QuadraticSurface load_surface(std::istream& is) {
+// `count` finite values; a huge count runs out of tokens instead of sizing
+// an allocation, since values are appended as they parse.
+std::vector<double> read_finite(std::istream& is, std::uint64_t count,
+                                const char* field) {
+  std::vector<double> values;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    values.push_back(util::read_double(is, "load_library surface"));
+    if (!std::isfinite(values.back())) {
+      throw std::runtime_error(
+          std::string("load_library: non-finite surface ") + field);
+    }
+  }
+  return values;
+}
+
+// A surface every policy prediction can evaluate: the parameter count's
+// dimension, finite parts, and no configuration whose prediction overflows
+// (TabulatedSurface::magnitude_bound, with a factor-2 margin over rounding).
+TabulatedSurface load_surface(std::istream& is) {
   constexpr const char* kWhat = "load_library surface";
   util::expect_token(is, "surface", kWhat);
   const std::string first = util::read_token(is, kWhat);
-  if (first == "unfitted") return util::QuadraticSurface{};
+  if (first == "unfitted") return TabulatedSurface{};
   const std::uint64_t dim = util::parse_u64(first, kWhat);
+  if (dim != config::kNumParams) {
+    throw std::runtime_error(
+        "load_library: surface dimension is not the parameter count");
+  }
   const int degree = util::read_int(is, kWhat);
-  // `dim` and the weight count are unchecked input: values are appended as
-  // they parse, so a huge count runs out of tokens instead of sizing an
-  // allocation.
   util::expect_token(is, "weights", kWhat);
   const std::uint64_t num_weights = util::read_u64(is, kWhat);
-  std::vector<double> weights;
-  for (std::uint64_t i = 0; i < num_weights; ++i) {
-    weights.push_back(util::read_double(is, kWhat));
-  }
+  std::vector<double> weights = read_finite(is, num_weights, "weight");
   util::expect_token(is, "means", kWhat);
-  std::vector<double> means;
-  for (std::uint64_t i = 0; i < dim; ++i) {
-    means.push_back(util::read_double(is, kWhat));
-  }
+  std::vector<double> means = read_finite(is, dim, "mean");
   util::expect_token(is, "scales", kWhat);
-  std::vector<double> scales;
-  for (std::uint64_t i = 0; i < dim; ++i) {
-    scales.push_back(util::read_double(is, kWhat));
-  }
+  std::vector<double> scales = read_finite(is, dim, "scale");
+  TabulatedSurface surface;
   try {
-    return util::QuadraticSurface::from_parts(
+    surface = TabulatedSurface(util::QuadraticSurface::from_parts(
         util::LinearModel(std::move(weights)), dim, degree, std::move(means),
-        std::move(scales));
+        std::move(scales)));
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("load_library: bad surface: ") +
                              e.what());
   }
+  if (!(surface.magnitude_bound() <
+        std::numeric_limits<double>::max() / 2)) {
+    throw std::runtime_error(
+        "load_library: surface predictions can overflow");
+  }
+  return surface;
 }
 
 }  // namespace
@@ -90,7 +109,7 @@ void save_library(std::ostream& os, const InitialPolicyLibrary& library) {
     os << ' ' << util::format_double(policy.best_sampled_response_ms) << "\n";
     os << "regression_r2 " << util::format_double(policy.regression_r2)
        << "\n";
-    save_surface(os, policy.surface);
+    save_surface(os, policy.surface.regression());
     rl::save_qtable(os, policy.table);
   }
   os << "end\n";

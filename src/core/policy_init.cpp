@@ -5,26 +5,123 @@
 #include <limits>
 #include <span>
 
+#include "config/params.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pool.hpp"
 #include "obs/profiler.hpp"
+#include "util/contracts.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace rac::core {
 
+TabulatedSurface::TabulatedSurface(util::QuadraticSurface surface)
+    : surface_(std::move(surface)) {
+  if (!surface_.fitted()) return;
+  if (surface_.dim() != config::kNumParams) {
+    throw std::invalid_argument(
+        "TabulatedSurface: surface dimension is not the parameter count");
+  }
+  const auto catalog = config::catalog();
+  std::ptrdiff_t size = 0;
+  int widest = 0;
+  for (std::size_t i = 0; i < config::kNumParams; ++i) {
+    origin_[i] = size - catalog[i].min;
+    size += catalog[i].max - catalog[i].min + 1;
+    widest = std::max(widest, catalog[i].max - catalog[i].min);
+  }
+  std::vector<Feature> columns(static_cast<std::size_t>(size));
+  // One feature-map call per offset k fills every parameter's column at
+  // min + k; Configuration clamps a narrower parameter to its max, whose
+  // entry is already filled and is skipped.
+  const auto degree = static_cast<std::size_t>(surface_.per_dim_degree());
+  for (int k = 0; k <= widest; ++k) {
+    std::array<int, config::kNumParams> values{};
+    for (std::size_t i = 0; i < config::kNumParams; ++i) {
+      values[i] = catalog[i].min + k;
+    }
+    const auto x = config::Configuration(values).normalized_values();
+    const std::vector<double> phi = surface_.features(x);
+    for (std::size_t i = 0; i < config::kNumParams; ++i) {
+      if (values[i] > catalog[i].max) continue;
+      Feature& f = columns[static_cast<std::size_t>(origin_[i] + values[i])];
+      f.z = surface_.standardized(i, x[i]);
+      for (std::size_t p = 0; p < degree; ++p) {
+        f.power[p] = phi[1 + p * config::kNumParams + i];
+      }
+    }
+  }
+  columns_ = std::make_shared<const std::vector<Feature>>(std::move(columns));
+}
+
+double TabulatedSurface::predict(const config::Configuration& c) const {
+  RAC_EXPECT(fitted(), "TabulatedSurface::predict: surface not fitted");
+  const Feature* columns = columns_->data();
+  std::array<const Feature*, config::kNumParams> f{};
+  for (std::size_t i = 0; i < config::kNumParams; ++i) {
+    f[i] = columns + (origin_[i] + c.values()[i]);
+  }
+  // LinearModel::predict's order over QuadraticSurface::features' layout:
+  // the intercept, each power over every parameter, then the pairs.
+  const double* w = surface_.model().weights().data();
+  double y = 0.0;
+  y += *w++ * 1.0;
+  const auto degree = static_cast<std::size_t>(surface_.per_dim_degree());
+  for (std::size_t p = 0; p < degree; ++p) {
+    for (std::size_t i = 0; i < config::kNumParams; ++i) {
+      y += *w++ * f[i]->power[p];
+    }
+  }
+  for (std::size_t i = 0; i < config::kNumParams; ++i) {
+    for (std::size_t j = i + 1; j < config::kNumParams; ++j) {
+      y += *w++ * (f[i]->z * f[j]->z);
+    }
+  }
+  return y;
+}
+
+double TabulatedSurface::magnitude_bound() const {
+  if (!fitted()) return 0.0;
+  std::array<double, config::kNumParams> z_max{};
+  std::array<std::array<double, 3>, config::kNumParams> power_max{};
+  const auto catalog = config::catalog();
+  for (std::size_t i = 0; i < config::kNumParams; ++i) {
+    for (int v = catalog[i].min; v <= catalog[i].max; ++v) {
+      const Feature& f = (*columns_)[static_cast<std::size_t>(origin_[i] + v)];
+      z_max[i] = std::max(z_max[i], std::abs(f.z));
+      for (std::size_t p = 0; p < f.power.size(); ++p) {
+        power_max[i][p] = std::max(power_max[i][p], std::abs(f.power[p]));
+      }
+    }
+  }
+  const double* w = surface_.model().weights().data();
+  double bound = std::abs(*w++);
+  const auto degree = static_cast<std::size_t>(surface_.per_dim_degree());
+  for (std::size_t p = 0; p < degree; ++p) {
+    for (std::size_t i = 0; i < config::kNumParams; ++i) {
+      bound += std::abs(*w++) * power_max[i][p];
+    }
+  }
+  for (std::size_t i = 0; i < config::kNumParams; ++i) {
+    for (std::size_t j = i + 1; j < config::kNumParams; ++j) {
+      bound += std::abs(*w++) * (z_max[i] * z_max[j]);
+    }
+  }
+  return bound;
+}
+
 double InitialPolicy::predict_response_ms(const config::Configuration& c) const {
   if (!surface.fitted()) return sla.reference_response_ms;
-  const auto z = c.normalized_values();
   // The surface predicts log(ms); clamp the exponent so a wild
   // extrapolation cannot overflow. The guard is symmetric: an earlier
   // lower bound of 0 pinned every prediction at >= 1 ms, collapsing all
   // sub-millisecond surfaces to the same value (the same bug the library's
   // best_match scoring had).
-  return std::exp(std::clamp(surface.predict(z), -12.0, 12.0));
+  return std::exp(std::clamp(surface.predict(c), -12.0, 12.0));
 }
 
 double InitialPolicy::predict_reward(const config::Configuration& c) const {
@@ -107,9 +204,8 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
   }
   {
     const obs::ProfileScope fit_profile("policy_init.fit");
-    policy.surface = util::QuadraticSurface::fit(features, config::kNumParams,
-                                                 log_responses, 1e-4,
-                                                 surface_degree);
+    policy.surface = TabulatedSurface(util::QuadraticSurface::fit(
+        features, config::kNumParams, log_responses, 1e-4, surface_degree));
     std::vector<double> predicted;
     predicted.reserve(samples.size());
     for (const auto& sample : samples) {
@@ -185,7 +281,7 @@ bool exactly_equal(const InitialPolicy& a, const InitialPolicy& b) {
   if (a.best_sampled_response_ms != b.best_sampled_response_ms) return false;
   if (a.regression_r2 != b.regression_r2) return false;
   if (!tables_equal(a.table, b.table)) return false;
-  return surfaces_equal(a.surface, b.surface);
+  return surfaces_equal(a.surface.regression(), b.surface.regression());
 }
 
 }  // namespace rac::core

@@ -15,7 +15,11 @@
 //      to produce the initial Q-table.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "config/space.hpp"
 #include "core/reward.hpp"
@@ -48,6 +52,48 @@ struct PolicyInitOptions {
   util::ThreadPool* pool = nullptr;
 };
 
+/// A policy's regression surface over Configuration::normalized_values()
+/// together with its feature columns: for every integer value of each
+/// parameter, the standardized input and its powers, read off the
+/// surface's own feature map (util::QuadraticSurface::features) when the
+/// surface is set. predict() sums the weights times tabulated features in
+/// LinearModel::predict's order, so it equals
+/// regression().predict(c.normalized_values()) bit for bit, with no pow
+/// call and no allocation. The columns are built eagerly and never
+/// change (library policies are read by shard threads at once), so copies
+/// share them.
+class TabulatedSurface {
+ public:
+  TabulatedSurface() = default;  // unfitted
+  /// Throws std::invalid_argument when a fitted surface's dimension is not
+  /// config::kNumParams.
+  explicit TabulatedSurface(util::QuadraticSurface surface);
+
+  bool fitted() const noexcept { return surface_.fitted(); }
+  const util::QuadraticSurface& regression() const noexcept {
+    return surface_;
+  }
+  /// regression().predict(c.normalized_values()). Requires fitted().
+  double predict(const config::Configuration& c) const;
+  /// Sum over the weights of |weight| times the largest |feature| it meets
+  /// at any configuration. No partial sum of predict() exceeds it (up to
+  /// rounding), so a bound well below DBL_MAX means no configuration's
+  /// prediction overflows or reads NaN. Meaningful for finite weights,
+  /// means and scales.
+  double magnitude_bound() const;
+
+ private:
+  struct Feature {
+    double z = 0.0;                 // standardized input
+    std::array<double, 3> power{};  // z^1 .. z^degree, as features() has them
+  };
+  util::QuadraticSurface surface_;
+  /// Every parameter's values, back to back; parameter i's value v is at
+  /// origin_[i] + v.
+  std::shared_ptr<const std::vector<Feature>> columns_;
+  std::array<std::ptrdiff_t, config::kNumParams> origin_{};
+};
+
 /// A context-specific initial policy: the pre-learned Q-table plus the
 /// regression surface it was trained from (kept for predicting the
 /// performance of states the online agent has not yet visited, and for
@@ -60,7 +106,7 @@ struct PolicyInitOptions {
 struct InitialPolicy {
   env::SystemContext context;
   rl::QTable table;
-  util::QuadraticSurface surface;  // predicts log(response_ms)
+  TabulatedSurface surface;  // predicts log(response_ms)
   SlaSpec sla;
   config::Configuration best_sampled;  // best coarse sample (reporting)
   double best_sampled_response_ms = 0.0;

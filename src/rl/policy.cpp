@@ -4,6 +4,13 @@
 
 namespace rac::rl {
 
+namespace {
+config::Action random_action(util::Rng& rng) {
+  return config::Action(
+      rng.uniform_int(0, static_cast<int>(config::kNumActions) - 1));
+}
+}  // namespace
+
 EpsilonGreedy::EpsilonGreedy(double epsilon) : epsilon_(epsilon) {
   set_epsilon(epsilon);
 }
@@ -18,11 +25,14 @@ void EpsilonGreedy::set_epsilon(double epsilon) {
 config::Action EpsilonGreedy::select(const QTable& table,
                                      const config::Configuration& s,
                                      util::Rng& rng) const {
-  if (rng.bernoulli(epsilon_)) {
-    return config::Action(
-        rng.uniform_int(0, static_cast<int>(config::kNumActions) - 1));
-  }
+  if (rng.bernoulli(epsilon_)) return random_action(rng);
   return table.best_action(s);
+}
+
+config::Action EpsilonGreedy::select_at(const QTable& table, std::size_t row,
+                                        util::Rng& rng) const {
+  if (rng.bernoulli(epsilon_)) return random_action(rng);
+  return table.best_action_at(row);
 }
 
 Selection EpsilonGreedy::select_detailed(const QTable& table,
@@ -31,8 +41,7 @@ Selection EpsilonGreedy::select_detailed(const QTable& table,
   Selection sel;
   if (rng.bernoulli(epsilon_)) {
     sel.explored = true;
-    sel.action = config::Action(
-        rng.uniform_int(0, static_cast<int>(config::kNumActions) - 1));
+    sel.action = random_action(rng);
   } else {
     sel.action = table.best_action(s);
   }

@@ -1,6 +1,8 @@
 // Action-selection policies over a Q-table.
 #pragma once
 
+#include <cstddef>
+
 #include "config/configuration.hpp"
 #include "config/space.hpp"
 #include "rl/qtable.hpp"
@@ -26,6 +28,11 @@ class EpsilonGreedy {
 
   config::Action select(const QTable& table, const config::Configuration& s,
                         util::Rng& rng) const;
+
+  /// `select` at the state whose own row is `row`: the same draws, and
+  /// the greedy pick read off the row instead of probing for it.
+  config::Action select_at(const QTable& table, std::size_t row,
+                           util::Rng& rng) const;
 
   /// Like `select`, also reporting the explore/greedy branch and Q-value.
   Selection select_detailed(const QTable& table,

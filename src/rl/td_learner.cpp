@@ -78,11 +78,24 @@ class RowMap {
   std::size_t size_ = 0;
 };
 
-// A visited state's neighborhood: row and reward of apply(s, a) for every
+// An unset local or visit index.
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+// A row the batch touches, by its dense local index: the row, the reward
+// of entering its state (memoized: the reward model is a pure function of
+// the state for the duration of one batch), the max of its values, and its
+// visit once the walk has backed it up.
+struct Local {
+  std::uint32_t row = 0;
+  std::uint32_t visit = kNone;  // index into `visits`
+  double reward = 0.0;
+  double max_q = 0.0;
+};
+
+// A visited state's neighborhood: the local index of apply(s, a) for every
 // action, indexed by action id.
 struct Visit {
-  std::array<std::uint32_t, config::kNumActions> next_row{};
-  std::array<double, config::kNumActions> reward{};
+  std::array<std::uint32_t, config::kNumActions> next{};
 };
 
 }  // namespace
@@ -125,62 +138,77 @@ TdResult batch_train(QTable& table,
   std::uint64_t backups = 0;
 
   // Per-batch scratch, sized by the rows the batch touches, never by the
-  // table. Each visited state gets a dense slot in `visits` on its first
-  // visit, holding the row and reward of every neighbor (valid for the
-  // whole batch: the MDP is static and row indices are stable). Later
-  // visits -- the common case, since sweeps revisit the same states tens
-  // of times -- skip configuration hashing and reward lookups entirely.
-  // The reward model is a pure function of the state for the duration of
-  // one batch, so `rewarded` memoizes it per neighbor row; computing it on
-  // first encounter keeps the call order of a map keyed by configuration,
-  // so reward functions with observable effects (metrics counters) fire
-  // in the identical sequence.
-  RowMap<std::uint32_t> visited;  // row -> index into `visits`
+  // table. Each touched row gets one dense local index on first touch
+  // (`local_of` is the only row-keyed lookup), and its reward is computed
+  // then: a neighbor's as the first visit reaches it, a start state's just
+  // before its first visit's keep backup would ask for it. That is the
+  // reward call order of a map keyed by configuration, so reward functions
+  // with observable effects (metrics counters) fire in the identical
+  // sequence. A visit stores its neighbors' local indices (valid for the
+  // whole batch: the MDP is static and row indices are stable) and the
+  // walk steps to one of them, and a start state is resolved once, when
+  // its first trajectory begins; so after a state's first visit a step
+  // hashes nothing.
+  //
+  // Each local caches its row's max value. Only the visited row is written
+  // (by its own backups), so every other row's cache holds while it is
+  // read; the visited row's max moves with each backup and is read live
+  // within them (keep, and moves clamped at a range boundary, lead back to
+  // it), then refreshed. Unwritten warm rows hold only default values, so
+  // every read matches the absent-row answer bit for bit (see qtable.hpp).
+  RowMap<std::uint32_t> local_of;  // row -> index into `locals`
+  std::vector<Local> locals;
   std::vector<Visit> visits;
-  RowMap<double> rewarded;        // row -> reward of entering it
+  const auto touch = [&](const config::Configuration& c) {
+    const std::size_t row = table.ensure_row(c);
+    const auto [slot, first_touch] = local_of.try_emplace(row);
+    if (first_touch) {
+      *slot = static_cast<std::uint32_t>(locals.size());
+      locals.push_back({static_cast<std::uint32_t>(row), kNone, reward(c),
+                        table.max_q_at(row)});
+    }
+    return *slot;
+  };
+  std::vector<std::uint32_t> start_local(start_states.size(), kNone);
 
   const auto actions = config::ConfigSpace::all_actions();
   for (int sweep = 0; sweep < params.max_sweeps; ++sweep) {
     double error = 0.0;
-    for (const auto& start : start_states) {
-      config::Configuration s = start;
+    for (std::size_t k = 0; k < start_states.size(); ++k) {
+      config::Configuration s = start_states[k];
+      if (start_local[k] == kNone) start_local[k] = touch(s);
+      std::uint32_t at = start_local[k];
       for (int step = 0; step < params.trajectory_limit; ++step) {
-        // Full backup of every action at the visited state. The visited
-        // state's row is resolved once for all kNumActions updates; on the
-        // first visit each neighbor gets (or reuses) a warm row, so its
-        // max-Q read is dense indexing. Unwritten warm rows hold only
-        // default values, so every read matches the absent-row answer bit
-        // for bit (see qtable.hpp).
-        const std::size_t s_row = table.ensure_row(s);
-        const auto [slot, first_visit] = visited.try_emplace(s_row);
-        if (first_visit) {
-          *slot = static_cast<std::uint32_t>(visits.size());
-          Visit& fill = visits.emplace_back();
+        // Full backup of every action at the visited state. On the first
+        // visit each neighbor gets (or reuses) a row and a local index.
+        if (locals[at].visit == kNone) {
+          Visit fill;
           for (const config::Action a : actions) {
-            const auto id = static_cast<std::size_t>(a.id());
-            const config::Configuration next = config::ConfigSpace::apply(s, a);
-            const std::size_t next_row =
-                a.is_keep() ? s_row : table.ensure_row(next);
-            const auto [r, unseen] = rewarded.try_emplace(next_row);
-            if (unseen) *r = reward(next);
-            fill.next_row[id] = static_cast<std::uint32_t>(next_row);
-            fill.reward[id] = *r;
+            fill.next[static_cast<std::size_t>(a.id())] =
+                a.is_keep() ? at : touch(config::ConfigSpace::apply(s, a));
           }
+          locals[at].visit = static_cast<std::uint32_t>(visits.size());
+          visits.push_back(fill);
         }
-        const Visit& visit = visits[*slot];
+        const std::size_t s_row = locals[at].row;
+        const Visit& visit = visits[locals[at].visit];
         for (const config::Action a : actions) {
-          const auto id = static_cast<std::size_t>(a.id());
-          const double td = visit.reward[id] +
-                            params.gamma * table.max_q_at(visit.next_row[id]) -
+          const std::uint32_t n = visit.next[static_cast<std::size_t>(a.id())];
+          const double next_max =
+              n == at ? table.max_q_at(s_row) : locals[n].max_q;
+          const double td = locals[n].reward + params.gamma * next_max -
                             table.q_at(s_row, a);
           const double delta = params.alpha * td;
           table.add_q_at(s_row, a, delta);
           error = std::max(error, std::abs(delta));
           ++backups;
         }
+        locals[at].max_q = table.max_q_at(s_row);
         // Walk on epsilon-greedily; the walk chooses which states the next
         // backups touch.
-        s = config::ConfigSpace::apply(s, policy.select(table, s, rng));
+        const config::Action a = policy.select_at(table, s_row, rng);
+        s = config::ConfigSpace::apply(s, a);
+        at = visit.next[static_cast<std::size_t>(a.id())];
       }
     }
     result.sweeps = sweep + 1;

@@ -151,7 +151,7 @@ double Poly1D::argmin(double lo, double hi, int samples) const {
 std::vector<double> QuadraticSurface::features(std::span<const double> x) const {
   RAC_EXPECT(x.size() == dim_, "QuadraticSurface::features: dim mismatch");
   std::vector<double> z(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) z[i] = (x[i] - means_[i]) / scales_[i];
+  for (std::size_t i = 0; i < dim_; ++i) z[i] = standardized(i, x[i]);
   std::vector<double> phi;
   phi.reserve(1 + static_cast<std::size_t>(degree_) * dim_ +
               dim_ * (dim_ - 1) / 2);

@@ -108,14 +108,21 @@ class QuadraticSurface {
   std::span<const double> scales() const noexcept { return scales_; }
   double predict(std::span<const double> x) const;
 
+  /// The feature map predict() dots with the weights, in weight order:
+  ///   [1, z_i^1 (all i), ..., z_i^d (all i), z_i z_j (i < j)],
+  /// with z_i = standardized(i, x_i) and each power from std::pow.
+  std::vector<double> features(std::span<const double> x) const;
+  /// (x - mean_i) / scale_i: input `i` as the feature map sees it.
+  double standardized(std::size_t i, double x) const {
+    return (x - means_[i]) / scales_[i];
+  }
+
  private:
   LinearModel model_;
   std::size_t dim_ = 0;
   int degree_ = 2;
   std::vector<double> means_;
   std::vector<double> scales_;
-
-  std::vector<double> features(std::span<const double> x) const;
 };
 
 }  // namespace rac::util

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/policy_init.hpp"
 #include "env/analytic_env.hpp"
@@ -34,6 +38,43 @@ InitialPolicyLibrary trained_library() {
     library.add(learn_initial_policy(env, init));
   }
   return library;
+}
+
+// The text of a one-policy library whose surface block has these parts. The
+// defaults are a valid degree-2 surface over the parameters: intercept
+// log(100 ms), every other weight 0, means and scales 0.5.
+struct SurfaceParts {
+  std::uint64_t dim = config::kNumParams;
+  std::vector<double> weights = std::vector<double>(45, 0.0);
+  std::vector<double> means = std::vector<double>(config::kNumParams, 0.5);
+  std::vector<double> scales = std::vector<double>(config::kNumParams, 0.5);
+};
+
+std::string library_text(const SurfaceParts& parts) {
+  InitialPolicyLibrary library;
+  InitialPolicy policy;
+  policy.context = {MixType::kShopping, VmLevel::kLevel1};
+  library.add(policy);
+  std::stringstream stream;
+  save_library(stream, library);
+  std::string text = stream.str();
+  std::ostringstream surface;
+  surface << "surface " << util::format_u64(parts.dim) << " 2\nweights "
+          << util::format_u64(parts.weights.size());
+  for (double w : parts.weights) surface << ' ' << util::format_double(w);
+  surface << "\nmeans";
+  for (double m : parts.means) surface << ' ' << util::format_double(m);
+  surface << "\nscales";
+  for (double v : parts.scales) surface << ' ' << util::format_double(v);
+  const std::string unfitted = "surface unfitted";
+  text.replace(text.find(unfitted), unfitted.size(), surface.str());
+  return text;
+}
+
+SurfaceParts valid_parts() {
+  SurfaceParts parts;
+  parts.weights[0] = std::log(100.0);
+  return parts;
 }
 
 TEST(LibraryIo, RoundTripIsExactlyEqualPolicyByPolicy) {
@@ -115,14 +156,75 @@ TEST(LibraryIo, RejectsUnknownContextAndBadSurface) {
   EXPECT_THROW(load_library(ctx_is), std::runtime_error);
 
   // A fitted surface whose invariants from_parts rejects (zero scale).
-  std::string bad_surface = text;
-  const std::size_t surf = bad_surface.find("surface unfitted");
-  ASSERT_NE(surf, std::string::npos);
-  bad_surface.replace(surf, std::string("surface unfitted").size(),
-                      "surface 1 2\nweights 3 0p+0 0p+0 0p+0\n"
-                      "means 0p+0\nscales 0p+0");
-  std::istringstream surf_is(bad_surface);
+  SurfaceParts zero_scale = valid_parts();
+  zero_scale.scales[2] = 0.0;
+  std::istringstream surf_is(library_text(zero_scale));
   EXPECT_THROW(load_library(surf_is), std::runtime_error);
+}
+
+TEST(LibraryIo, AcceptsAValidHandWrittenSurface) {
+  std::istringstream is(library_text(valid_parts()));
+  const InitialPolicyLibrary loaded = load_library(is);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_DOUBLE_EQ(loaded.at(0).predict_response_ms(config::Configuration{}),
+                   100.0);
+}
+
+// A surface over another number of inputs loaded, and its first prediction
+// then threw std::invalid_argument inside the agent.
+TEST(LibraryIo, RejectsASurfaceOverAnotherNumberOfInputs) {
+  for (const std::uint64_t dim : {std::uint64_t{2}, std::uint64_t{9}}) {
+    SCOPED_TRACE(dim);
+    SurfaceParts parts = valid_parts();
+    parts.dim = dim;
+    parts.weights.assign(1 + 2 * dim + dim * (dim - 1) / 2, 0.0);
+    parts.means.assign(dim, 0.5);
+    parts.scales.assign(dim, 0.5);
+    std::istringstream is(library_text(parts));
+    EXPECT_THROW(load_library(is), std::runtime_error);
+  }
+}
+
+TEST(LibraryIo, RejectsNonFiniteSurfaceParts) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    for (int field = 0; field < 3; ++field) {
+      SCOPED_TRACE(field);
+      SurfaceParts parts = valid_parts();
+      (field == 0 ? parts.weights[3]
+                  : field == 1 ? parts.means[5] : parts.scales[7]) = bad;
+      std::istringstream is(library_text(parts));
+      EXPECT_THROW(load_library(is), std::runtime_error);
+    }
+  }
+}
+
+// Finite parts can still overflow into a NaN prediction: a mean of DBL_MAX
+// standardizes an input to -inf, and huge weights of opposite sign overflow
+// to opposite infinities; either way z_0 and z_0^2 then sum to inf - inf.
+TEST(LibraryIo, RejectsASurfaceWhosePredictionsOverflow) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  SurfaceParts huge_mean = valid_parts();
+  huge_mean.means[0] = kMax;
+  huge_mean.weights[1] = 1.0;                       // z_0
+  huge_mean.weights[1 + config::kNumParams] = 1.0;  // z_0^2
+  SurfaceParts huge_weights = valid_parts();
+  huge_weights.scales[0] = 0.25;  // z_0 = -2 at the lowest MaxClients
+  huge_weights.weights[1] = -kMax;
+  huge_weights.weights[1 + config::kNumParams] = -kMax;
+  config::Configuration lowest;
+  lowest.set(config::ParamId::kMaxClients, 50);
+  for (const SurfaceParts& parts : {huge_mean, huge_weights}) {
+    // The premise: the surface the parts describe predicts NaN.
+    const util::QuadraticSurface surface = util::QuadraticSurface::from_parts(
+        util::LinearModel(parts.weights), parts.dim, 2, parts.means,
+        parts.scales);
+    EXPECT_TRUE(std::isnan(surface.predict(lowest.normalized_values())));
+    std::istringstream is(library_text(parts));
+    EXPECT_THROW(load_library(is), std::runtime_error);
+  }
 }
 
 // Surface counts are unchecked input. A count far past the values present

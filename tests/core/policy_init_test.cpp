@@ -2,15 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "core/library_io.hpp"
 #include "core/policy_library.hpp"
 #include "env/analytic_env.hpp"
 #include "env/sim_env.hpp"
+#include "obs/process_stats.hpp"
 #include "rl/policy.hpp"
 #include "rl/serialization.hpp"
+#include "util/rng.hpp"
 
 namespace rac::core {
 namespace {
@@ -140,6 +148,133 @@ TEST_F(PolicyInitTest, LibraryKeepsOnlyTheWrittenRowsOfATable) {
   EXPECT_EQ(after.str(), before.str());
 }
 
+// --- Oracle: tabulated predictions against the surface's own predict -----
+//
+// TabulatedSurface reads its columns off QuadraticSurface::features and sums
+// in LinearModel::predict's order, so every prediction must equal the
+// reference path -- the surface's predict over normalized_values(), which
+// computes its features (16 or 24 std::pow calls) per call -- bit for bit.
+
+// A policy fitted on the noiseless twin: degree 2 from 3 coarse levels,
+// degree 3 from 4. One offline sweep, since only the surface is read.
+InitialPolicy fitted_policy(int coarse_levels) {
+  PolicyInitOptions options;
+  options.coarse_levels = coarse_levels;
+  options.offline_td.max_sweeps = 1;
+  AnalyticEnv env({MixType::kOrdering, VmLevel::kLevel2}, quiet_env());
+  return learn_initial_policy(env, options);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every integer value of every parameter (the others at their defaults),
+// then 10^5 seeded configurations drawn over the whole integer ranges.
+void expect_tabulated_matches_reference(const InitialPolicy& policy,
+                                        std::uint64_t seed) {
+  ASSERT_TRUE(policy.surface.fitted());
+  std::size_t checked = 0;
+  std::size_t mismatched = 0;
+  const auto check = [&](const Configuration& c) {
+    const double reference =
+        policy.surface.regression().predict(c.normalized_values());
+    ++checked;
+    if (bits(policy.surface.predict(c)) != bits(reference) ||
+        bits(policy.predict_response_ms(c)) !=
+            bits(std::exp(std::clamp(reference, -12.0, 12.0)))) {
+      ++mismatched;
+    }
+  };
+  for (const config::ParamSpec& spec : config::catalog()) {
+    for (int v = spec.min; v <= spec.max; ++v) {
+      Configuration c;
+      c.set(spec.id, v);
+      check(c);
+    }
+  }
+  util::Rng rng(seed);
+  for (int k = 0; k < 100000; ++k) {
+    std::array<int, config::kNumParams> values{};
+    for (const config::ParamSpec& spec : config::catalog()) {
+      values[config::index(spec.id)] = rng.uniform_int(spec.min, spec.max);
+    }
+    check(Configuration(values));
+  }
+  EXPECT_EQ(mismatched, 0u) << "of " << checked << " configurations";
+}
+
+TEST(TabulatedSurfaceOracle, PredictionsEqualTheSurfacesOwnBitForBit) {
+  for (const int coarse_levels : {3, 4}) {
+    SCOPED_TRACE(coarse_levels);
+    const InitialPolicy fitted = fitted_policy(coarse_levels);
+    ASSERT_EQ(fitted.surface.regression().per_dim_degree(), coarse_levels - 1);
+    {
+      SCOPED_TRACE("fitted");
+      expect_tabulated_matches_reference(fitted, 31);
+    }
+    {
+      SCOPED_TRACE("copy");
+      const InitialPolicy copy = fitted;
+      expect_tabulated_matches_reference(copy, 32);
+    }
+    {
+      SCOPED_TRACE("saved and loaded");
+      InitialPolicyLibrary library;
+      library.add(fitted);
+      std::stringstream stream;
+      save_library(stream, library);
+      const InitialPolicyLibrary loaded = load_library(stream);
+      ASSERT_EQ(loaded.size(), 1u);
+      expect_tabulated_matches_reference(loaded.at(0), 33);
+    }
+  }
+}
+
+TEST(TabulatedSurface, RejectsASurfaceOverAnotherNumberOfInputs) {
+  const std::vector<double> points = {0.0, 0.0, 1.0, 0.0, 0.0, 1.0,
+                                      1.0, 1.0, 0.5, 0.2, 0.3, 0.9};
+  const std::vector<double> ys = {1.0, 2.0, 3.0, 4.0, 2.5, 3.5};
+  EXPECT_THROW(TabulatedSurface(util::QuadraticSurface::fit(points, 2, ys)),
+               std::invalid_argument);
+  EXPECT_FALSE(TabulatedSurface().fitted());
+}
+
+// A prediction allocates nothing; the reference path allocates its
+// standardized inputs and its feature vector on every call.
+TEST(TabulatedSurface, PredictionAllocatesNothing) {
+  if (!obs::alloc_hook_compiled()) {
+    GTEST_SKIP() << "allocation counting needs -DRAC_ALLOC_HOOK=ON";
+  }
+  const InitialPolicy policy = fitted_policy(4);
+  util::Rng rng(41);
+  std::vector<Configuration> configs;
+  for (int i = 0; i < 1000; ++i) {
+    configs.push_back(config::ConfigSpace::random_fine(rng));
+  }
+  const auto allocations = [](auto&& body) {
+    const std::uint64_t before = obs::process_stats().alloc_count;
+    obs::set_alloc_counting(true);
+    body();
+    obs::set_alloc_counting(false);
+    return obs::process_stats().alloc_count - before;
+  };
+  double sum = 0.0;
+  EXPECT_EQ(allocations([&] {
+              for (const Configuration& c : configs) {
+                sum += policy.predict_response_ms(c);
+              }
+            }),
+            0u);
+  EXPECT_TRUE(std::isfinite(sum));
+  // The premise: the counter sees the reference path's two vectors a call.
+  EXPECT_GE(allocations([&] {
+              for (const Configuration& c : configs) {
+                sum += policy.surface.regression().predict(
+                    c.normalized_values());
+              }
+            }),
+            2 * configs.size());
+}
+
 TEST(PolicyLibrary, FindsExactContext) {
   InitialPolicyLibrary lib;
   InitialPolicy p1;
@@ -189,9 +324,9 @@ InitialPolicy constant_policy(double response_ms) {
       1 + static_cast<std::size_t>(degree) * dim + dim * (dim - 1) / 2;
   std::vector<double> weights(features, 0.0);
   weights[0] = std::log(response_ms);
-  p.surface = util::QuadraticSurface::from_parts(
+  p.surface = TabulatedSurface(util::QuadraticSurface::from_parts(
       util::LinearModel(std::move(weights)), dim, degree,
-      std::vector<double>(dim, 0.0), std::vector<double>(dim, 1.0));
+      std::vector<double>(dim, 0.0), std::vector<double>(dim, 1.0)));
   return p;
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <functional>
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "config/configuration.hpp"
 #include "core/library_io.hpp"
 #include "core/policy_init.hpp"
 #include "core/policy_library.hpp"
@@ -313,12 +315,22 @@ TEST(LoaderFuzz, QTable) {
   });
 }
 
+// An accepted library must also be usable: every policy predicts a finite
+// response at the default configuration.
 TEST(LoaderFuzz, PolicyLibrary) {
   std::ostringstream os;
   core::save_library(os, small_library());
   fuzz("rac-policy-library", os.str(), 300, 102, [](const std::string& text) {
     std::istringstream is(text);
-    return loads([&] { core::load_library(is); }) ? kAccepted : kRejected;
+    core::InitialPolicyLibrary library;
+    if (!loads([&] { library = core::load_library(is); })) return kRejected;
+    for (std::size_t i = 0; i < library.size(); ++i) {
+      const double response = library.at(i).predict_response_ms(
+          config::Configuration::defaults());
+      EXPECT_TRUE(std::isfinite(response))
+          << "policy " << i << ": " << response;
+    }
+    return kAccepted;
   });
 }
 
