@@ -141,40 +141,42 @@ BENCHMARK(BM_BatchRetrain)->Arg(30)->Arg(90)->Unit(benchmark::kMillisecond);
 // Positive near the low-MaxClients end, as the policy reward (SLA - rt)/SLA
 // is near a good configuration: the offline walks settle there instead of
 // sweeping the space, so the library below has the size of a bench/e2e
-// library table (~1.3*10^4 written states, ~10^5 rows).
+// library table (~1.3*10^4 rows).
 double library_reward(const config::Configuration& s) {
   return 1.0 + max_clients_reward(s);
 }
 
-// The agent's shape: each interval retrains a table that offline training
-// already filled -- every coarse-grid sample's trajectories, warm neighbor
-// rows included -- not an empty one. A retrain's cost must follow the
-// experienced states, not the table; BM_BatchRetrain above cannot show the
-// difference. The library is trained once per process, outside the timed
-// loop, with core::PolicyInitOptions' offline schedule.
-const rl::QTable& pretrained_library() {
-  static const rl::QTable library = [] {
+// The agent's shape: each interval retrains its table, an overlay over a
+// library table that offline training already filled with every
+// coarse-grid sample's trajectories, not an empty one. A retrain's cost
+// must follow the experienced states, not the library; BM_BatchRetrain
+// above cannot show the difference. The library is trained once per
+// process, outside the timed loop, with core::PolicyInitOptions' offline
+// schedule.
+const std::shared_ptr<const rl::QTable>& pretrained_library() {
+  static const auto library = [] {
     rl::QTable table;
     util::Rng rng(4);
     rl::batch_train(table, config::ConfigSpace().coarse_grid(),
                     library_reward, core::PolicyInitOptions{}.offline_td, rng);
-    return table;
+    return std::make_shared<const rl::QTable>(std::move(table));
   }();
   return library;
 }
 
-// Retrains of the library table above from state.range(0) experienced
-// states under `reward`.
+// Retrains of an overlay over the library table above from state.range(0)
+// experienced states under `reward`.
 void retrain_pretrained(benchmark::State& state, const rl::RewardFn& reward) {
   util::Rng rng(2);
   const auto states_list =
       experienced_states(static_cast<int>(state.range(0)), rng);
   const rl::TdParams params = retrain_params();
   // One untimed retrain first, as the agent's table has had by any later
-  // interval: each timed copy already holds most rows its walk creates,
-  // and the table's vectors have room to spare, so the loop times the
-  // retrain rather than the table's own growth.
-  rl::QTable table = pretrained_library();
+  // interval: each timed copy already holds the rows its walk makes, and
+  // the table's vectors have room to spare, so the loop times the retrain
+  // rather than the table's own growth.
+  rl::QTable table;
+  table.rebase(pretrained_library());
   rl::batch_train(table, states_list, reward, params, rng);
   const rl::QTable retrained = table;
   for (auto _ : state) {
@@ -243,12 +245,12 @@ BENCHMARK(BM_BatchRetrainPolicyReward)
     ->Unit(benchmark::kMillisecond);
 
 // An agent running the library table above, as it is right after a policy
-// switch: ~1.3*10^4 written states among ~10^5 rows. Its checkpoint text
-// is the size of a bench/e2e agent's (a few MB).
+// switch: an overlay with no rows of its own over ~1.3*10^4 library rows.
+// Its checkpoint text is the size of a bench/e2e agent's (a few MB).
 std::unique_ptr<core::RacAgent> library_agent() {
   core::InitialPolicy policy;
   policy.context = {workload::MixType::kShopping, env::VmLevel::kLevel1};
-  policy.table = pretrained_library();
+  policy.table = *pretrained_library();
   core::InitialPolicyLibrary library;
   library.add(std::move(policy));
   return std::make_unique<core::RacAgent>(core::RacOptions{},

@@ -13,13 +13,9 @@ namespace rac::core {
 
 void InitialPolicyLibrary::add(InitialPolicy policy) {
   // A library table is read-only from here on and shared by every agent
-  // that overlays it: keep only its written rows, and flatten an overlay
-  // (the fleet's retrained tables). Warm rows hold the default, so no read
-  // changes; a plain table without them (a loaded one) is kept as it is.
-  if (policy.table.base() != nullptr ||
-      policy.table.num_rows() != policy.table.size()) {
-    policy.table = policy.table.compacted();
-  }
+  // that overlays it, and a base is never itself an overlay: flatten one
+  // (the fleet's retrained tables). No read and no saved byte changes.
+  if (policy.table.base() != nullptr) policy.table = policy.table.compacted();
   if (policies_ == nullptr) {
     policies_ = std::make_shared<std::vector<InitialPolicy>>();
   } else if (policies_.use_count() > 1) {

@@ -30,7 +30,7 @@ class InitialPolicyLibrary {
  public:
   InitialPolicyLibrary() = default;
 
-  /// Appends `policy` with its Q-table compacted to the written rows
+  /// Appends `policy`, flattening an overlay Q-table into a plain one
   /// (QTable::compacted; reads and saved bytes are unchanged).
   void add(InitialPolicy policy);
 

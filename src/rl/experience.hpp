@@ -10,18 +10,18 @@
 // Retraining iterates that list, so a checkpoint-restored store must
 // replay it in the same order to continue bit-identically -- hash-map
 // iteration order would not survive a round trip. Lookups go through a
-// flat open-addressing probe table (hash(config) -> entry index), and a
-// canonically sorted copy of the configurations is maintained on insert
-// so the per-retrain sort is amortized away.
+// ConfigIndex whose positions are the entry indices, and a canonically
+// sorted copy of the configurations is maintained on insert so the
+// per-retrain sort is amortized away.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "config/configuration.hpp"
+#include "rl/config_index.hpp"
 
 namespace rac::rl {
 
@@ -75,19 +75,12 @@ class ExperienceStore {
   void restore(std::vector<ExperienceEntry> entries);
 
  private:
-  /// Probe slot for `configuration`: either empty (0) or holding
-  /// entry index + 1. Requires a non-empty slot table.
-  std::size_t probe(const config::Configuration& configuration) const;
-  /// Index of the entry for `configuration`, or npos when absent.
-  std::size_t find_index(const config::Configuration& configuration) const;
-  void grow_slots();
   void insert_sorted(const config::Configuration& configuration);
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   double blend_;
   std::vector<ExperienceEntry> entries_;
-  std::vector<std::uint32_t> slots_;
+  /// entries_[i].configuration at position i.
+  ConfigIndex index_;
   std::vector<config::Configuration> sorted_;
 };
 

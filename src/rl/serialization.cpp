@@ -38,7 +38,7 @@ char* put(char* out, std::string_view text) {
 
 void save_qtable(std::ostream& os, const QTable& table) {
   const obs::ProfileScope profile("rl.qtable.save");
-  // The merged view's written rows come in first-touch order, a function
+  // The merged view's rows come in first-touch order, a function
   // of the mutation history; sorting them by key keeps the output a pure
   // function of the table contents (diffable, byte-stable across runs, the
   // same for an overlay and a full copy of what it reads).
@@ -48,7 +48,7 @@ void save_qtable(std::ostream& os, const QTable& table) {
   };
   std::vector<Row> rows;
   rows.reserve(table.size());
-  table.for_each_written(
+  table.for_each_row(
       [&rows](const config::Configuration& state,
               const QTable::ActionValues& values) {
         rows.push_back({&state, &values});

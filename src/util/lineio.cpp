@@ -156,7 +156,9 @@ void expect_header(std::istream& is, std::string_view magic, int version,
     throw std::runtime_error(std::string(what) + ": not a " +
                              std::string(magic) + " stream");
   }
-  if (got_version != "v" + format_i64(version)) {
+  std::string want_version = "v";
+  want_version += format_i64(version);
+  if (got_version != want_version) {
     throw std::runtime_error(std::string(what) + ": unsupported version " +
                              got_version);
   }

@@ -118,11 +118,19 @@ TEST(PolicyInit, RejectsAnEnvironmentThatCannotClone) {
 
 // --- library ----------------------------------------------------------------
 
-// A table entering the library keeps only its written rows, and nothing
-// read from it or saved from it changes.
+// Offline TD makes a row for each state its walks visit and for no other:
+// every row of the trained table is one of its states.
+TEST_F(PolicyInitTest, OfflineTableHoldsOnlyWrittenRows) {
+  const rl::QTable& trained = policy_->table;
+  EXPECT_EQ(trained.base(), nullptr);
+  EXPECT_EQ(trained.num_rows(), trained.size());
+}
+
+// A table entering the library keeps only its written rows, which are all
+// its rows, and nothing read from it or saved from it changes.
 TEST_F(PolicyInitTest, LibraryKeepsOnlyTheWrittenRowsOfATable) {
   const rl::QTable& trained = policy_->table;
-  ASSERT_GT(trained.num_rows(), trained.size());  // warm rows present
+  ASSERT_EQ(trained.num_rows(), trained.size());
   InitialPolicyLibrary lib;
   lib.add(*policy_);
   const rl::QTable& kept = lib.at(0).table;
@@ -131,7 +139,7 @@ TEST_F(PolicyInitTest, LibraryKeepsOnlyTheWrittenRowsOfATable) {
   EXPECT_EQ(kept.states(), trained.states());
   EXPECT_TRUE(exactly_equal(lib.at(0), *policy_));
   // Reads at every written state and at each of its neighbors, most of
-  // which were warm rows.
+  // which have no row.
   for (const Configuration& state : trained.states()) {
     for (const config::Action a : config::ConfigSpace::all_actions()) {
       const Configuration next = config::ConfigSpace::apply(state, a);

@@ -99,27 +99,27 @@ TEST(QTable, ClearEmptiesTable) {
   EXPECT_TRUE(t.empty());
 }
 
-TEST(QTable, WarmRowsAreInvisible) {
-  // ensure_row pre-creates a default-filled row without marking any action
-  // written; the public surface must not distinguish it from an absent
-  // state, and reads through its index must equal the default answers.
+TEST(QTable, EnsureRowMakesADefaultRowOfTheTable) {
+  // A row ensure_row makes is part of the table at once (its caller writes
+  // it), holding the default in force; its handle reads and writes it.
   QTable t;
   t.set_default_q(0.75);
   const Configuration s;
+  EXPECT_EQ(t.find_row(s), QTable::npos);
   const std::size_t row = t.ensure_row(s);
-  EXPECT_FALSE(t.contains(s));
-  EXPECT_TRUE(t.empty());
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_TRUE(t.states().empty());
-  EXPECT_DOUBLE_EQ(t.q_at(row, Action::keep()), 0.75);
-  EXPECT_DOUBLE_EQ(t.max_q_at(row), 0.75);
-  EXPECT_DOUBLE_EQ(t.q(s, Action::keep()), 0.75);
-  EXPECT_EQ(t.best_action_at(row), Action::keep());
-  // First write makes the row public.
-  t.add_q_at(row, Action(2), 0.5);
+  EXPECT_EQ(t.ensure_row(s), row);
+  EXPECT_EQ(t.find_row(s), row);
   EXPECT_TRUE(t.contains(s));
   EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.find_row(s), row);
+  EXPECT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.states(), std::vector<Configuration>{s});
+  EXPECT_DOUBLE_EQ(t.q_at(row, Action::keep()), 0.75);
+  EXPECT_DOUBLE_EQ(t.max_q_at(row), 0.75);
+  EXPECT_EQ(t.best_action_at(row), Action::keep());
+  t.add_q_at(row, Action(2), 0.5);
+  EXPECT_DOUBLE_EQ(t.q(s, Action(2)), 1.25);
+  EXPECT_EQ(t.best_action_at(row), Action(2));
+  EXPECT_EQ(t.size(), 1u);
 }
 
 TEST(QTable, ManyStatesSurviveProbeTableGrowth) {
@@ -154,8 +154,8 @@ RewardFn toward(int max_clients) {
   };
 }
 
-// A library table as the offline trainer leaves it: a TD batch writes some
-// rows and leaves warm neighbor rows behind, under a non-zero default.
+// A library table as the offline trainer leaves it: a row for each state a
+// TD batch visited, under a non-zero default.
 QTable trained_library_table() {
   QTable table;
   table.set_default_q(-0.25);
@@ -192,18 +192,18 @@ void expect_same_reads(const QTable& copy, const QTable& overlay,
   EXPECT_EQ(saved(copy), saved(overlay));
 }
 
-// An overlay over the compacted library table must be indistinguishable
-// from a full copy of the library table (warm rows included) through one
-// seeded sequence of row-handle edits, point writes and a TD batch.
+// An overlay over the library table must be indistinguishable from a full
+// copy of it through one seeded sequence of row-handle edits, point writes
+// and a TD batch.
 TEST(QTableOverlay, MatchesAFullCopyThroughEditsAndATrainingBatch) {
   const QTable library = trained_library_table();
-  ASSERT_GT(library.num_rows(), library.size());  // warm rows present
+  ASSERT_EQ(library.num_rows(), library.size());
   QTable copy = library;
   QTable overlay;
-  overlay.rebase(std::make_shared<const QTable>(library.compacted()));
+  overlay.rebase(std::make_shared<const QTable>(library));
   ASSERT_EQ(overlay.num_rows(), 0U);
 
-  // Written library states, their (mostly warm) neighbors, fresh states.
+  // Library states, their neighbors (most without a row), fresh states.
   std::vector<Configuration> probes = library.states();
   util::Rng rng(42);
   for (std::size_t i = 0, n = probes.size(); i < n; i += 7) {
@@ -272,16 +272,13 @@ TEST(QTableOverlay, CompactedFlattensTheMergedView) {
   edited.set(ParamId::kMaxClients, 300);
   Configuration fresh;
   fresh.set(ParamId::kMaxThreads, 500);
-  Configuration warm;
-  warm.set(ParamId::kMaxClients, 400);
   base.set_q(kept, Action::keep(), 1.0);
   base.set_q(edited, Action::keep(), 2.0);
   QTable overlay;
   overlay.rebase(std::make_shared<const QTable>(base));
   overlay.add_q(edited, Action(3), 0.5);
   overlay.set_q(fresh, Action::keep(), 3.0);
-  overlay.ensure_row(warm);
-  overlay.ensure_row(kept);
+  overlay.ensure_row(kept);  // a copy of the base row, left unchanged
 
   const QTable flat = overlay.compacted();
   EXPECT_EQ(flat.base(), nullptr);

@@ -297,25 +297,6 @@ TEST(Serialization, FlatTableMatchesMapBasedReferenceLoader) {
   }
 }
 
-TEST(Serialization, WarmRowsDoNotSerialize) {
-  // Rows pre-created for the TD inner loop's neighbor lookups hold only
-  // default values and must not leak into checkpoints: the stream has to
-  // match what the map-based store (which had no such rows) would write.
-  QTable table = sample_table();
-  std::stringstream before;
-  save_qtable(before, table);
-
-  util::Rng rng(99);
-  for (int i = 0; i < 20; ++i) {
-    const auto extra = config::ConfigSpace::random_fine(rng);
-    if (table.contains(extra)) continue;
-    table.ensure_row(extra);
-  }
-  std::stringstream after;
-  save_qtable(after, table);
-  EXPECT_EQ(after.str(), before.str());
-}
-
 // The writer as it was before it walked the table's rows: sorted states(),
 // one hashed q() per value and one util::format_double string per value.
 // save_qtable must reproduce its bytes exactly.
@@ -349,8 +330,8 @@ std::string saved(const QTable& table) {
 }
 
 // Every awkward value the hex writer must spell exactly, spread over rows
-// that are fully written, partly written (the rest hold the default in
-// force when the row was created), and warm (never written).
+// that are fully written, partly written, and made but never written (the
+// values a row holds unwritten are the default in force when it was made).
 QTable edge_value_table() {
   using limits = std::numeric_limits<double>;
   const std::vector<double> values = {
@@ -379,8 +360,8 @@ QTable edge_value_table() {
   return table;
 }
 
-// A table shaped like a trained library's: TD walks write some rows and
-// leave warm neighbor rows behind.
+// A table shaped like a trained library's: a row for each state the TD
+// walks visited.
 QTable trained_table() {
   QTable table;
   table.set_default_q(-0.25);
@@ -399,15 +380,15 @@ TEST(SerializationOracle, WriterMatchesReferenceByteForByte) {
   QTable empty;
   QTable empty_nonzero_default;
   empty_nonzero_default.set_default_q(0.75);
-  QTable only_warm;
-  only_warm.set_default_q(-3.5);
+  QTable only_made;
+  only_made.set_default_q(-3.5);
   util::Rng rng(33);
   for (int i = 0; i < 10; ++i) {
-    only_warm.ensure_row(config::ConfigSpace::random_fine(rng));
+    only_made.ensure_row(config::ConfigSpace::random_fine(rng));
   }
   const QTable edges = edge_value_table();
   const QTable trained = trained_table();
-  ASSERT_GT(trained.num_rows(), trained.size());  // warm rows present
+  ASSERT_EQ(trained.num_rows(), trained.size());
   // Long enough that the writer hands its buffer to the stream many times.
   QTable large;
   for (int i = 0; i < 3000; ++i) {
@@ -417,11 +398,11 @@ TEST(SerializationOracle, WriterMatchesReferenceByteForByte) {
     large.ensure_row(config::ConfigSpace::random_fine(rng));
   }
   ASSERT_GT(reference_save_qtable(large).size(), 256u * 1024u);
-  // An overlay over the compacted trained table: copied rows (touched, not
-  // written), modified rows, new written and new warm rows, and base rows
-  // it never touched.
+  // An overlay over the trained table: copied rows (made, not changed),
+  // modified rows, new rows written or only made, and base rows it never
+  // touched.
   QTable overlay;
-  overlay.rebase(std::make_shared<const QTable>(trained.compacted()));
+  overlay.rebase(std::make_shared<const QTable>(trained));
   const std::vector<config::Configuration> base_states = trained.states();
   for (std::size_t i = 0; i < base_states.size(); i += 3) {
     const config::Action action(static_cast<int>(i % config::kNumActions));
@@ -442,7 +423,7 @@ TEST(SerializationOracle, WriterMatchesReferenceByteForByte) {
   ASSERT_GT(overlay.size(), trained.size());
   ASSERT_LT(overlay.num_rows(), overlay.size());
   const std::vector<const QTable*> tables = {
-      &empty, &empty_nonzero_default, &only_warm, &edges,
+      &empty, &empty_nonzero_default, &only_made, &edges,
       &trained, &large, &overlay};
   for (std::size_t i = 0; i < tables.size(); ++i) {
     SCOPED_TRACE(i);

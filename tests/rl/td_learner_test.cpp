@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -171,9 +172,9 @@ TEST(TdLearner, AuditCatchesNaNRewardPoisoning) {
 
 // --- Oracle: Algorithm 1 transcribed by configuration ---------------------
 //
-// batch_train resolves states to table rows, creates warm rows for
-// neighbors, and memoizes neighbor rows and rewards in per-batch scratch.
-// The reference below does none of that: it is the algorithm exactly as
+// batch_train finds the states it touches in per-batch scratch, caches
+// their rewards and maxima there, and walks by row index. The reference
+// below does none of that: it is the algorithm exactly as
 // td_learner.hpp documents it -- a full backup of every action at each
 // visited state, the epsilon-greedy walk through EpsilonGreedy::select,
 // rewards memoized per configuration in a std::map, and every Q read and
@@ -235,7 +236,7 @@ std::vector<ConfigKey> sorted_states(const QTable& table) {
 // Runs batch_train on `fast` and the reference on `ref` (equal tables, equal
 // RNG streams) and requires identical outcomes: TdResult, RNG state, the
 // reward function's argument sequence, the written state set, and every
-// Q-value bit. Row order may differ (the reference creates no warm rows).
+// Q-value bit.
 void expect_matches_reference(QTable& fast, QTable& ref,
                               std::span<const Configuration> starts,
                               const RewardFn& reward, const TdParams& params,
@@ -308,10 +309,10 @@ TEST(TdLearnerOracle, OfflineBatchOverCoarseGridMatchesReference) {
   EXPECT_GT(fast.size(), grid.size());
 }
 
-// Online shape: three consecutive retrains of a library table that already
-// carries warm rows (and a non-zero default), each from a growing set of
-// experienced states under a shifted reward, as the agent retrains after
-// every measurement interval.
+// Online shape: three consecutive retrains of a trained library table
+// (with a non-zero default), each from a growing set of experienced states
+// under a shifted reward, as the agent retrains after every measurement
+// interval.
 TEST(TdLearnerOracle, ConsecutiveRetrainsOfTrainedLibraryMatchReference) {
   QTable library;
   library.set_default_q(-0.25);
@@ -403,6 +404,53 @@ TEST(TdLearner, RetrainScratchScalesWithTouchedRowsNotTable) {
   // The premise: the retrain created no rows, so every counted byte is
   // the learner's own scratch.
   EXPECT_EQ(table.ensure_row(unseen), start_row + 1);
+}
+
+// A state gets its row at its first visit and no other state gets one: one
+// sweep of one-step trajectories from k distinct start states leaves k own
+// rows, in a plain table and in an overlay whose base holds some of the
+// starts, while every neighbor the backups read keeps no row.
+TEST(TdLearner, OneBatchMakesARowPerVisitedStateOnly) {
+  util::Rng pick(5);
+  std::vector<Configuration> starts;
+  while (starts.size() < 12) {
+    const Configuration c = ConfigSpace::random_fine(pick);
+    if (std::find(starts.begin(), starts.end(), c) == starts.end()) {
+      starts.push_back(c);
+    }
+  }
+  const RewardFn reward = distance_reward(at_position(0.5));
+  auto base = std::make_shared<QTable>();
+  base->set_default_q(-0.25);
+  {
+    TdParams offline;
+    offline.max_sweeps = 5;
+    util::Rng rng(6);
+    const std::vector<Configuration> half(starts.begin(), starts.begin() + 6);
+    batch_train(*base, half, reward, offline, rng);
+  }
+  std::size_t starts_in_base = 0;
+  for (const Configuration& s : starts) starts_in_base += base->contains(s);
+  ASSERT_EQ(starts_in_base, 6U);
+
+  TdParams params;
+  params.trajectory_limit = 1;
+  params.max_sweeps = 1;
+  QTable plain;
+  QTable overlay;
+  overlay.rebase(base);
+  util::Rng plain_rng(7);
+  util::Rng overlay_rng(7);
+  batch_train(plain, starts, reward, params, plain_rng);
+  batch_train(overlay, starts, reward, params, overlay_rng);
+  EXPECT_EQ(plain.num_rows(), starts.size());
+  EXPECT_EQ(plain.size(), starts.size());
+  EXPECT_EQ(overlay.num_rows(), starts.size());
+  EXPECT_EQ(overlay.size(), base->size() + starts.size() - starts_in_base);
+  for (const Configuration& s : starts) {
+    EXPECT_NE(plain.find_row(s), QTable::npos);
+    EXPECT_NE(overlay.find_row(s), QTable::npos);
+  }
 }
 
 }  // namespace
