@@ -45,7 +45,8 @@ class Configuration {
 
   bool operator==(const Configuration&) const noexcept = default;
 
-  /// Stable hash for use as a Q-table key.
+  /// Hash of the values, the same in every run (unlike std::hash): the
+  /// home slot of rl::ConfigIndex and the key hash of unordered containers.
   std::size_t hash() const noexcept;
 
   /// "MaxClients=150 KeepAlive timeout=15 ..." rendering.

@@ -7,31 +7,11 @@ namespace {
 // a retrain's few dozen touched states to a library table trained offline,
 // which reaches ~5*10^4 rows.
 constexpr std::size_t kInitialSlots = 64;
-
-// Home slot hash: the values two at a time through a multiply-xorshift
-// mix, four dependent multiplies where Configuration::hash's byte-wise
-// FNV-1a takes 32. A TD batch looks up every state it touches in its own
-// index, the table's and the base's, so this is on the hot path. Only
-// probe positions depend on it; positions, and so every order a reader
-// sees, are insertion order.
-std::size_t home(const config::Configuration& c) {
-  static_assert(config::kNumParams % 2 == 0, "values are mixed in pairs");
-  const auto& v = c.values();
-  std::uint64_t h = 0;
-  for (std::size_t i = 0; i < v.size(); i += 2) {
-    const std::uint64_t pair =
-        (std::uint64_t{static_cast<std::uint32_t>(v[i])} << 32) |
-        static_cast<std::uint32_t>(v[i + 1]);
-    h = (h ^ pair) * 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 32;
-  }
-  return static_cast<std::size_t>(h);
-}
 }  // namespace
 
 std::size_t ConfigIndex::probe(const config::Configuration& c) const {
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = home(c) & mask;
+  std::size_t i = c.hash() & mask;
   while (slots_[i] != 0 && keys_[slots_[i] - 1] != c) i = (i + 1) & mask;
   return i;
 }
@@ -61,7 +41,7 @@ void ConfigIndex::grow_slots() {
   slots_.assign(capacity, 0);
   const std::size_t mask = capacity - 1;
   for (std::size_t i = 0; i < keys_.size(); ++i) {
-    std::size_t slot = home(keys_[i]) & mask;
+    std::size_t slot = keys_[i].hash() & mask;
     while (slots_[slot] != 0) slot = (slot + 1) & mask;
     slots_[slot] = static_cast<std::uint32_t>(i) + 1;
   }

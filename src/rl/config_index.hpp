@@ -7,8 +7,9 @@
 // rows, an experience store its entries, a TD batch its per-call locals.
 //
 //   keys_   the configurations, in insertion order
-//   slots_  power-of-two probe table mapping hash(config) -> position + 1
-//           (0 = empty), linear probing, load factor <= 1/2
+//   slots_  power-of-two probe table mapping a configuration's hash() to
+//           its position + 1 (0 = empty), linear probing, load factor
+//           <= 1/2
 //
 // Shard threads read one library table at once, so the const lookups read
 // storage and nothing else: no caches, no lazily built state.

@@ -77,7 +77,7 @@ TEST(Configuration, EqualityAndHash) {
 }
 
 TEST(Configuration, HashIsStableAcrossRuns) {
-  // FNV-1a over fixed input: lock the value so Q-tables could be persisted.
+  // A fixed function of the values, with no per-process seed.
   const Configuration c;
   EXPECT_EQ(c.hash(), Configuration().hash());
 }

@@ -197,7 +197,6 @@ void expect_same_reads(const QTable& copy, const QTable& overlay,
 // and a TD batch.
 TEST(QTableOverlay, MatchesAFullCopyThroughEditsAndATrainingBatch) {
   const QTable library = trained_library_table();
-  ASSERT_EQ(library.num_rows(), library.size());
   QTable copy = library;
   QTable overlay;
   overlay.rebase(std::make_shared<const QTable>(library));

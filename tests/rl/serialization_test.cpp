@@ -388,7 +388,6 @@ TEST(SerializationOracle, WriterMatchesReferenceByteForByte) {
   }
   const QTable edges = edge_value_table();
   const QTable trained = trained_table();
-  ASSERT_EQ(trained.num_rows(), trained.size());
   // Long enough that the writer hands its buffer to the stream many times.
   QTable large;
   for (int i = 0; i < 3000; ++i) {
