@@ -1,5 +1,6 @@
 #include "core/policy_library.hpp"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -7,41 +8,108 @@
 
 #include "obs/pool.hpp"
 #include "obs/profiler.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rac::core {
+
+namespace {
+
+// Folds one word into a running hash (SplitMix64's mixer, as derive_seed).
+std::uint64_t fold(std::uint64_t hash, std::uint64_t word) {
+  std::uint64_t state = hash ^ word;
+  return util::splitmix64(state);
+}
+
+std::uint64_t fold(std::uint64_t hash, double value) {
+  return fold(hash, std::bit_cast<std::uint64_t>(value));
+}
+
+// The fingerprint of a policy an agent may overlay: its context, its
+// surface's parts and its table's default and rows, every double by its
+// bits. A row hashes its key and values; rows combine by modular sum, so
+// the same rows hash equal in any order (a loaded table holds them sorted,
+// a trained one in first-touch order).
+std::uint64_t fingerprint_of(const InitialPolicy& policy) {
+  std::uint64_t hash = fold(0, static_cast<std::uint64_t>(policy.context.mix));
+  hash = fold(hash, static_cast<std::uint64_t>(policy.context.level));
+  const util::QuadraticSurface& surface = policy.surface.regression();
+  hash = fold(hash, std::uint64_t{surface.fitted()});
+  if (surface.fitted()) {
+    hash = fold(hash, std::uint64_t{surface.dim()});
+    hash = fold(hash, static_cast<std::uint64_t>(surface.per_dim_degree()));
+    for (const auto& part :
+         {surface.model().weights(), surface.means(), surface.scales()}) {
+      hash = fold(hash, std::uint64_t{part.size()});
+      for (const double v : part) hash = fold(hash, v);
+    }
+  }
+  hash = fold(hash, policy.table.default_q());
+  hash = fold(hash, std::uint64_t{policy.table.size()});
+  std::uint64_t rows = 0;
+  policy.table.for_each_row([&rows](const config::Configuration& state,
+                                    const rl::QTable::ActionValues& values) {
+    std::uint64_t row = 0;
+    for (const int v : state.values()) {
+      row = fold(row, static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
+    }
+    for (const double q : values) row = fold(row, q);
+    rows += row;
+  });
+  return fold(hash, rows);
+}
+
+}  // namespace
 
 void InitialPolicyLibrary::add(InitialPolicy policy) {
   // A library table is read-only from here on and shared by every agent
   // that overlays it, and a base is never itself an overlay: flatten one
   // (the fleet's retrained tables). No read and no saved byte changes.
   if (policy.table.base() != nullptr) policy.table = policy.table.compacted();
-  if (policies_ == nullptr) {
-    policies_ = std::make_shared<std::vector<InitialPolicy>>();
-  } else if (policies_.use_count() > 1) {
+  if (entries_ == nullptr) {
+    entries_ = std::make_shared<std::vector<Entry>>();
+  } else if (entries_.use_count() > 1) {
     // Someone else shares this storage: clone before mutating so their
     // view stays frozen (and stays safe to read concurrently).
-    policies_ = std::make_shared<std::vector<InitialPolicy>>(*policies_);
+    entries_ = std::make_shared<std::vector<Entry>>(*entries_);
   }
-  policies_->push_back(std::move(policy));
+  const std::uint64_t fingerprint = fingerprint_of(policy);
+  entries_->push_back({std::move(policy), fingerprint});
+}
+
+const InitialPolicyLibrary::Entry& InitialPolicyLibrary::entry(
+    std::size_t i) const {
+  if (entries_ == nullptr) {
+    throw std::out_of_range("InitialPolicyLibrary::at: empty library");
+  }
+  return entries_->at(i);
 }
 
 const InitialPolicy& InitialPolicyLibrary::at(std::size_t i) const {
-  if (policies_ == nullptr) {
-    throw std::out_of_range("InitialPolicyLibrary::at: empty library");
-  }
-  return policies_->at(i);
+  return entry(i).policy;
+}
+
+std::uint64_t InitialPolicyLibrary::fingerprint(std::size_t i) const {
+  return entry(i).fingerprint;
 }
 
 std::shared_ptr<const rl::QTable> InitialPolicyLibrary::shared_table(
     std::size_t i) const {
-  return {policies_, &at(i).table};
+  return {entries_, &at(i).table};
 }
 
 std::optional<std::size_t> InitialPolicyLibrary::find_context(
     const env::SystemContext& context) const {
   for (std::size_t i = 0; i < size(); ++i) {
-    if ((*policies_)[i].context == context) return i;
+    if ((*entries_)[i].policy.context == context) return i;
+  }
+  return std::nullopt;
+}
+
+std::optional<std::size_t> InitialPolicyLibrary::find_fingerprint(
+    std::uint64_t fingerprint) const {
+  for (std::size_t i = 0; i < size(); ++i) {
+    if ((*entries_)[i].fingerprint == fingerprint) return i;
   }
   return std::nullopt;
 }
@@ -59,7 +127,7 @@ std::optional<std::size_t> InitialPolicyLibrary::best_match(
   double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < size(); ++i) {
     const double predicted =
-        (*policies_)[i].predict_response_ms(configuration);
+        (*entries_)[i].policy.predict_response_ms(configuration);
     // Relative mismatch in log space: symmetric between over- and
     // under-prediction.
     const double score =

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -31,14 +32,21 @@ class InitialPolicyLibrary {
   InitialPolicyLibrary() = default;
 
   /// Appends `policy`, flattening an overlay Q-table into a plain one
-  /// (QTable::compacted; reads and saved bytes are unchanged).
+  /// (QTable::compacted; reads and saved bytes are unchanged), and computes
+  /// its fingerprint.
   void add(InitialPolicy policy);
 
   std::size_t size() const noexcept {
-    return policies_ == nullptr ? 0 : policies_->size();
+    return entries_ == nullptr ? 0 : entries_->size();
   }
   bool empty() const noexcept { return size() == 0; }
   const InitialPolicy& at(std::size_t i) const;
+  /// A 64-bit hash of at(i)'s context, surface and Q-table contents,
+  /// computed once by add(). It names the base an agent's own Q-rows
+  /// overlay in a checkpoint: equal policies hash equal however their
+  /// table rows were ordered, and a changed Q value or surface weight
+  /// changes it (up to 64-bit collisions).
+  std::uint64_t fingerprint(std::size_t i) const;
   /// at(i).table as a pointer that shares ownership of this library's
   /// storage: an agent's overlay base. Holding it keeps that storage
   /// alive, and a later add() to this library clones instead of moving it.
@@ -47,12 +55,14 @@ class InitialPolicyLibrary {
   /// True when both objects point at the same underlying storage (so one
   /// held no copy cost). An empty library shares with nothing.
   bool shares_storage_with(const InitialPolicyLibrary& other) const noexcept {
-    return policies_ != nullptr && policies_ == other.policies_;
+    return entries_ != nullptr && entries_ == other.entries_;
   }
 
   /// Index of the policy trained for exactly `context`, if any.
   std::optional<std::size_t> find_context(
       const env::SystemContext& context) const;
+  /// Index of the first policy whose fingerprint is `fingerprint`, if any.
+  std::optional<std::size_t> find_fingerprint(std::uint64_t fingerprint) const;
 
   /// Index of the policy whose predicted response time at `configuration`
   /// is closest (relatively) to the measured one. Returns nullopt for an
@@ -62,7 +72,13 @@ class InitialPolicyLibrary {
       double measured_response_ms) const;
 
  private:
-  std::shared_ptr<std::vector<InitialPolicy>> policies_;
+  struct Entry {
+    InitialPolicy policy;
+    std::uint64_t fingerprint = 0;
+  };
+  const Entry& entry(std::size_t i) const;
+
+  std::shared_ptr<std::vector<Entry>> entries_;
 };
 
 /// Convenience: train one policy per context on freshly-constructed

@@ -83,6 +83,7 @@ RacAgent::RacAgent(const RacOptions& options, InitialPolicyLibrary library,
 void RacAgent::load_policy(std::size_t index) {
   const obs::ProfileScope profile("rac.load_policy");
   state_.qtable.rebase(library_.shared_table(index));
+  state_.base_fingerprint = library_.fingerprint(index);
   state_.active_policy = index;
 }
 
@@ -301,7 +302,8 @@ AgentSnapshot RacAgent::snapshot() const {
   return {snapshot_header(), state_};
 }
 
-void RacAgent::check_restorable(const AgentSnapshot& s) const {
+void RacAgent::check_restorable(const AgentSnapshot& s,
+                                const rl::QTable* base) const {
   // Hyperparameter drift would make the resumed run a silent hybrid of two
   // configurations, so every constant must match exactly.
   if (!(s.hyperparameters == hyperparameters_)) {
@@ -327,15 +329,45 @@ void RacAgent::check_restorable(const AgentSnapshot& s) const {
           s.active_policy_context + "' vs library '" + live_context + "')");
     }
   }
+  if ((base != nullptr) != s.state.base_fingerprint.has_value()) {
+    throw std::invalid_argument(
+        "RacAgent::restore: a base must be given exactly when the snapshot "
+        "names one");
+  }
+  if (!s.state.qtable.fits_base(base)) {
+    throw std::invalid_argument(
+        "RacAgent::restore: the snapshot's Q default differs from its "
+        "base's");
+  }
+}
+
+void RacAgent::restore(const AgentSnapshot& s,
+                       std::shared_ptr<const rl::QTable> base) {
+  check_restorable(s, base.get());
+  // Only the copy is re-based, and the detector validates before it changes
+  // anything, so a throw still leaves the agent unchanged.
+  AgentState state = s.state;
+  state.qtable.overlay_on(std::move(base));
+  detector_.restore(s.detector_history, s.detector_consecutive,
+                    s.detector_last_violation);
+  state_ = std::move(state);
 }
 
 void RacAgent::restore(const AgentSnapshot& s) {
-  check_restorable(s);
-  // The detector validates before it changes anything, so a throw here
-  // still leaves the agent unchanged.
-  detector_.restore(s.detector_history, s.detector_consecutive,
-                    s.detector_last_violation);
-  state_ = s.state;
+  // The base is the active policy's table when the rows were written over
+  // that very policy; check_restorable reports every other mismatch.
+  std::shared_ptr<const rl::QTable> base;
+  if (s.state.base_fingerprint.has_value() && s.state.active_policy &&
+      *s.state.active_policy < library_.size()) {
+    if (library_.fingerprint(*s.state.active_policy) !=
+        *s.state.base_fingerprint) {
+      throw std::invalid_argument(
+          "RacAgent::restore: the snapshot's Q-rows overlay another "
+          "library's policy (base fingerprint differs)");
+    }
+    base = library_.shared_table(*s.state.active_policy);
+  }
+  restore(s, std::move(base));
 }
 
 bool RacAgent::save_state(std::ostream& os) const {

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "core/agent.hpp"
@@ -127,18 +128,32 @@ class RacAgent : public ConfigAgent {
   AgentSnapshot snapshot() const;
 
   /// Throws std::invalid_argument unless the snapshot's hyperparameters
-  /// and library size equal this agent's and its active policy names the
-  /// context of the live library entry at that index. A fleet checks every
-  /// tenant this way before it restores any.
-  void check_restorable(const AgentSnapshot& snapshot) const;
+  /// and library size equal this agent's, its active policy names the
+  /// context of the live library entry at that index, and `base` fits its
+  /// Q-table's own rows: given exactly when the snapshot names a base, and
+  /// QTable::fits_base. A fleet checks every tenant this way before it
+  /// restores any.
+  void check_restorable(const AgentSnapshot& snapshot,
+                        const rl::QTable* base) const;
 
-  /// check_restorable, then adopt the detector window and the record.
+  /// check_restorable, then adopt the detector window and the record, its
+  /// Q-table's own rows re-based on `base`: the table the snapshot's
+  /// base_fingerprint names, which the caller found (a fleet checkpoint
+  /// also holds the earlier library generations its tenants still read).
   /// Throws std::invalid_argument, leaving the agent unchanged, for a
   /// mismatch or a detector window the detector rejects.
+  void restore(const AgentSnapshot& snapshot,
+               std::shared_ptr<const rl::QTable> base);
+
+  /// restore on the active policy's table in this agent's library. Throws
+  /// std::invalid_argument, leaving the agent unchanged, also when that
+  /// policy's fingerprint is not the snapshot's base_fingerprint: the
+  /// snapshot was taken over another library.
   void restore(const AgentSnapshot& snapshot);
 
   /// ConfigAgent checkpoint hook: writes the bytes of
-  /// save_agent_snapshot(os, snapshot()) from the live record. Always true.
+  /// save_agent_snapshot(os, snapshot()) from the live record: the Q-table's
+  /// own rows and its base's fingerprint, never the library. Always true.
   bool save_state(std::ostream& os) const override;
 
   /// Swap in a refreshed copy of the policy library (fleet cross-tenant
@@ -150,6 +165,12 @@ class RacAgent : public ConfigAgent {
   /// effect at the next policy switch. Throws std::invalid_argument on a
   /// shape mismatch.
   void rebase_library(InitialPolicyLibrary library);
+
+  /// The fingerprint of the library policy the Q-table overlays (an
+  /// earlier library's after rebase_library); empty without a base.
+  std::optional<std::uint64_t> base_fingerprint() const noexcept {
+    return state_.base_fingerprint;
+  }
 
   // -- introspection (tests, harness commentary) ---------------------------
   const InitialPolicyLibrary& library() const noexcept { return library_; }
@@ -192,7 +213,8 @@ class RacAgent : public ConfigAgent {
   AgentSnapshotHeader snapshot_header() const;
   /// Re-seeds the Q-table from library policy `index`: the table becomes
   /// an overlay over the library's shared table with no rows of its own,
-  /// a pointer swap rather than a copy.
+  /// a pointer swap rather than a copy, and records that policy's
+  /// fingerprint beside it.
   void load_policy(std::size_t index);
   double lookup_response(const config::Configuration& c) const;
   /// Reward of a measured/blended response under the active robustness

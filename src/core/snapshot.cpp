@@ -20,7 +20,7 @@ namespace {
 
 constexpr const char* kSnapshotMagic = "rac-agent-snapshot";
 constexpr const char* kCheckpointMagic = "rac-checkpoint";
-constexpr int kSnapshotVersion = 2;
+constexpr int kSnapshotVersion = 3;
 constexpr int kCheckpointVersion = 2;
 constexpr const char* kWhat = "load_agent_snapshot";
 
@@ -114,7 +114,14 @@ void save_agent_snapshot(std::ostream& os, const AgentSnapshotHeader& h,
     os << ' ' << util::format_double(entry.observation.response_ms) << ' '
        << util::format_u64(entry.observation.count) << "\n";
   }
-  rl::save_qtable(os, state.qtable);
+  os << "qtable_base ";
+  if (state.base_fingerprint.has_value()) {
+    os << util::format_u64(*state.base_fingerprint);
+  } else {
+    os << '-';
+  }
+  os << "\n";
+  rl::save_own_rows(os, state.qtable);
   os << "end\n";
   if (!os) throw std::ios_base::failure("save_agent_snapshot: write failed");
 }
@@ -259,6 +266,17 @@ AgentSnapshot load_agent_snapshot(std::istream& is) try {
     }
     state.experience = rl::ExperienceStore(p.experience_blend);
     state.experience.restore(std::move(entries));
+  }
+  util::expect_token(is, "qtable_base", kWhat);
+  {
+    // An agent's table has a base exactly when it has an active policy:
+    // load_policy sets both.
+    const std::string token = util::read_token(is, kWhat);
+    if (token != "-") state.base_fingerprint = util::parse_u64(token, kWhat);
+    if (state.base_fingerprint.has_value() !=
+        state.active_policy.has_value()) {
+      malformed("Q-table base without an active policy, or the reverse");
+    }
   }
   state.qtable = rl::load_qtable(is);
   util::expect_token(is, "end", kWhat);

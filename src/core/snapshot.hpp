@@ -13,11 +13,17 @@
 // and restore assigns it once the checks pass; a restored agent continues
 // bit-identically to one that never stopped.
 //
-// The serialization ("rac-agent-snapshot v2", and "rac-checkpoint v2" for
+// The serialization ("rac-agent-snapshot v3", and "rac-checkpoint v2" for
 // run checkpoints) is the same locale-immune, line-oriented token format
 // as rl/serialization (hex doubles via util/lineio, explicit "end"
-// trailers so blocks can be embedded in larger streams). Each loader
-// accepts only the version its writer emits.
+// trailers so blocks can be embedded in larger streams). A v3 snapshot
+// stores the Q-table's own rows only, the rows the agent wrote, as a
+// rac-qtable block after a `qtable_base` line naming the library policy
+// they overlay by its fingerprint ("-" for a table without a base). The
+// library tables themselves are never written: a checkpoint costs the
+// rows the agent wrote, and restore re-bases them on the live library,
+// refusing one whose policy has another fingerprint. Each loader accepts
+// only the version its writer emits.
 #pragma once
 
 #include <cstddef>
@@ -70,7 +76,15 @@ struct AgentHyperparameters {
 /// except the violation detector's window.
 struct AgentState {
   std::optional<std::size_t> active_policy;
+  /// An overlay on its policy's library table (RacAgent::load_policy); a
+  /// plain table without a library.
   rl::QTable qtable;
+  /// The fingerprint of the library policy whose table `qtable` overlays
+  /// (InitialPolicyLibrary::fingerprint), recorded when the base is; empty
+  /// for a table without a base. A snapshot stores the own rows and this
+  /// name of their base, and restore puts the rows back over the base it
+  /// names.
+  std::optional<std::uint64_t> base_fingerprint;
   rl::ExperienceStore experience;
   util::Rng rng;
   /// The configuration the system currently runs; the management loop
@@ -129,9 +143,10 @@ inline void save_agent_snapshot(std::ostream& os,
   save_agent_snapshot(os, snapshot, snapshot.state);
 }
 
-/// Parse a snapshot produced by save_agent_snapshot. Throws
-/// std::runtime_error on malformed input (any version but v2 included) and
-/// on every value no agent could hold, so that restore's
+/// Parse a snapshot produced by save_agent_snapshot. Its Q-table holds the
+/// own rows and no base; its base_fingerprint names the base they overlay.
+/// Throws std::runtime_error on malformed input (any version but v3
+/// included) and on every value no agent could hold, so that restore's
 /// std::invalid_argument only ever means the wrong agent. Leaves the
 /// stream positioned just past the snapshot's "end" trailer.
 AgentSnapshot load_agent_snapshot(std::istream& is);

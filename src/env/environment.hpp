@@ -55,7 +55,7 @@ struct Measurement {
 
 /// An environment's dynamic-traffic state: the installed model (shared
 /// const state), the cursor and the core.traffic.* metrics. Checkpoints
-/// persist the cursor (rac-checkpoint v2 / rac-fleet-checkpoint v2) so a
+/// persist the cursor (rac-checkpoint v2 / rac-fleet-checkpoint v3) so a
 /// restored run resumes mid-day. It counts *measurements*, not loop
 /// iterations -- the runner's robustness retries each advance it.
 class TrafficCursor {

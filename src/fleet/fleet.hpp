@@ -163,16 +163,18 @@ class FleetManager {
   void set_sink(obs::TraceSink* sink) noexcept { opt_.sink = sink; }
 
   /// Serialize / adopt the complete fleet state ("rac-fleet-checkpoint
-  /// v2"): progress, the shared library, and every tenant's environment
-  /// noise stream, traffic cursor, fault position, and agent snapshot.
-  /// See fleet_io.hpp for the file-level wrappers. restore_checkpoint
-  /// accepts only v2. It parses the whole stream into one record per
-  /// tenant and checks every record against the live fleet (tenant count,
-  /// ids, fault topology, library shape, and each agent snapshot with
-  /// RacAgent::check_restorable) before adopting anything. It throws
-  /// std::runtime_error on a malformed or mismatched file and
-  /// std::invalid_argument for a snapshot from a differently configured
-  /// agent; either way the fleet is left unchanged.
+  /// v3"): progress, the shared library, the earlier generations' tables
+  /// tenants still overlay, and every tenant's environment noise stream,
+  /// traffic cursor, fault position, and agent snapshot (fleet_io.hpp has
+  /// the format and the file-level wrappers). restore_checkpoint accepts
+  /// only v3. It parses the whole stream into one record per tenant, finds
+  /// the base each tenant's fingerprint names, and checks every record
+  /// against the live fleet (tenant count, ids, fault topology, library
+  /// shape, and each agent snapshot with RacAgent::check_restorable)
+  /// before adopting anything. It throws std::runtime_error on a malformed
+  /// or mismatched file (a tenant naming a base the file does not hold
+  /// included) and std::invalid_argument for a snapshot from a differently
+  /// configured agent; either way the fleet is left unchanged.
   void save_checkpoint(std::ostream& os) const;
   void restore_checkpoint(std::istream& is);
 

@@ -5,8 +5,11 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "core/snapshot.hpp"
 #include "env/context.hpp"
 #include "env/environment.hpp"
+#include "rl/serialization.hpp"
 #include "util/lineio.hpp"
 #include "util/rng.hpp"
 
@@ -23,7 +27,7 @@ namespace rac::fleet {
 namespace {
 
 constexpr const char* kFleetMagic = "rac-fleet-checkpoint";
-constexpr int kFleetVersion = 2;
+constexpr int kFleetVersion = 3;
 
 }  // namespace
 
@@ -35,6 +39,23 @@ void FleetManager::save_checkpoint(std::ostream& os) const {
   os << "retrain_rounds " << util::format_i64(retrain_rounds_) << "\n";
   os << "library\n";
   core::save_library(os, library_);
+  // Each table a tenant overlays that the library above no longer holds
+  // (an earlier generation's, until the tenant's next load_policy), once,
+  // by fingerprint: sorted, so the bytes do not depend on tenant order.
+  std::map<std::uint64_t, const rl::QTable*> stale;
+  for (const Tenant& tenant : tenants_) {
+    const std::optional<std::uint64_t> fingerprint =
+        tenant.agent->base_fingerprint();
+    if (fingerprint.has_value() &&
+        !library_.find_fingerprint(*fingerprint).has_value()) {
+      stale.emplace(*fingerprint, tenant.agent->qtable().base().get());
+    }
+  }
+  os << "stale_bases " << util::format_u64(stale.size()) << "\n";
+  for (const auto& [fingerprint, table] : stale) {
+    os << "stale_base " << util::format_u64(fingerprint) << "\n";
+    rl::save_qtable(os, *table);
+  }
   os << "tenants " << util::format_u64(tenants_.size()) << "\n";
   for (const Tenant& tenant : tenants_) {
     os << "tenant " << util::format_i64(tenant.spec.id) << "\n";
@@ -90,6 +111,26 @@ void FleetManager::restore_checkpoint(std::istream& is) {
           std::to_string(i));
     }
   }
+  util::expect_token(is, "stale_bases", "fleet checkpoint");
+  std::map<std::uint64_t, std::shared_ptr<const rl::QTable>> stale;
+  {
+    // Bases come sorted by fingerprint, none of them the library's; the
+    // count is unchecked input, so bases are read as they parse.
+    const std::uint64_t bases = util::read_u64(is, "stale_bases");
+    for (std::uint64_t b = 0; b < bases; ++b) {
+      util::expect_token(is, "stale_base", "fleet checkpoint");
+      const std::uint64_t fingerprint = util::read_u64(is, "stale_base");
+      if ((!stale.empty() && fingerprint <= stale.rbegin()->first) ||
+          library.find_fingerprint(fingerprint).has_value()) {
+        throw std::runtime_error(
+            "fleet checkpoint: stale bases out of order, repeated or in the "
+            "library");
+      }
+      stale.emplace_hint(stale.end(), fingerprint,
+                         std::make_shared<const rl::QTable>(
+                             rl::load_qtable(is)));
+    }
+  }
   util::expect_token(is, "tenants", "fleet checkpoint");
   const std::uint64_t count = util::read_u64(is, "tenants");
   if (count != tenants_.size()) {
@@ -105,7 +146,9 @@ void FleetManager::restore_checkpoint(std::istream& is) {
     std::uint64_t traffic = 0;
     std::optional<fault::FaultyEnvState> fault;
     core::AgentSnapshot agent;
+    std::shared_ptr<const rl::QTable> base;  // what agent's own rows overlay
   };
+  std::set<std::uint64_t> named;  // stale bases some tenant overlays
   std::vector<TenantRecord> records(tenants_.size());
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     const Tenant& tenant = tenants_[t];
@@ -132,11 +175,31 @@ void FleetManager::restore_checkpoint(std::istream& is) {
     if (has_fault) record.fault = fault::load_faulty_env_state(is);
     util::expect_token(is, "agent", "fleet checkpoint");
     record.agent = core::load_agent_snapshot(is);
+    // The base the tenant's fingerprint names: a policy of the checkpoint's
+    // library or one of its stale bases.
+    if (const auto fingerprint = record.agent.state.base_fingerprint) {
+      if (const auto index = library.find_fingerprint(*fingerprint)) {
+        record.base = library.shared_table(*index);
+      } else if (const auto it = stale.find(*fingerprint);
+                 it != stale.end()) {
+        record.base = it->second;
+        named.insert(*fingerprint);
+      } else {
+        throw std::runtime_error("fleet checkpoint: tenant " +
+                                 std::to_string(id) +
+                                 " overlays a base the checkpoint does not "
+                                 "hold");
+      }
+    }
     // The library's contexts were checked above, so the live library
     // answers for the checkpoint's.
-    tenant.agent->check_restorable(record.agent);
+    tenant.agent->check_restorable(record.agent, record.base.get());
   }
   util::expect_token(is, "end", "fleet checkpoint");
+  if (named.size() != stale.size()) {
+    throw std::runtime_error(
+        "fleet checkpoint: a stale base no tenant overlays");
+  }
 
   // Commit: every check has passed, so nothing below throws on content.
   library_ = std::move(library);
@@ -144,7 +207,7 @@ void FleetManager::restore_checkpoint(std::istream& is) {
     Tenant& tenant = tenants_[t];
     const TenantRecord& record = records[t];
     tenant.agent->rebase_library(library_);
-    tenant.agent->restore(record.agent);
+    tenant.agent->restore(record.agent, record.base);
     tenant.analytic->restore_noise_state(record.env_rng);
     tenant.analytic->seek_traffic(record.traffic);
     if (record.fault.has_value()) tenant.faulty->restore(*record.fault);

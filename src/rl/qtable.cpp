@@ -1,6 +1,8 @@
 #include "rl/qtable.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -95,6 +97,29 @@ void QTable::rebase(std::shared_ptr<const QTable> base) {
     size_ = base->size_;
     default_q_ = base->default_q_;
   }
+  base_ = std::move(base);
+}
+
+bool QTable::fits_base(const QTable* base) const noexcept {
+  if (base == nullptr) return true;
+  return base->base_ == nullptr &&
+         std::bit_cast<std::uint64_t>(base->default_q_) ==
+             std::bit_cast<std::uint64_t>(default_q_);
+}
+
+void QTable::overlay_on(std::shared_ptr<const QTable> base) {
+  if (!fits_base(base.get())) {
+    throw std::invalid_argument(
+        "QTable::overlay_on: the base is an overlay or has another default");
+  }
+  std::size_t size = num_rows();
+  if (base != nullptr) {
+    size = base->size_;
+    for (std::size_t row = 0; row < num_rows(); ++row) {
+      if (base->find_row(index_[row]) == npos) ++size;
+    }
+  }
+  size_ = size;
   base_ = std::move(base);
 }
 

@@ -74,6 +74,15 @@ class QTable {
   /// shared, not copied. Throws std::invalid_argument when `base` is
   /// itself an overlay.
   void rebase(std::shared_ptr<const QTable> base);
+  /// Keeps this table's own rows and reads through `base` beneath them:
+  /// the overlay that a snapshot's saved own rows describe. nullptr leaves
+  /// a plain table of the own rows. Throws std::invalid_argument, leaving
+  /// the table unchanged, unless fits_base(base).
+  void overlay_on(std::shared_ptr<const QTable> base);
+  /// Whether overlay_on accepts `base`: nullptr, or a plain table whose
+  /// default is this table's bit for bit (rebase gives an overlay its
+  /// base's default, sign included).
+  bool fits_base(const QTable* base) const noexcept;
   const std::shared_ptr<const QTable>& base() const noexcept { return base_; }
 
   /// All states with a row, in first-touch order (deterministic: a pure
@@ -88,6 +97,15 @@ class QTable {
     visit_rows([&fn](const QTable& table, std::size_t row) {
       fn(table.index_[row], table.rows_[row]);
     });
+  }
+
+  /// Calls fn(state, values) once per own row (num_rows() of them), in
+  /// first-touch order; the base's rows are not visited.
+  template <typename Fn>
+  void for_each_own_row(Fn&& fn) const {
+    for (std::size_t row = 0; row < num_rows(); ++row) {
+      fn(index_[row], rows_[row]);
+    }
   }
 
   /// A plain table holding the rows of the merged view, in states()

@@ -1,6 +1,7 @@
 #include "rl/serialization.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -34,25 +35,19 @@ static_assert(kBufferChars >= 2 * kMaxRowChars);
 char* put(char* out, std::string_view text) {
   return std::copy(text.begin(), text.end(), out);
 }
-}  // namespace
 
-void save_qtable(std::ostream& os, const QTable& table) {
+struct Row {
+  const config::Configuration* state;
+  const QTable::ActionValues* values;
+};
+
+// Writes a rac-qtable block of `rows` under `default_q`. Rows come in
+// first-touch order, a function of the mutation history; sorting them by
+// key keeps the output a pure function of the table contents (diffable,
+// byte-stable across runs, the same for an overlay and a full copy of
+// what it reads).
+void write_table(std::ostream& os, double default_q, std::vector<Row> rows) {
   const obs::ProfileScope profile("rl.qtable.save");
-  // The merged view's rows come in first-touch order, a function
-  // of the mutation history; sorting them by key keeps the output a pure
-  // function of the table contents (diffable, byte-stable across runs, the
-  // same for an overlay and a full copy of what it reads).
-  struct Row {
-    const config::Configuration* state;
-    const QTable::ActionValues* values;
-  };
-  std::vector<Row> rows;
-  rows.reserve(table.size());
-  table.for_each_row(
-      [&rows](const config::Configuration& state,
-              const QTable::ActionValues& values) {
-        rows.push_back({&state, &values});
-      });
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     return a.state->values() < b.state->values();
   });
@@ -72,7 +67,7 @@ void save_qtable(std::ostream& os, const QTable& table) {
   out = put(out, " v");
   out = util::put_i64(out, kVersion);
   out = put(out, "\ndefault_q ");
-  out = util::put_double(out, table.default_q());
+  out = util::put_double(out, default_q);
   out = put(out, "\nstates ");
   out = util::put_i64(out, static_cast<std::int64_t>(rows.size()));
   *out++ = '\n';
@@ -94,12 +89,44 @@ void save_qtable(std::ostream& os, const QTable& table) {
   if (!os) throw std::ios_base::failure("save_qtable: write failed");
 }
 
+// A Q value or default as a table may hold one: every value the TD
+// learner and the loaders produce is finite.
+double read_q(std::istream& is, const char* what) {
+  const double value = util::read_double(is, what);
+  if (!std::isfinite(value)) {
+    throw std::runtime_error(std::string(what) + ": non-finite value");
+  }
+  return value;
+}
+
+}  // namespace
+
+void save_qtable(std::ostream& os, const QTable& table) {
+  std::vector<Row> rows;
+  rows.reserve(table.size());
+  table.for_each_row([&rows](const config::Configuration& state,
+                             const QTable::ActionValues& values) {
+    rows.push_back({&state, &values});
+  });
+  write_table(os, table.default_q(), std::move(rows));
+}
+
+void save_own_rows(std::ostream& os, const QTable& table) {
+  std::vector<Row> rows;
+  rows.reserve(table.num_rows());
+  table.for_each_own_row([&rows](const config::Configuration& state,
+                                 const QTable::ActionValues& values) {
+    rows.push_back({&state, &values});
+  });
+  write_table(os, table.default_q(), std::move(rows));
+}
+
 QTable load_qtable(std::istream& is) {
   const obs::ProfileScope profile("rl.qtable.load");
   util::expect_header(is, kMagic, kVersion, "load_qtable");
   util::expect_token(is, "default_q", "load_qtable");
   QTable table;
-  table.set_default_q(util::read_double(is, "load_qtable"));
+  table.set_default_q(read_q(is, "load_qtable default_q"));
 
   util::expect_token(is, "states", "load_qtable");
   const std::uint64_t count = util::read_u64(is, "load_qtable");
@@ -114,7 +141,7 @@ QTable load_qtable(std::istream& is) {
     }
     for (std::size_t a = 0; a < config::kNumActions; ++a) {
       table.set_q(state, config::Action(static_cast<int>(a)),
-                  util::read_double(is, "load_qtable Q row"));
+                  read_q(is, "load_qtable Q row"));
     }
   }
   util::expect_token(is, "end", "load_qtable");

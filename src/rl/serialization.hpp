@@ -19,14 +19,21 @@
 
 namespace rac::rl {
 
-/// Serialize a Q-table. Throws std::ios_base::failure on stream errors.
+/// Serialize a Q-table: the rows of its merged view, an overlay's base
+/// rows included. Throws std::ios_base::failure on stream errors.
 void save_qtable(std::ostream& os, const QTable& table);
 
-/// Parse a Q-table produced by save_qtable. Throws
+/// Serialize only the rows `table` holds itself (QTable::num_rows()), in
+/// the same format: a plain table of an overlay's own rows, which
+/// QTable::overlay_on puts back over the base. Agent snapshots store this.
+void save_own_rows(std::ostream& os, const QTable& table);
+
+/// Parse a Q-table produced by save_qtable or save_own_rows. Throws
 /// std::runtime_error on malformed input: bad magic, any version but v2,
-/// truncated or malformed rows, and duplicate state rows (a duplicate
-/// would silently shadow earlier values). Leaves the stream positioned
-/// just past the table so callers can embed tables in larger formats.
+/// truncated or malformed rows, a non-finite default or Q value (no
+/// learner writes one), and duplicate state rows (a duplicate would
+/// silently shadow earlier values). Leaves the stream positioned just past
+/// the table so callers can embed tables in larger formats.
 QTable load_qtable(std::istream& is);
 
 /// File-path convenience wrappers. Saving writes atomically (temp file +

@@ -565,12 +565,14 @@ Measurement ThreeTierSystem::run(double warmup_s, double measure_s) {
   obs::Counter& c_completed = registry.counter("tiersim.completed_requests");
   obs::Counter& c_forks = registry.counter("tiersim.forks");
   obs::Counter& c_ps_jobs = registry.counter("tiersim.ps_jobs_submitted");
+  obs::Counter& c_events = registry.counter("tiersim.events");
   obs::Histogram& h_interval =
       registry.histogram("tiersim.interval_us", obs::latency_us_bounds());
   const obs::ProfileScope profile("tiersim.interval", h_interval);
 
   const std::uint64_t ps_jobs_before =
       impl_->web_cpu.jobs_submitted() + impl_->app_cpu.jobs_submitted();
+  const std::uint64_t events_before = impl_->q.events_executed();
   impl_->measuring = false;
   impl_->q.run_until(impl_->q.now() + warmup_s);
   impl_->reset_window_stats();
@@ -583,6 +585,7 @@ Measurement ThreeTierSystem::run(double warmup_s, double measure_s) {
   c_forks.add(measurement.forks);
   c_ps_jobs.add(impl_->web_cpu.jobs_submitted() +
                 impl_->app_cpu.jobs_submitted() - ps_jobs_before);
+  c_events.add(impl_->q.events_executed() - events_before);
   return measurement;
 }
 

@@ -15,6 +15,7 @@
 #include "core/policy_init.hpp"
 #include "env/analytic_env.hpp"
 #include "util/lineio.hpp"
+#include "util/regression.hpp"
 
 namespace rac::core {
 namespace {
@@ -253,6 +254,58 @@ TEST(LibraryIo, HugeSurfaceCountsAreMalformedInputNotAllocations) {
       std::istringstream is(bad);
       EXPECT_THROW(load_library(is), std::runtime_error) << surface;
     }
+  }
+}
+
+// A policy's fingerprint names the base an agent's checkpointed Q-rows
+// overlay. A saved and reloaded library holds its table rows in key order,
+// a trained one in first-touch order; the fingerprints agree. A changed
+// context, Q value, default or surface weight moves it.
+TEST(LibraryFingerprint, IgnoresRowOrderAndCoversContextTableAndSurface) {
+  const InitialPolicyLibrary library = trained_library();
+  ASSERT_NE(library.fingerprint(0), library.fingerprint(1));
+  std::stringstream stream;
+  save_library(stream, library);
+  const InitialPolicyLibrary loaded = load_library(stream);
+  ASSERT_NE(loaded.at(0).table.states(), library.at(0).table.states());
+  for (std::size_t i = 0; i < library.size(); ++i) {
+    EXPECT_EQ(loaded.fingerprint(i), library.fingerprint(i)) << i;
+  }
+  EXPECT_EQ(library.find_fingerprint(library.fingerprint(1)), 1u);
+
+  const auto fingerprint_of = [](InitialPolicy policy) {
+    InitialPolicyLibrary one;
+    one.add(std::move(policy));
+    return one.fingerprint(0);
+  };
+  const InitialPolicy& base = library.at(0);
+  EXPECT_EQ(fingerprint_of(base), library.fingerprint(0));
+  // An overlay with no rows of its own is flattened to the same policy.
+  InitialPolicy overlay = base;
+  overlay.table.rebase(library.shared_table(0));
+  EXPECT_EQ(fingerprint_of(overlay), library.fingerprint(0));
+
+  InitialPolicy context = base;
+  context.context = {MixType::kBrowsing, VmLevel::kLevel2};
+  InitialPolicy q_value = base;
+  const config::Configuration state = q_value.table.states()[5];
+  q_value.table.set_q(state, config::Action(1),
+                      q_value.table.q(state, config::Action(1)) * 0.5);
+  InitialPolicy default_q = base;
+  default_q.table.set_default_q(base.table.default_q() + 1.0);
+  InitialPolicy weight = base;
+  const util::QuadraticSurface& surface = base.surface.regression();
+  std::vector<double> weights(surface.model().weights().begin(),
+                              surface.model().weights().end());
+  weights.back() = -weights.back() + 1e-12;
+  weight.surface = TabulatedSurface(util::QuadraticSurface::from_parts(
+      util::LinearModel(std::move(weights)), surface.dim(),
+      surface.per_dim_degree(),
+      std::vector<double>(surface.means().begin(), surface.means().end()),
+      std::vector<double>(surface.scales().begin(), surface.scales().end())));
+  for (const InitialPolicy* changed : {&context, &q_value, &default_q,
+                                       &weight}) {
+    EXPECT_NE(fingerprint_of(*changed), library.fingerprint(0));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -12,7 +13,9 @@
 #include <streambuf>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/library_io.hpp"
 #include "core/policy_init.hpp"
 #include "core/policy_library.hpp"
 #include "core/rac_agent.hpp"
@@ -21,6 +24,7 @@
 #include "env/context.hpp"
 #include "obs/process_stats.hpp"
 #include "util/lineio.hpp"
+#include "util/regression.hpp"
 #include "util/rng.hpp"
 
 namespace rac::core {
@@ -67,6 +71,7 @@ AgentSnapshot sample_snapshot() {
   Configuration neighbor = visited;
   neighbor.set(ParamId::kKeepAliveTimeout, 9);
   state.qtable.set_default_q(-0.25);
+  state.base_fingerprint = 0x0123456789abcdefULL;
   state.qtable.set_q(visited, config::Action(3), 1.0 / 3.0);
   state.qtable.set_q(neighbor, config::Action(0), -2.75);
   state.qtable.set_q(neighbor, config::Action(16), 0.5);
@@ -108,6 +113,12 @@ std::string patched(std::string text, const std::string& from,
   return text;
 }
 
+std::string saved_state(const RacAgent& agent) {
+  std::ostringstream os;
+  agent.save_state(os);
+  return os.str();
+}
+
 TEST(AgentSnapshotIo, RoundTripPreservesEveryField) {
   const AgentSnapshot s = sample_snapshot();
   const std::string bytes = serialized(s);
@@ -124,6 +135,7 @@ TEST(AgentSnapshotIo, RoundTripPreservesEveryField) {
   const AgentState& a = s.state;
   const AgentState& b = r.state;
   EXPECT_EQ(b.active_policy, a.active_policy);
+  EXPECT_EQ(b.base_fingerprint, a.base_fingerprint);
   EXPECT_EQ(b.qtable.size(), a.qtable.size());
   EXPECT_EQ(b.qtable.default_q(), a.qtable.default_q());
   for (const Configuration& state : a.qtable.states()) {
@@ -184,19 +196,42 @@ TEST(AgentSnapshotIo, RejectsForeignMagicAndVersion) {
   std::istringstream unsupported("rac-agent-snapshot v9\n");
   EXPECT_THROW(load_agent_snapshot(unsupported), std::runtime_error);
 
-  // A well-formed v1 snapshot (no robustness lines) is no longer read.
-  std::string v1;
+  // A well-formed v2 snapshot is no longer read: the v3 bytes without the
+  // qtable_base line, whose rac-qtable block then reads as v2's whole
+  // table, under a v2 header.
+  std::string v2;
   std::istringstream lines(serialized(sample_snapshot()));
   for (std::string line; std::getline(lines, line);) {
-    if (line == "rac-agent-snapshot v2") line = "rac-agent-snapshot v1";
-    for (const char* v2_only : {"robustness ", "recent ", "fallback ",
-                                "freeze "}) {
-      if (line.rfind(v2_only, 0) == 0) line.clear();
-    }
-    if (!line.empty()) v1 += line + "\n";
+    if (line.rfind("qtable_base ", 0) == 0) continue;
+    if (line == "rac-agent-snapshot v3") line = "rac-agent-snapshot v2";
+    v2 += line + "\n";
   }
-  std::istringstream old_version(v1);
+  ASSERT_EQ(v2.rfind("rac-agent-snapshot v2\n", 0), 0U);
+  ASSERT_NE(v2.find("\nexperience 2\n"), std::string::npos);
+  ASSERT_NE(v2.find("\nrac-qtable v2\n"), std::string::npos);
+  std::istringstream old_version(v2);
   EXPECT_THROW(load_agent_snapshot(old_version), std::runtime_error);
+}
+
+// The Q-table's base is named exactly when there is an active policy
+// (load_policy sets both); a fingerprint that is not a u64 is malformed.
+TEST(AgentSnapshotIo, RejectsABaseWithoutAnActivePolicyAndTheReverse) {
+  const std::string text = serialized(sample_snapshot());
+  const std::string base_line =
+      "qtable_base " + util::format_u64(0x0123456789abcdefULL) + "\n";
+  ASSERT_NE(text.find(base_line), std::string::npos);
+  for (const std::string bad :
+       {"qtable_base -\n", "qtable_base -1\n", "qtable_base 0x12\n",
+        "qtable_base 18446744073709551616\n"}) {
+    SCOPED_TRACE(bad);
+    std::istringstream is(patched(text, base_line, bad));
+    EXPECT_THROW(load_agent_snapshot(is), std::runtime_error);
+  }
+  AgentSnapshot no_policy;
+  std::string base_without_policy =
+      patched(serialized(no_policy), "qtable_base -\n", "qtable_base 7\n");
+  std::istringstream is(base_without_policy);
+  EXPECT_THROW(load_agent_snapshot(is), std::runtime_error);
 }
 
 TEST(AgentSnapshotIo, RejectsTruncatedInput) {
@@ -517,7 +552,8 @@ class CountingBuf final : public std::streambuf {
 
 // One checkpoint must cost the states it writes: an agent table of 10^3
 // written states serializes with a few allocations sized by its output.
-// The agent adopts it through restore, which keeps a table as it is.
+// The agent adopts them through restore, which puts them over the library
+// table as its own rows.
 TEST(RacAgentCheckpoint, SaveStateHeapScalesWithWrittenStatesNotTableRows) {
   if (!obs::alloc_hook_compiled()) {
     GTEST_SKIP() << "allocation counting needs -DRAC_ALLOC_HOOK=ON";
@@ -540,7 +576,8 @@ TEST(RacAgentCheckpoint, SaveStateHeapScalesWithWrittenStatesNotTableRows) {
   AgentSnapshot snapshot = agent.snapshot();
   snapshot.state.qtable = table;
   agent.restore(snapshot);
-  ASSERT_EQ(agent.qtable().base(), nullptr);
+  ASSERT_NE(agent.qtable().base(), nullptr);
+  ASSERT_EQ(agent.qtable().num_rows(), agent.qtable().size());
   ASSERT_GE(agent.qtable().size(), 900u);
   ASSERT_LE(agent.qtable().size(), 1000u);
 
@@ -560,6 +597,136 @@ TEST(RacAgentCheckpoint, SaveStateHeapScalesWithWrittenStatesNotTableRows) {
   RecordProperty("allocations", std::to_string(allocations));
   RecordProperty("allocated_bytes", std::to_string(allocated));
   RecordProperty("written_bytes", std::to_string(sink.bytes()));
+}
+
+// A checkpoint costs the rows the agent wrote, never the library table
+// under them: over a 10^5-row library table, an agent with about 10^3 own
+// rows writes bytes that scale with those rows. (A snapshot's table is an
+// overlay on the same shared base, so editing it adds own rows only.)
+TEST(RacAgentCheckpoint, SaveStateBytesScaleWithOwnRowsNotTheLibraryTable) {
+  InitialPolicy policy;
+  policy.context = {MixType::kShopping, VmLevel::kLevel1};
+  policy.table.set_default_q(-0.25);
+  util::Rng rng(14);
+  while (policy.table.size() < 100000) {
+    const std::size_t row =
+        policy.table.ensure_row(config::ConfigSpace::random_fine(rng));
+    policy.table.add_q_at(row, config::Action::keep(), rng.normal(0.0, 3.0));
+  }
+  InitialPolicyLibrary library;
+  library.add(std::move(policy));
+  RacAgent agent(RacOptions{}, library, 0);
+  AgentSnapshot snapshot = agent.snapshot();
+  rl::QTable& table = snapshot.state.qtable;
+  const std::vector<Configuration> library_states =
+      library.at(0).table.states();
+  for (std::size_t i = 0; i < 500; ++i) {  // base rows the agent moved
+    table.add_q(library_states[i * 199], config::Action(3), 0.125);
+  }
+  while (table.num_rows() < 1000) {  // states the library lacks
+    table.set_q(config::ConfigSpace::random_fine(rng), config::Action(5),
+                rng.normal(0.0, 1.0));
+  }
+  agent.restore(snapshot);
+  ASSERT_EQ(agent.qtable().num_rows(), 1000u);
+  ASSERT_GE(agent.qtable().size(), 100000u);
+
+  const std::string bytes = saved_state(agent);
+  // A row is 8 values and 17 hex doubles, under 512 characters.
+  EXPECT_LT(bytes.size(), 1000u * 512u + 4096u);
+  RecordProperty("written_bytes", std::to_string(bytes.size()));
+
+  // Those bytes resume the agent over the same library, table and all.
+  std::istringstream is(bytes);
+  RacAgent resumed(RacOptions{}, library, 0);
+  resumed.restore(load_agent_snapshot(is));
+  EXPECT_EQ(resumed.qtable().base(), agent.qtable().base());
+  EXPECT_EQ(resumed.qtable().num_rows(), agent.qtable().num_rows());
+  EXPECT_EQ(resumed.qtable().size(), agent.qtable().size());
+  EXPECT_EQ(saved_state(resumed), bytes);
+}
+
+// A policy with a fitted surface (intercept log(100 ms), small random
+// weights) and a small written table.
+InitialPolicy fitted_policy(const SystemContext& context, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> weights(45);
+  for (double& w : weights) w = rng.normal(0.0, 0.01);
+  weights[0] = std::log(100.0);
+  InitialPolicy policy;
+  policy.context = context;
+  policy.surface = TabulatedSurface(util::QuadraticSurface::from_parts(
+      util::LinearModel(std::move(weights)), config::kNumParams, 2,
+      std::vector<double>(config::kNumParams, 0.5),
+      std::vector<double>(config::kNumParams, 0.5)));
+  policy.table.set_default_q(-0.5);
+  for (int i = 0; i < 200; ++i) {
+    const Configuration state = config::ConfigSpace::random_fine(rng);
+    for (std::size_t a = 0; a < config::kNumActions; ++a) {
+      policy.table.set_q(state, config::Action(static_cast<int>(a)),
+                         rng.normal(0.0, 1.0));
+    }
+  }
+  return policy;
+}
+
+// Restore puts the saved own rows back over the live library's table, so
+// the library must be the one they were written over: the same policies,
+// whatever order their rows are held in. One changed Q value or one changed
+// surface weight in the active policy, with the library's size and
+// contexts unchanged, makes restore throw std::invalid_argument.
+TEST(RacAgentRestore, RejectsALibraryWithOneQValueOrSurfaceWeightChanged) {
+  const SystemContext shopping{MixType::kShopping, VmLevel::kLevel1};
+  const SystemContext ordering{MixType::kOrdering, VmLevel::kLevel3};
+  InitialPolicyLibrary library;
+  library.add(fitted_policy(shopping, 1));
+  library.add(fitted_policy(ordering, 2));
+  RacOptions options;
+  options.seed = 8;
+  RacAgent donor(options, library, 0);
+  for (int i = 0; i < 6; ++i) donor.observe(donor.decide(), {420.0, 10.0});
+  ASSERT_EQ(donor.active_policy(), 0u);
+  ASSERT_GT(donor.qtable().num_rows(), 0u);
+  const std::string bytes = saved_state(donor);
+  const auto snapshot = [&bytes] {
+    std::istringstream is(bytes);
+    return load_agent_snapshot(is);
+  };
+
+  // The same library saved and loaded again holds its rows in key order;
+  // the fingerprint does not see the order, so the agent resumes.
+  std::stringstream library_text;
+  save_library(library_text, library);
+  RacAgent reloaded(options, load_library(library_text), 0);
+  reloaded.restore(snapshot());
+  EXPECT_EQ(saved_state(reloaded), bytes);
+
+  const auto rejects = [&](const InitialPolicy& changed) {
+    InitialPolicyLibrary other;
+    other.add(changed);
+    other.add(library.at(1));
+    RacAgent agent(options, other, 0);
+    const std::string before = saved_state(agent);
+    EXPECT_THROW(agent.restore(snapshot()), std::invalid_argument);
+    EXPECT_EQ(saved_state(agent), before);
+  };
+  InitialPolicy q_changed = library.at(0);
+  const Configuration state = q_changed.table.states()[17];
+  q_changed.table.set_q(state, config::Action(4),
+                        q_changed.table.q(state, config::Action(4)) + 1e-9);
+  rejects(q_changed);
+
+  InitialPolicy weight_changed = library.at(0);
+  const util::QuadraticSurface& surface = weight_changed.surface.regression();
+  std::vector<double> weights(surface.model().weights().begin(),
+                              surface.model().weights().end());
+  weights[9] += 1e-9;
+  weight_changed.surface = TabulatedSurface(util::QuadraticSurface::from_parts(
+      util::LinearModel(std::move(weights)), surface.dim(),
+      surface.per_dim_degree(),
+      std::vector<double>(surface.means().begin(), surface.means().end()),
+      std::vector<double>(surface.scales().begin(), surface.scales().end())));
+  rejects(weight_changed);
 }
 
 // --- RacAgent::restore validation -------------------------------------------
@@ -606,12 +773,6 @@ TEST(RacAgentRestore, SnapshotRecordsEveryOption) {
   EXPECT_EQ(p.experience_blend, rl::ExperienceStore().blend());
 }
 
-std::string saved_state(const RacAgent& agent) {
-  std::ostringstream os;
-  agent.save_state(os);
-  return os.str();
-}
-
 // A well-formed snapshot of a differently configured agent is the wrong
 // agent, not a bad file: restore throws std::invalid_argument and leaves
 // the agent as it was.
@@ -625,7 +786,8 @@ TEST(RacAgentRestore, RejectsHyperparameterDrift) {
   drifted.online_epsilon = 0.2;
   RacAgent agent(drifted, {});
   const std::string before = saved_state(agent);
-  EXPECT_THROW(agent.check_restorable(snapshot), std::invalid_argument);
+  EXPECT_THROW(agent.check_restorable(snapshot, nullptr),
+               std::invalid_argument);
   EXPECT_THROW(agent.restore(snapshot), std::invalid_argument);
   EXPECT_EQ(saved_state(agent), before);
   // The same snapshot restores fine under matching options.

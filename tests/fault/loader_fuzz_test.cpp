@@ -1,6 +1,6 @@
-// Seeded mutation fuzzer over the five on-disk loaders: rac-qtable,
-// rac-policy-library, rac-agent-snapshot, rac-checkpoint and
-// rac-fleet-checkpoint.
+// Seeded mutation fuzzer over the five on-disk loaders: rac-qtable v2,
+// rac-policy-library v1, rac-agent-snapshot v3, rac-checkpoint v2 and
+// rac-fleet-checkpoint v3.
 //
 // Each format's saved text is mutated a fixed number of times from a fixed
 // seed, by truncation, bit flips, token swaps, and numbers chosen to break
@@ -395,15 +395,18 @@ std::unique_ptr<fleet::FleetManager> small_fleet(util::ThreadPool& pool,
                                                small_library());
 }
 
+// Checkpointed right after a retrain, so the tenants overlay the previous
+// library generation and the file's stale-base block is fuzzed too.
 TEST(LoaderFuzz, FleetCheckpoint) {
   util::ThreadPool pool(1);
   obs::Registry registry;
   std::ostringstream saved;
   {
     const auto fleet = small_fleet(pool, registry);
-    fleet->run(8);
+    fleet->run(10);
     fleet->save_checkpoint(saved);
   }
+  ASSERT_NE(saved.str().find("\nstale_base "), std::string::npos);
   fuzz("rac-fleet-checkpoint", saved.str(), 120, 105,
        [&](const std::string& text) {
          const auto fleet = small_fleet(pool, registry);

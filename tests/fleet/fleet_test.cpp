@@ -11,10 +11,13 @@
 // injected-fault environment.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -279,20 +282,28 @@ TEST(Fleet, RestoreRejectsMismatchedFleets) {
     std::istringstream is(bytes);
     EXPECT_THROW(other.restore_checkpoint(is), std::runtime_error);
   }
-  // A well-formed v1 checkpoint: the v2 bytes without the per-tenant
-  // "traffic" lines, under a v1 header. Only v2 is read.
+  // A well-formed v2 checkpoint: the v3 bytes without the stale-base
+  // block (none before a retrain) and each snapshot's qtable_base line,
+  // whose rac-qtable block then reads as v2's whole table, under v2
+  // headers. Only v3 is read.
   {
-    std::string v1;
+    ASSERT_NE(bytes.find("\nstale_bases 0\ntenants "), std::string::npos);
+    std::string v2;
     std::istringstream lines(bytes);
     for (std::string line; std::getline(lines, line);) {
-      if (line.rfind("traffic ", 0) == 0) continue;
-      if (line == "rac-fleet-checkpoint v2") line = "rac-fleet-checkpoint v1";
-      v1 += line + "\n";
+      if (line.rfind("stale_bases ", 0) == 0 ||
+          line.rfind("qtable_base ", 0) == 0) {
+        continue;
+      }
+      if (line == "rac-fleet-checkpoint v3") line = "rac-fleet-checkpoint v2";
+      if (line == "rac-agent-snapshot v3") line = "rac-agent-snapshot v2";
+      v2 += line + "\n";
     }
-    ASSERT_NE(v1, bytes);
+    ASSERT_EQ(v2.rfind("rac-fleet-checkpoint v2\n", 0), 0U);
+    ASSERT_EQ(v2.find(" v3\n"), std::string::npos);
     FleetManager other(make_specs(8), make_options(&pool, nullptr, &registry),
                        shared_library());
-    std::istringstream is(v1);
+    std::istringstream is(v2);
     EXPECT_THROW(other.restore_checkpoint(is), std::runtime_error);
   }
   // Trailing garbage after the end trailer (file loader only).
@@ -313,12 +324,154 @@ TEST(Fleet, RestoreRejectsMismatchedFleets) {
   }
 }
 
+// After a cross-tenant retrain every tenant still overlays the table of the
+// library generation it last loaded a policy from. A checkpoint taken right
+// then writes each of those stale bases once, and a fleet restored from it
+// continues exactly like one that never stopped.
+TEST(Fleet, CheckpointRightAfterARetrainHoldsEachStaleBaseOnce) {
+  obs::Registry registry;
+  const std::string path =
+      ::testing::TempDir() + "/rac_fleet_stale_checkpoint.rac";
+  util::ThreadPool reference_pool(4);
+  obs::DigestTraceSink reference_first, reference_second;
+  FleetManager reference(
+      make_specs(16),
+      make_options(&reference_pool, &reference_first, &registry),
+      shared_library());
+  reference.run(14);
+  reference.set_sink(&reference_second);
+  reference.run(10);
+
+  util::ThreadPool live_pool(1);
+  obs::DigestTraceSink live_first;
+  FleetManager live(make_specs(16),
+                    make_options(&live_pool, &live_first, &registry),
+                    shared_library());
+  live.run(14);  // retrains at 7 and 14
+  ASSERT_EQ(live.retrain_rounds(), 2);
+  std::set<std::uint64_t> stale;
+  for (std::size_t t = 0; t < live.tenant_count(); ++t) {
+    const std::optional<std::uint64_t> fingerprint =
+        live.agent(t).base_fingerprint();
+    ASSERT_TRUE(fingerprint.has_value());
+    ASSERT_FALSE(live.library().find_fingerprint(*fingerprint).has_value())
+        << "tenant " << t << " reads the current library";
+    stale.insert(*fingerprint);
+  }
+  ASSERT_GE(stale.size(), 2u);
+  save_fleet_checkpoint_file(path, live);
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  EXPECT_NE(bytes.find("\nstale_bases " + util::format_u64(stale.size()) +
+                       "\n"),
+            std::string::npos);
+  std::size_t blocks = 0;
+  for (std::size_t at = bytes.find("\nstale_base "); at != std::string::npos;
+       at = bytes.find("\nstale_base ", at + 1)) {
+    ++blocks;
+  }
+  EXPECT_EQ(blocks, stale.size());
+  for (const std::uint64_t fingerprint : stale) {
+    const std::string line =
+        "\nstale_base " + util::format_u64(fingerprint) + "\n";
+    EXPECT_NE(bytes.find(line), std::string::npos);
+    EXPECT_EQ(bytes.find(line), bytes.rfind(line));
+  }
+  // The library tables are written once each, in the library: 2 policies
+  // plus the stale bases, whatever the tenant count.
+  std::size_t tables = 0;
+  for (std::size_t at = bytes.find("\nrac-qtable v2\n");
+       at != std::string::npos; at = bytes.find("\nrac-qtable v2\n", at + 1)) {
+    ++tables;
+  }
+  EXPECT_EQ(tables, 2 + stale.size() + live.tenant_count());
+
+  util::ThreadPool resumed_pool(4);
+  obs::DigestTraceSink resumed_second;
+  FleetManager resumed(make_specs(16),
+                       make_options(&resumed_pool, &resumed_second, &registry),
+                       shared_library());
+  restore_fleet_checkpoint_file(path, resumed);
+  for (std::size_t t = 0; t < resumed.tenant_count(); ++t) {
+    EXPECT_EQ(resumed.agent(t).base_fingerprint(),
+              live.agent(t).base_fingerprint());
+    EXPECT_EQ(resumed.agent(t).qtable().num_rows(),
+              live.agent(t).qtable().num_rows());
+  }
+  EXPECT_EQ(checkpoint_bytes(resumed), bytes);
+  resumed.run(10);
+
+  EXPECT_EQ(live_first.digest(), reference_first.digest());
+  EXPECT_EQ(resumed_second.digest(), reference_second.digest());
+  EXPECT_EQ(checkpoint_bytes(resumed), checkpoint_bytes(reference));
+  std::remove(path.c_str());
+}
+
 // Replaces the last line of `text` that starts with `prefix`.
 std::string with_last_line(const std::string& text, const std::string& prefix,
                            const std::string& line) {
   const std::size_t at = text.rfind("\n" + prefix) + 1;
   EXPECT_NE(at, 0u) << prefix;
   return text.substr(0, at) + line + text.substr(text.find('\n', at));
+}
+
+// Every tenant's base must be one the checkpoint holds, in its library or
+// its stale bases, and every stale base must be some tenant's: a file that
+// breaks either is malformed, and the fleet stays as it was.
+TEST(Fleet, RestoreRejectsABaseTheCheckpointDoesNotHold) {
+  obs::Registry registry;
+  util::ThreadPool pool(1);
+  FleetManager donor(make_specs(4), make_options(&pool, nullptr, &registry),
+                     shared_library());
+  donor.run(7);  // right after the first retrain: every base is stale
+  const std::string bytes = checkpoint_bytes(donor);
+  const std::uint64_t fingerprint = *donor.agent(0).base_fingerprint();
+  const std::string base_line =
+      "stale_base " + util::format_u64(fingerprint) + "\n";
+  // Tenant 0's stale base: its line and rac-qtable block.
+  const std::size_t block = bytes.find("\n" + base_line) + 1;
+  ASSERT_NE(block, 0u);
+  const std::size_t block_end = bytes.find("\nend\n", block) + 5;
+  const std::string stale_block = bytes.substr(block, block_end - block);
+  const std::size_t count_at = bytes.find("\nstale_bases ") + 13;
+  const std::size_t count_size = bytes.find('\n', count_at) - count_at;
+  const std::uint64_t count =
+      util::parse_u64(bytes.substr(count_at, count_size), "count");
+  const auto with_count = [&](std::string text, std::uint64_t n) {
+    return text.replace(count_at, count_size, util::format_u64(n));
+  };
+
+  FleetManager fleet(make_specs(4), make_options(&pool, nullptr, &registry),
+                     shared_library());
+  const std::string before = checkpoint_bytes(fleet);
+  const auto rejects = [&](const std::string& bad) {
+    std::istringstream is(bad);
+    EXPECT_THROW(fleet.restore_checkpoint(is), std::runtime_error);
+    EXPECT_TRUE(checkpoint_bytes(fleet) == before);
+  };
+  // A tenant naming a fingerprint the file holds nowhere.
+  rejects(with_last_line(bytes, "qtable_base ",
+                         "qtable_base " + util::format_u64(fingerprint + 1)));
+  // Tenant 0's stale base cut from the file.
+  std::string cut = bytes;
+  cut.erase(block, block_end - block);
+  rejects(with_count(cut, count - 1));
+  // The same stale base twice, and one no tenant overlays.
+  std::string repeated = bytes;
+  repeated.insert(block_end, stale_block);
+  rejects(with_count(repeated, count + 1));
+  std::string unnamed = bytes;
+  unnamed.insert(bytes.find("\ntenants ") + 1,
+                 "stale_base 18446744073709551615\n" +
+                     stale_block.substr(base_line.size()));
+  rejects(with_count(unnamed, count + 1));
+
+  std::istringstream is(bytes);
+  fleet.restore_checkpoint(is);
+  EXPECT_TRUE(checkpoint_bytes(fleet) == bytes);
 }
 
 // A restore checks every tenant before it adopts anything: a checkpoint

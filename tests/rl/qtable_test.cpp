@@ -309,5 +309,91 @@ TEST(QTableOverlay, RebaseDropsOwnRowsAndRejectsAnOverlayBase) {
   EXPECT_TRUE(overlay.empty());
 }
 
+// A snapshot stores an overlay's own rows (save_own_rows) and restore puts
+// them back over the base with overlay_on: the result must read, count,
+// train and save like the overlay it was taken from.
+TEST(QTableOverlay, OwnRowsSavedAndPutBackOverTheBaseMatchTheOverlay) {
+  const auto library = std::make_shared<const QTable>(trained_library_table());
+  QTable overlay;
+  overlay.rebase(library);
+  const std::vector<Configuration> base_states = library->states();
+  util::Rng rng(44);
+  for (std::size_t i = 0; i < base_states.size(); i += 5) {
+    overlay.add_q(base_states[i], Action(static_cast<int>(i % 17)), 0.25);
+  }
+  for (int i = 0; i < 30; ++i) {
+    overlay.set_q(ConfigSpace::random_fine(rng), Action::keep(), -0.5);
+  }
+  overlay.ensure_row(base_states[1]);  // copied, left unchanged
+  ASSERT_GT(overlay.num_rows(), 30U);
+  ASSERT_LT(overlay.num_rows(), library->num_rows());
+
+  std::stringstream own;
+  save_own_rows(own, overlay);
+  QTable restored = load_qtable(own);
+  EXPECT_EQ(restored.base(), nullptr);
+  EXPECT_EQ(restored.num_rows(), overlay.num_rows());
+  restored.overlay_on(library);
+  EXPECT_EQ(restored.base(), library);
+  EXPECT_EQ(restored.num_rows(), overlay.num_rows());
+  std::vector<Configuration> probes = library->states();
+  for (int i = 0; i < 100; ++i) probes.push_back(ConfigSpace::random_fine(rng));
+  expect_same_reads(overlay, restored, probes);
+  for (const Configuration& s : overlay.states()) {
+    EXPECT_EQ(restored.find_row(s) == QTable::npos,
+              overlay.find_row(s) == QTable::npos);
+  }
+  std::stringstream again;
+  save_own_rows(again, restored);
+  std::stringstream first;
+  save_own_rows(first, overlay);
+  EXPECT_EQ(again.str(), first.str());
+
+  // One more TD batch moves both alike.
+  std::vector<Configuration> starts(probes.end() - 10, probes.end());
+  util::Rng overlay_rng(45);
+  util::Rng restored_rng(45);
+  const TdParams online{0.1, 0.9, 0.1, 1e-3, 8, 40};
+  batch_train(overlay, starts, toward(400), online, overlay_rng);
+  batch_train(restored, starts, toward(400), online, restored_rng);
+  expect_same_reads(overlay, restored, probes);
+  EXPECT_EQ(restored.num_rows(), overlay.num_rows());
+}
+
+TEST(QTableOverlay, OverlayOnRejectsAnOverlayBaseAndAnotherDefault) {
+  auto base = std::make_shared<QTable>();
+  base->set_default_q(-1.5);
+  base->set_q(Configuration{}, Action::keep(), 4.0);
+  Configuration fresh;
+  fresh.set(ParamId::kMaxClients, 300);
+  QTable own;
+  own.set_default_q(-1.5);
+  own.set_q(fresh, Action(2), 9.0);
+  own.set_q(Configuration{}, Action(3), 1.0);
+
+  QTable other_default = own;
+  other_default.set_default_q(1.5);
+  EXPECT_THROW(other_default.overlay_on(base), std::invalid_argument);
+  other_default.set_default_q(-0.0);
+  base->set_default_q(0.0);  // equal as doubles, not bit for bit
+  EXPECT_THROW(other_default.overlay_on(base), std::invalid_argument);
+  EXPECT_EQ(other_default.base(), nullptr);
+  base->set_default_q(-1.5);
+
+  QTable stacked_base;
+  stacked_base.rebase(base);
+  EXPECT_THROW(own.overlay_on(std::make_shared<const QTable>(stacked_base)),
+               std::invalid_argument);
+  EXPECT_EQ(own.base(), nullptr);
+
+  own.overlay_on(base);
+  EXPECT_EQ(own.num_rows(), 2U);
+  EXPECT_EQ(own.size(), 2U);  // Configuration{} is in both
+  EXPECT_EQ(own.q(Configuration{}, Action::keep()), -1.5);  // own row wins
+  own.overlay_on(nullptr);
+  EXPECT_EQ(own.base(), nullptr);
+  EXPECT_EQ(own.size(), 2U);
+}
+
 }  // namespace
 }  // namespace rac::rl

@@ -439,6 +439,67 @@ TEST(SerializationOracle, WriterMatchesReferenceByteForByte) {
   }
 }
 
+// No learner writes a non-finite Q value or default, and a resumed
+// retrain's audit (RAC_AUDIT) rejects one as a fault, so the reader
+// rejects them as malformed input: in a table, in a library and in an
+// agent snapshot's own rows alike.
+TEST(Serialization, RejectsNonFiniteQValuesAndDefaults) {
+  const std::string text = saved(sample_table());
+  const std::string default_line =
+      "default_q " + util::format_double(-0.5) + "\n";
+  ASSERT_NE(text.find(default_line), std::string::npos);
+  const std::size_t rows = text.find('\n', text.find("\nstates ") + 1) + 1;
+  for (const std::string bad : {"nan", "-nan", "inf", "-inf"}) {
+    SCOPED_TRACE(bad);
+    std::string bad_default = text;
+    bad_default.replace(text.find(default_line), default_line.size(),
+                        "default_q " + bad + "\n");
+    std::istringstream default_is(bad_default);
+    EXPECT_THROW(load_qtable(default_is), std::runtime_error);
+
+    // The ninth token of the first row is its first Q value.
+    std::string bad_q = text;
+    std::size_t at = rows;
+    for (int token = 0; token < 8; ++token) at = bad_q.find(' ', at) + 1;
+    const std::size_t end = bad_q.find(' ', at);
+    bad_q.replace(at, end - at, bad);
+    std::istringstream q_is(bad_q);
+    EXPECT_THROW(load_qtable(q_is), std::runtime_error);
+  }
+  std::istringstream intact(text);
+  EXPECT_NO_THROW(load_qtable(intact));
+}
+
+TEST(Serialization, SaveOwnRowsWritesOnlyTheTablesOwnRows) {
+  const auto base = std::make_shared<const QTable>(sample_table());
+  QTable overlay;
+  overlay.rebase(base);
+  const std::vector<config::Configuration> states = base->states();
+  overlay.add_q(states[3], config::Action(2), 1.0);
+  config::Configuration fresh;
+  fresh.set(config::ParamId::kMaxClients, 77);
+  overlay.set_q(fresh, config::Action::keep(), 2.0);
+
+  std::stringstream own;
+  save_own_rows(own, overlay);
+  const std::string text = own.str();
+  EXPECT_EQ(text.rfind("rac-qtable v2\ndefault_q ", 0), 0U);
+  EXPECT_NE(text.find("\nstates 2\n"), std::string::npos);
+  const QTable loaded = load_qtable(own);
+  EXPECT_EQ(loaded.size(), 2U);
+  EXPECT_EQ(loaded.default_q(), overlay.default_q());
+  for (const config::Configuration& s : {states[3], fresh}) {
+    for (std::size_t a = 0; a < config::kNumActions; ++a) {
+      const config::Action action(static_cast<int>(a));
+      EXPECT_EQ(loaded.q(s, action), overlay.q(s, action));
+    }
+  }
+  // A plain table's own rows are all of its rows.
+  std::ostringstream plain_own;
+  save_own_rows(plain_own, *base);
+  EXPECT_EQ(plain_own.str(), saved(*base));
+}
+
 // Row counts are unchecked input. A count far past the rows present must
 // fail as malformed input, not size an allocation (std::bad_alloc,
 // std::length_error).

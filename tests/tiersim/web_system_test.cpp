@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "config/space.hpp"
+#include "obs/metrics.hpp"
 
 namespace rac::tiersim {
 namespace {
@@ -35,6 +38,29 @@ TEST(ThreeTierSystem, DeterministicForSameSeed) {
   const auto mb = b.run(20.0, 60.0);
   EXPECT_EQ(ma.completed, mb.completed);
   EXPECT_DOUBLE_EQ(ma.mean_response_ms, mb.mean_response_ms);
+}
+
+// Each run adds the events it executed to tiersim.events: the DES work
+// counter, deterministic for a seed and growing with the simulated window.
+TEST(ThreeTierSystem, CountsExecutedEventsInTheRegistry) {
+  SystemParams params;
+  const auto events = [&](double measure_s) {
+    obs::Registry registry;
+    SimSetup setup = small_setup(9);
+    setup.registry = &registry;
+    ThreeTierSystem sys(params, setup);
+    sys.run(20.0, measure_s);
+    const std::uint64_t first = registry.counter("tiersim.events").value();
+    sys.run(20.0, measure_s);
+    const std::uint64_t both = registry.counter("tiersim.events").value();
+    EXPECT_GT(first, 0u);
+    EXPECT_GT(both, first);
+    return first;
+  };
+  const std::uint64_t short_window = events(30.0);
+  EXPECT_EQ(events(30.0), short_window);
+  // Every completed request takes several events.
+  EXPECT_GT(events(90.0), short_window);
 }
 
 TEST(ThreeTierSystem, ThroughputTracksOfferedLoad) {

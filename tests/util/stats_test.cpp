@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace rac::util {
 namespace {
@@ -143,6 +148,59 @@ TEST(Percentile, RejectsEmptyAndOutOfRange) {
   const std::vector<double> v = {1.0, 2.0};
   EXPECT_THROW(percentile(v, -1.0), std::invalid_argument);
   EXPECT_THROW(percentile(v, 100.5), std::invalid_argument);
+}
+
+// The sort-based percentile that percentile() replaced.
+double sorted_percentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  if (samples.size() == 1) return samples.front();
+  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] + frac * (samples[hi] - samples[lo]);
+}
+
+// percentile() selects its two order statistics instead of sorting; it
+// must return the sort-based reference's value bit for bit, ties, signed
+// zeros and subnormals included.
+TEST(Percentile, SelectionMatchesTheSortBasedReferenceBitForBit) {
+  using limits = std::numeric_limits<double>;
+  const std::vector<double> awkward = {
+      0.0,  -0.0, limits::denorm_min(), -limits::denorm_min(),
+      limits::min() / 7.0, 1.0, 1.0, -2.5, 1e300, -1e300};
+  Rng rng(91);
+  int compared = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 60));
+    std::vector<double> samples;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Draws repeat: a small value pool, awkward values, and a few
+      // continuous samples.
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          samples.push_back(awkward[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<int>(awkward.size()) - 1))]);
+          break;
+        case 1:
+          samples.push_back(static_cast<double>(rng.uniform_int(-3, 3)));
+          break;
+        default:
+          samples.push_back(rng.normal(0.0, 100.0));
+          break;
+      }
+    }
+    for (const double p : {0.0, 25.0, 50.0, 95.0, 99.0, 100.0}) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " p " << p);
+      const double got = percentile(samples, p);
+      const double want = sorted_percentile(samples, p);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << got << " vs " << want;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 2400);
 }
 
 TEST(MeanOf, HandlesEmptyAndValues) {
